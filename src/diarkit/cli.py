@@ -658,6 +658,16 @@ _HANDLERS = {
 }
 
 
+# Exit code per exception type; the first matching row wins.
+_EXIT_CODES = (
+    (_UsageError, 2),
+    (FormatError, 3),
+    (OSError, 3),
+    (TrainingDivergedError, 5),
+    (InvalidInputError, 4),
+)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -670,23 +680,12 @@ def main(argv=None) -> int:
     try:
         ns = _finalize(ns.command, ns)
         return _HANDLERS[ns.command](ns)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except TrainingDivergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except Exception as exc:  # pragma: no cover - last resort
-        print(f"unexpected error: {exc!r}", file=sys.stderr)
+    except Exception as exc:
+        for exc_type, code in _EXIT_CODES:
+            if isinstance(exc, exc_type):
+                print(f"error: {exc}", file=sys.stderr)
+                return code
+        print(f"unexpected error: {exc!r}", file=sys.stderr)  # last resort
         return 1
 
 

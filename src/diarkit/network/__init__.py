@@ -1,99 +1,59 @@
 """Embedding networks: layer primitives, graph assembly, forward/backward."""
 
-from .architectures import (
-    ARCH_NAMES,
-    DEFAULT_MSA_TAPS,
-    MSA_TAP_CHOICES,
-    DimOverrides,
-    build_architecture,
-)
-from .gradcheck import (
-    check_gradients,
-    condition_for_fd,
-    fd_gradients,
-    relative_errors,
-)
+from .architectures import DEFAULT_MSA_TAPS, DimOverrides, build_architecture
+from .gradcheck import check_gradients, condition_for_fd, fd_gradients, relative_errors
 from .graph import (
-    BN_EPS,
-    BN_MOMENTUM,
-    ForwardResult,
-    FrameBatch,
     LayerSpec,
     Network,
     NetworkSpec,
-    Tape,
     backward_batch,
     extract_embedding,
     extract_embeddings,
-    forward,
     forward_batch,
     initialize_network,
-    layer_param_names,
+    param_shapes,
+    receptive_span,
     validate_spec,
 )
 from .layers import (
     VARIANCE_FLOOR,
     context_span,
     factor_contexts,
-    factorized_tdnn_forward,
     ortho_residual,
     semi_orthogonalize,
     splice,
     stats_pool,
-    tdnn_forward,
     unsplice,
 )
-from .model_io import (
-    MODEL_FORMAT_VERSION,
-    MODEL_MAGIC,
-    load_network,
-    param_shapes,
-    save_network,
-    spec_from_text,
-    spec_to_text,
-)
+from .model_io import load_network, save_network
 
 __all__ = [
-    "ARCH_NAMES",
-    "BN_EPS",
-    "BN_MOMENTUM",
     "DEFAULT_MSA_TAPS",
     "DimOverrides",
-    "ForwardResult",
-    "FrameBatch",
     "LayerSpec",
-    "MODEL_FORMAT_VERSION",
-    "MODEL_MAGIC",
-    "MSA_TAP_CHOICES",
     "Network",
     "NetworkSpec",
-    "Tape",
     "VARIANCE_FLOOR",
     "backward_batch",
     "build_architecture",
     "check_gradients",
     "condition_for_fd",
     "context_span",
-    "fd_gradients",
     "extract_embedding",
     "extract_embeddings",
     "factor_contexts",
-    "factorized_tdnn_forward",
-    "forward",
+    "fd_gradients",
     "forward_batch",
     "initialize_network",
-    "layer_param_names",
     "load_network",
     "ortho_residual",
     "param_shapes",
+    "receptive_span",
     "relative_errors",
     "save_network",
     "semi_orthogonalize",
-    "spec_from_text",
-    "spec_to_text",
     "splice",
     "stats_pool",
-    "tdnn_forward",
     "unsplice",
     "validate_spec",
 ]

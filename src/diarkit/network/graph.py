@@ -6,12 +6,18 @@ read any earlier output, which is what the skip connections and the
 multi-branch pooling heads use). Frame-level values travel as a FrameBatch,
 a ragged batch of per-sequence frame matrices stacked into one array;
 segment-level values are plain (batch, dim) arrays.
+
+LAYER_KINDS is the one place that defines a layer kind: its parameter shapes,
+batch-norm buffers, frame span, spec checks, forward and backward pass.
+Initialization, validation, evaluation, model files and training read the
+table instead of branching on a kind's name; the one kind named outside it is
+the graph rule that the embedding and output layers are dense.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -20,23 +26,12 @@ from .layers import (
     VARIANCE_FLOOR,
     context_span,
     factor_contexts,
+    pool_moments,
     semi_orthogonalize,
+    splice,
     unsplice,
     validate_context,
 )
-
-KINDS = ("tdnn", "factorized_tdnn", "dense", "stats_pool", "relu_batchnorm", "concat")
-
-# parameter names per kind, in canonical (serialization and update) order
-KIND_PARAMS = {
-    "tdnn": ("W", "b"),
-    "factorized_tdnn": ("M", "F", "b"),
-    "dense": ("W", "b"),
-    "relu_batchnorm": ("gamma", "beta"),
-    "stats_pool": (),
-    "concat": (),
-}
-RBN_BUFFERS = ("running_mean", "running_var")
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
@@ -59,13 +54,6 @@ class LayerSpec:
     skip_mode: str = "sum"
 
 
-def layer_param_names(ls: LayerSpec) -> tuple[str, ...]:
-    names = KIND_PARAMS[ls.kind]
-    if ls.skip_from and ls.skip_mode == "concat":
-        names = names + ("P",)
-    return names
-
-
 @dataclass(frozen=True)
 class NetworkSpec:
     layers: tuple[LayerSpec, ...]
@@ -73,94 +61,9 @@ class NetworkSpec:
     num_speakers: int
     msa_taps: tuple[str, ...] = ()
 
-    def layer(self, name: str) -> LayerSpec:
-        for ls in self.layers:
-            if ls.name == name:
-                return ls
-        raise KeyError(name)
-
     @property
     def output_layer(self) -> str:
         return self.layers[-1].name
-
-    @property
-    def receptive_span(self) -> int:
-        """Total frames of context consumed on the deepest frame-level path."""
-        spans = {INPUT_NAME: 0}
-        best = 0
-        for ls in self.layers:
-            if ls.kind in ("tdnn", "factorized_tdnn", "dense", "relu_batchnorm"):
-                src = spans.get(ls.inputs[0])
-                if src is None:
-                    continue
-                here = src + (context_span(ls.context) if ls.kind in ("tdnn", "factorized_tdnn") else 0)
-                spans[ls.name] = here
-                best = max(best, here)
-        return best
-
-
-def validate_spec(spec: NetworkSpec) -> None:
-    """Structural checks plus a full dimension/time-level walk of the graph."""
-    if not spec.layers:
-        raise InvalidInputError("network spec has no layers")
-    seen: dict[str, LayerSpec] = {}
-    # name -> (dim, level); level is "frame" or "segment"
-    info: dict[str, tuple[int, str]] = {INPUT_NAME: (spec.layers[0].in_dim, "frame")}
-    for ls in spec.layers:
-        if ls.kind not in KINDS:
-            raise InvalidInputError(f"{ls.name}: unknown layer kind {ls.kind!r}")
-        if ls.name in seen or ls.name == INPUT_NAME:
-            raise InvalidInputError(f"duplicate or reserved layer name {ls.name!r}")
-        for src in ls.inputs:
-            if src not in info:
-                raise InvalidInputError(f"{ls.name}: input {src!r} is not an earlier layer")
-        if ls.kind == "concat":
-            dims, levels = zip(*(info[src] for src in ls.inputs))
-            if len(ls.inputs) < 2 or any(lvl != "segment" for lvl in levels):
-                raise InvalidInputError(f"{ls.name}: concat joins two or more segment-level inputs")
-            if ls.out_dim != sum(dims):
-                raise InvalidInputError(f"{ls.name}: concat output dim must be {sum(dims)}")
-            out = (ls.out_dim, "segment")
-        else:
-            in_dim, level = info[ls.inputs[0]]
-            if in_dim != ls.in_dim:
-                raise InvalidInputError(f"{ls.name}: expects in_dim {ls.in_dim}, gets {in_dim}")
-            if ls.kind in ("tdnn", "factorized_tdnn", "stats_pool") and level != "frame":
-                raise InvalidInputError(f"{ls.name}: needs frame-level input")
-            if ls.kind in ("tdnn", "factorized_tdnn"):
-                validate_context(ls.context)
-            if ls.kind == "factorized_tdnn":
-                c1, _ = factor_contexts(ls.context)
-                if not (0 < ls.inner_dim < ls.out_dim and ls.inner_dim <= ls.in_dim * len(c1)):
-                    raise InvalidInputError(
-                        f"{ls.name}: inner dim {ls.inner_dim} incompatible with "
-                        f"{ls.in_dim}x{len(c1)} -> {ls.out_dim}"
-                    )
-            if ls.kind == "relu_batchnorm" and ls.in_dim != ls.out_dim:
-                raise InvalidInputError(f"{ls.name}: batch norm cannot change the dimension")
-            if ls.kind == "stats_pool":
-                if ls.out_dim != 2 * ls.in_dim:
-                    raise InvalidInputError(f"{ls.name}: pooling doubles the dimension")
-                out = (ls.out_dim, "segment")
-            else:
-                out = (ls.out_dim, level)
-        if ls.skip_from:
-            if ls.skip_mode not in ("sum", "concat"):
-                raise InvalidInputError(f"{ls.name}: unknown skip mode {ls.skip_mode!r}")
-            if info.get(ls.skip_from) != (ls.in_dim, "frame"):
-                raise InvalidInputError(
-                    f"{ls.name}: skip source must be an earlier frame-level layer of dim {ls.in_dim}"
-                )
-        seen[ls.name] = ls
-        info[ls.name] = out
-    last = spec.layers[-1]
-    if last.kind != "dense" or last.out_dim != spec.num_speakers or info[last.name][1] != "segment":
-        raise InvalidInputError("last layer must be the dense softmax map onto the speakers")
-    if spec.embedding_layer not in seen or seen[spec.embedding_layer].kind != "dense":
-        raise InvalidInputError(f"embedding layer {spec.embedding_layer!r} must be a dense layer")
-    for tap in spec.msa_taps:
-        if tap not in seen:
-            raise InvalidInputError(f"msa tap {tap!r} is not a layer")
 
 
 @dataclass
@@ -197,21 +100,378 @@ class Network:
     def parameters(self):
         """Yield (layer_name, param_name, array) in canonical order."""
         for ls in self.spec.layers:
-            for pname in layer_param_names(ls):
+            for pname in param_shapes(ls):
                 yield ls.name, pname, self.params[ls.name][pname]
 
-    def num_parameters(self) -> int:
-        return sum(p.size for _, _, p in self.parameters())
+    def factor_matrices(self):
+        """Yield every parameter matrix that training holds semi-orthogonal."""
+        for ls in self.spec.layers:
+            for pname in LAYER_KINDS[ls.kind].semi_orthogonal:
+                yield self.params[ls.name][pname]
 
-    def factor_layers(self) -> list[str]:
-        return [ls.name for ls in self.spec.layers if ls.kind == "factorized_tdnn"]
 
-    def copy(self) -> "Network":
-        return Network(
-            self.spec,
-            {n: {k: v.copy() for k, v in d.items()} for n, d in self.params.items()},
-            {n: {k: v.copy() for k, v in d.items()} for n, d in self.buffers.items()},
+class _Pass(NamedTuple):
+    """Per-evaluation settings every layer's forward may read."""
+
+    buffers: dict[str, dict[str, np.ndarray]]
+    windows: list
+    training: bool
+    dropout_prob: float
+    rng: Optional[np.random.Generator]
+    update_buffers: bool
+
+
+def _data(value) -> np.ndarray:
+    return value.data if isinstance(value, FrameBatch) else value
+
+
+def _like(value, data: np.ndarray):
+    """Wrap data at the same time level (and frame layout) as value."""
+    return FrameBatch(data, value.lengths, value.span) if isinstance(value, FrameBatch) else data
+
+
+def _check_lengths(name: str, lengths: tuple[int, ...], span: int) -> None:
+    shortest = min(lengths)
+    if shortest <= span:
+        raise InvalidInputError(
+            f"{name}: need more than {span} frames, shortest sequence has {shortest}"
         )
+
+
+class LayerKind:
+    """One layer kind; the base has a single input, no parameters, no span.
+
+    shapes(ls) lists the parameters in canonical order. Those in fills start
+    at that constant, the rest are fan-in uniform weights, and those in
+    semi_orthogonal stay semi-orthogonal. buffers are (out_dim,) running
+    moments with their start values. check(ls, sources) validates against
+    the inputs' (dim, level) and returns the output level. forward(ls, params,
+    inputs, run) -> (output, tape entry); backward(ls, params, grad, tape
+    entry) -> (parameter gradients, one gradient per input).
+    """
+
+    fills: dict[str, float] = {}
+    semi_orthogonal: tuple[str, ...] = ()
+    buffers: dict[str, float] = {}
+    frame_input = False  # True when the input must be frame-level
+
+    def shapes(self, ls: LayerSpec) -> dict[str, tuple[int, ...]]:
+        return {}
+
+    def span(self, ls: LayerSpec) -> int:
+        return 0
+
+    def check(self, ls: LayerSpec, sources) -> str:
+        in_dim, level = sources[0]
+        if in_dim != ls.in_dim:
+            raise InvalidInputError(f"{ls.name}: expects in_dim {ls.in_dim}, gets {in_dim}")
+        if self.frame_input and level != "frame":
+            raise InvalidInputError(f"{ls.name}: needs frame-level input")
+        return level
+
+
+class _Tdnn(LayerKind):
+    fills = {"b": 0.0}
+    frame_input = True
+
+    def shapes(self, ls):
+        return {"W": (ls.out_dim, ls.in_dim * len(ls.context)), "b": (ls.out_dim,)}
+
+    def span(self, ls):
+        return context_span(ls.context)
+
+    def check(self, ls, sources):
+        level = super().check(ls, sources)
+        validate_context(ls.context)
+        return level
+
+    def forward(self, ls, p, xs, run):
+        x = xs[0]
+        span = context_span(ls.context)
+        _check_lengths(ls.name, x.lengths, span)
+        wt = p["W"].T
+        spliced = [splice(seq, ls.context) for seq in x.split()]
+        return self._output(p, x, [s @ wt for s in spliced], span), {"spliced": spliced}
+
+    @staticmethod
+    def _output(p, x: FrameBatch, outs: list[np.ndarray], span: int) -> FrameBatch:
+        data = np.vstack(outs) if len(outs) > 1 else outs[0]
+        data += p["b"]
+        return FrameBatch(data, tuple(n - span for n in x.lengths), x.span + span)
+
+    def backward(self, ls, p, g, cache):
+        x = cache["in_value"]
+        span = context_span(ls.context)
+        gW = np.zeros_like(p["W"])
+        gb = g.sum(axis=0)
+        gx = np.zeros_like(x.data)
+        pos_out, pos_in = 0, 0
+        for spliced, len_in in zip(cache["spliced"], x.lengths):
+            len_out = len_in - span
+            gs = g[pos_out : pos_out + len_out]
+            gW += gs.T @ spliced
+            gx[pos_in : pos_in + len_in] = unsplice(gs @ p["W"], ls.context, len_in, ls.in_dim)
+            pos_out += len_out
+            pos_in += len_in
+        return {"W": gW, "b": gb}, [gx]
+
+
+class _FactorizedTdnn(_Tdnn):
+    """Two chained spliced maps, M over the first factor context and F over
+    the second; M is the factor held semi-orthogonal."""
+
+    semi_orthogonal = ("M",)
+
+    def shapes(self, ls):
+        c1, c2 = factor_contexts(ls.context)
+        return {
+            "M": (ls.inner_dim, ls.in_dim * len(c1)),
+            "F": (ls.out_dim, ls.inner_dim * len(c2)),
+            "b": (ls.out_dim,),
+        }
+
+    def check(self, ls, sources):
+        level = super().check(ls, sources)
+        c1, _ = factor_contexts(ls.context)
+        if not (0 < ls.inner_dim < ls.out_dim and ls.inner_dim <= ls.in_dim * len(c1)):
+            raise InvalidInputError(
+                f"{ls.name}: inner dim {ls.inner_dim} incompatible with "
+                f"{ls.in_dim}x{len(c1)} -> {ls.out_dim}"
+            )
+        return level
+
+    def forward(self, ls, p, xs, run):
+        x = xs[0]
+        c1, c2 = factor_contexts(ls.context)
+        span = context_span(c1) + context_span(c2)
+        _check_lengths(ls.name, x.lengths, span)
+        mt, ft = p["M"].T, p["F"].T
+        spliced_x, spliced_h, outs = [], [], []
+        for seq in x.split():
+            sx = splice(seq, c1)
+            sh = splice(sx @ mt, c2)
+            spliced_x.append(sx)
+            spliced_h.append(sh)
+            outs.append(sh @ ft)
+        cache = {"spliced_x": spliced_x, "spliced_h": spliced_h, "contexts": (c1, c2)}
+        return self._output(p, x, outs, span), cache
+
+    def backward(self, ls, p, g, cache):
+        x = cache["in_value"]
+        c1, c2 = cache["contexts"]
+        span1, span2 = context_span(c1), context_span(c2)
+        gM = np.zeros_like(p["M"])
+        gF = np.zeros_like(p["F"])
+        gb = g.sum(axis=0)
+        gx = np.zeros_like(x.data)
+        pos_out, pos_in = 0, 0
+        for spliced_x, spliced_h, len_in in zip(cache["spliced_x"], cache["spliced_h"], x.lengths):
+            len_h = len_in - span1
+            len_out = len_h - span2
+            gs = g[pos_out : pos_out + len_out]
+            gF += gs.T @ spliced_h
+            gh = unsplice(gs @ p["F"], c2, len_h, ls.inner_dim)
+            gM += gh.T @ spliced_x
+            gx[pos_in : pos_in + len_in] = unsplice(gh @ p["M"], c1, len_in, ls.in_dim)
+            pos_out += len_out
+            pos_in += len_in
+        return {"M": gM, "F": gF, "b": gb}, [gx]
+
+
+class _Dense(LayerKind):
+    fills = {"b": 0.0}
+
+    def shapes(self, ls):
+        return {"W": (ls.out_dim, ls.in_dim), "b": (ls.out_dim,)}
+
+    def forward(self, ls, p, xs, run):
+        xd = _data(xs[0])
+        return _like(xs[0], xd @ p["W"].T + p["b"]), {"x_data": xd}
+
+    def backward(self, ls, p, g, cache):
+        return {"W": g.T @ cache["x_data"], "b": g.sum(axis=0)}, [g @ p["W"]]
+
+
+class _ReluBatchNorm(LayerKind):
+    """ReLU, then batch norm over the rows; optional inverted dropout after."""
+
+    fills = {"gamma": 1.0, "beta": 0.0}
+    buffers = {"running_mean": 0.0, "running_var": 1.0}
+
+    def shapes(self, ls):
+        return {"gamma": (ls.out_dim,), "beta": (ls.out_dim,)}
+
+    def check(self, ls, sources):
+        level = super().check(ls, sources)
+        if ls.in_dim != ls.out_dim:
+            raise InvalidInputError(f"{ls.name}: batch norm cannot change the dimension")
+        return level
+
+    def forward(self, ls, p, xs, run):
+        xd = _data(xs[0])
+        relu = np.maximum(xd, 0.0)
+        buf = run.buffers[ls.name]
+        if run.training:
+            mu = relu.mean(axis=0)
+            centered = relu - mu
+            var = np.einsum("ij,ij->j", centered, centered) / relu.shape[0]
+            if run.update_buffers:
+                buf["running_mean"] *= BN_MOMENTUM
+                buf["running_mean"] += (1.0 - BN_MOMENTUM) * mu
+                buf["running_var"] *= BN_MOMENTUM
+                buf["running_var"] += (1.0 - BN_MOMENTUM) * var
+        else:
+            mu, var = buf["running_mean"], buf["running_var"]
+            centered = relu - mu
+        istd = 1.0 / np.sqrt(var + BN_EPS)
+        xhat = centered * istd
+        yd = p["gamma"] * xhat + p["beta"]
+        mask = None
+        if run.dropout_prob > 0.0:
+            mask = (run.rng.random(yd.shape) >= run.dropout_prob) / (1.0 - run.dropout_prob)
+            yd = yd * mask
+        return _like(xs[0], yd), {"x_data": xd, "xhat": xhat, "istd": istd, "mask": mask}
+
+    def backward(self, ls, p, g, cache):
+        if cache["mask"] is not None:
+            g = g * cache["mask"]
+        xhat, istd = cache["xhat"], cache["istd"]
+        grads = {"gamma": (g * xhat).sum(axis=0), "beta": g.sum(axis=0)}
+        dxhat = g * p["gamma"]
+        dr = istd * (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0))
+        return grads, [dr * (cache["x_data"] > 0.0)]
+
+
+class _StatsPool(LayerKind):
+    """Mean and std over each pooling window, averaged over the windows."""
+
+    frame_input = True
+
+    def check(self, ls, sources):
+        super().check(ls, sources)
+        if ls.out_dim != 2 * ls.in_dim:
+            raise InvalidInputError(f"{ls.name}: pooling doubles the dimension")
+        return "segment"
+
+    def forward(self, ls, p, xs, run):
+        x = xs[0]
+        pooled_rows, win_caches = [], []
+        for seq, wins in zip(x.split(), run.windows):
+            per_window, wcache = [], []
+            for w in wins:
+                a, b = int(w[0]), int(w[1]) - x.span
+                if not (0 <= a < b <= seq.shape[0]):
+                    raise InvalidInputError(
+                        f"{ls.name}: window {w} leaves no frames after a {x.span}-frame receptive span"
+                    )
+                mean, var, std = pool_moments(seq[a:b])
+                per_window.append(np.concatenate([mean, std]))
+                wcache.append((a, b, mean, var, std))
+            pooled_rows.append(np.mean(per_window, axis=0))
+            win_caches.append(wcache)
+        return np.stack(pooled_rows), {"windows": win_caches}
+
+    def backward(self, ls, p, g, cache):
+        x = cache["in_value"]
+        dim = ls.in_dim
+        gx = np.zeros_like(x.data)
+        pos_in = 0
+        for i, (seq, wcache) in enumerate(zip(x.split(), cache["windows"])):
+            n_windows = len(wcache)
+            dmean = g[i, :dim] / n_windows
+            dstd = g[i, dim:] / n_windows
+            for a, b, mean, var, std in wcache:
+                rows = seq[a:b]
+                width = b - a
+                gate = np.where(var > VARIANCE_FLOOR, dstd / (std * width), 0.0)
+                gx[pos_in + a : pos_in + b] += dmean / width + (rows - mean) * gate
+            pos_in += seq.shape[0]
+        return {}, [gx]
+
+
+class _Concat(LayerKind):
+    """Joins two or more segment-level inputs side by side."""
+
+    def check(self, ls, sources):
+        dims, levels = zip(*sources)
+        if len(ls.inputs) < 2 or any(lvl != "segment" for lvl in levels):
+            raise InvalidInputError(f"{ls.name}: concat joins two or more segment-level inputs")
+        if ls.out_dim != sum(dims):
+            raise InvalidInputError(f"{ls.name}: concat output dim must be {sum(dims)}")
+        return "segment"
+
+    def forward(self, ls, p, xs, run):
+        return np.hstack(xs), {"dims": [v.shape[1] for v in xs]}
+
+    def backward(self, ls, p, g, cache):
+        parts, pos = [], 0
+        for dim in cache["dims"]:
+            parts.append(g[:, pos : pos + dim])
+            pos += dim
+        return {}, parts
+
+
+LAYER_KINDS: dict[str, LayerKind] = {
+    "tdnn": _Tdnn(),
+    "factorized_tdnn": _FactorizedTdnn(),
+    "dense": _Dense(),
+    "stats_pool": _StatsPool(),
+    "relu_batchnorm": _ReluBatchNorm(),
+    "concat": _Concat(),
+}
+
+
+def param_shapes(ls: LayerSpec) -> dict[str, tuple[int, ...]]:
+    """Shape of every parameter of a layer, in canonical order; a concat skip
+    adds its projection P last."""
+    shapes = LAYER_KINDS[ls.kind].shapes(ls)
+    if ls.skip_from and ls.skip_mode == "concat":
+        shapes["P"] = (ls.in_dim, 2 * ls.in_dim)
+    return shapes
+
+
+def receptive_span(spec: NetworkSpec) -> int:
+    """Frames of context consumed on the deepest path through the graph, each
+    layer following its first input; a sequence needs more frames than this."""
+    spans = {INPUT_NAME: 0}
+    for ls in spec.layers:
+        spans[ls.name] = spans[ls.inputs[0]] + LAYER_KINDS[ls.kind].span(ls)
+    return max(spans.values())
+
+
+def validate_spec(spec: NetworkSpec) -> None:
+    """Structural checks plus a full dimension/time-level walk of the graph."""
+    if not spec.layers:
+        raise InvalidInputError("network spec has no layers")
+    seen: dict[str, LayerSpec] = {}
+    # name -> (dim, level); level is "frame" or "segment"
+    info: dict[str, tuple[int, str]] = {INPUT_NAME: (spec.layers[0].in_dim, "frame")}
+    for ls in spec.layers:
+        if ls.kind not in LAYER_KINDS:
+            raise InvalidInputError(f"{ls.name}: unknown layer kind {ls.kind!r}")
+        if ls.name in seen or ls.name == INPUT_NAME:
+            raise InvalidInputError(f"duplicate or reserved layer name {ls.name!r}")
+        for src in ls.inputs:
+            if src not in info:
+                raise InvalidInputError(f"{ls.name}: input {src!r} is not an earlier layer")
+        level = LAYER_KINDS[ls.kind].check(ls, [info[src] for src in ls.inputs])
+        if ls.skip_from:
+            if ls.skip_mode not in ("sum", "concat"):
+                raise InvalidInputError(f"{ls.name}: unknown skip mode {ls.skip_mode!r}")
+            if info.get(ls.skip_from) != (ls.in_dim, "frame"):
+                raise InvalidInputError(
+                    f"{ls.name}: skip source must be an earlier frame-level layer of dim {ls.in_dim}"
+                )
+        seen[ls.name] = ls
+        info[ls.name] = (ls.out_dim, level)
+    last = spec.layers[-1]
+    if last.kind != "dense" or last.out_dim != spec.num_speakers or info[last.name][1] != "segment":
+        raise InvalidInputError("last layer must be the dense softmax map onto the speakers")
+    if spec.embedding_layer not in seen or seen[spec.embedding_layer].kind != "dense":
+        raise InvalidInputError(f"embedding layer {spec.embedding_layer!r} must be a dense layer")
+    for tap in spec.msa_taps:
+        if tap not in seen:
+            raise InvalidInputError(f"msa tap {tap!r} is not a layer")
 
 
 def _uniform_fan_in(rng: np.random.Generator, out_dim: int, fan_in: int) -> np.ndarray:
@@ -220,48 +480,33 @@ def _uniform_fan_in(rng: np.random.Generator, out_dim: int, fan_in: int) -> np.n
 
 
 def initialize_network(spec: NetworkSpec, seed: int = 0) -> Network:
-    """Uniform fan-in initialization; factor matrices start semi-orthogonal."""
+    """Uniform fan-in initialization; factor matrices start semi-orthogonal.
+
+    Weights are drawn layer by layer, each layer's in canonical order, from
+    one generator; that order is part of what a seed reproduces.
+    """
     validate_spec(spec)
     rng = np.random.default_rng(seed)
     params: dict[str, dict[str, np.ndarray]] = {}
     buffers: dict[str, dict[str, np.ndarray]] = {}
     for ls in spec.layers:
-        if ls.kind == "tdnn":
-            fan_in = ls.in_dim * len(ls.context)
-            params[ls.name] = {
-                "W": _uniform_fan_in(rng, ls.out_dim, fan_in),
-                "b": np.zeros(ls.out_dim),
-            }
-        elif ls.kind == "factorized_tdnn":
-            c1, c2 = factor_contexts(ls.context)
-            m = _uniform_fan_in(rng, ls.inner_dim, ls.in_dim * len(c1))
-            params[ls.name] = {
-                "M": semi_orthogonalize(m),
-                "F": _uniform_fan_in(rng, ls.out_dim, ls.inner_dim * len(c2)),
-                "b": np.zeros(ls.out_dim),
-            }
-        elif ls.kind == "dense":
-            params[ls.name] = {
-                "W": _uniform_fan_in(rng, ls.out_dim, ls.in_dim),
-                "b": np.zeros(ls.out_dim),
-            }
-        elif ls.kind == "relu_batchnorm":
-            params[ls.name] = {"gamma": np.ones(ls.out_dim), "beta": np.zeros(ls.out_dim)}
-            buffers[ls.name] = {
-                "running_mean": np.zeros(ls.out_dim),
-                "running_var": np.ones(ls.out_dim),
-            }
-        else:
-            params[ls.name] = {}
-        if ls.skip_from and ls.skip_mode == "concat":
-            params[ls.name]["P"] = _uniform_fan_in(rng, ls.in_dim, 2 * ls.in_dim)
+        kind = LAYER_KINDS[ls.kind]
+        layer = params[ls.name] = {}
+        for pname, shape in param_shapes(ls).items():
+            if pname in kind.fills:
+                layer[pname] = np.full(shape, kind.fills[pname])
+            else:
+                layer[pname] = _uniform_fan_in(rng, *shape)
+        for pname in kind.semi_orthogonal:
+            layer[pname] = semi_orthogonalize(layer[pname])
+        if kind.buffers:
+            buffers[ls.name] = {b: np.full(ls.out_dim, v) for b, v in kind.buffers.items()}
     return Network(spec, params, buffers)
 
 
 @dataclass
 class Tape:
     caches: dict[str, dict]
-    lengths: tuple[int, ...]
 
 
 @dataclass
@@ -269,10 +514,6 @@ class ForwardResult:
     logits: np.ndarray
     values: dict[str, object]
     tape: Optional[Tape]
-
-
-def _data(value) -> np.ndarray:
-    return value.data if isinstance(value, FrameBatch) else value
 
 
 def _combine_skip(ls: LayerSpec, params: dict, main: FrameBatch, skip: FrameBatch):
@@ -283,8 +524,6 @@ def _combine_skip(ls: LayerSpec, params: dict, main: FrameBatch, skip: FrameBatc
     per-sequence crop offset, and the stacked matrix concat mode needs again
     on the way back (None for sum mode).
     """
-    if not isinstance(main, FrameBatch) or not isinstance(skip, FrameBatch):
-        raise InvalidInputError(f"{ls.name}: skip connections only join frame-level layers")
     diff = main.span - skip.span
     if diff < 0 or diff % 2 != 0:
         raise InvalidInputError(f"{ls.name}: skip source cannot be center-aligned (offset {diff})")
@@ -297,56 +536,6 @@ def _combine_skip(ls: LayerSpec, params: dict, main: FrameBatch, skip: FrameBatc
         return FrameBatch(main.data + cropped, main.lengths, main.span), left, None
     stacked = np.hstack([main.data, cropped])
     return FrameBatch(stacked @ params["P"].T, main.lengths, main.span), left, stacked
-
-
-def _pool_rows(window: tuple[int, int], span: int, length: int, name: str) -> tuple[int, int]:
-    a = int(window[0])
-    b = int(window[1]) - span
-    if not (0 <= a < b <= length):
-        raise InvalidInputError(
-            f"{name}: window {window} leaves no frames after a {span}-frame receptive span"
-        )
-    return a, b
-
-
-def _check_lengths(name: str, lengths: tuple[int, ...], span: int) -> None:
-    shortest = min(lengths)
-    if shortest <= span:
-        raise InvalidInputError(
-            f"{name}: need more than {span} frames, shortest sequence has {shortest}"
-        )
-
-
-def _splice(x: np.ndarray, ctx: tuple[int, ...], out_len: int) -> np.ndarray:
-    """splice() without revalidation, for contexts vetted by validate_spec.
-
-    A singleton context is returned as a view, not a copy.
-    """
-    if len(ctx) == 1:
-        return x
-    base = ctx[0]
-    return np.concatenate([x[o - base : o - base + out_len] for o in ctx], axis=1)
-
-
-def _conv_constants(net: Network) -> dict[str, tuple]:
-    """Resolved context tuples and spans per convolutional layer.
-
-    Cached on the network; the spec is immutable so the table only needs
-    rebuilding if the spec object itself is swapped out.
-    """
-    cached = net.__dict__.get("_conv_table")
-    if cached is not None and cached[0] is net.spec:
-        return cached[1]
-    table: dict[str, tuple] = {}
-    for ls in net.spec.layers:
-        if ls.kind == "tdnn":
-            ctx = validate_context(ls.context)
-            table[ls.name] = (ctx, context_span(ctx))
-        elif ls.kind == "factorized_tdnn":
-            c1, c2 = factor_contexts(ls.context)
-            table[ls.name] = (c1, c2, context_span(c1), context_span(c2))
-    net.__dict__["_conv_table"] = (net.spec, table)
-    return table
 
 
 def forward_batch(
@@ -395,7 +584,7 @@ def forward_batch(
     _apply_layers(net, values, caches, windows, training, dropout_prob, rng, want_tape, update_buffers)
 
     logits = values[net.spec.output_layer]
-    tape = Tape(caches, values[INPUT_NAME].lengths) if want_tape else None
+    tape = Tape(caches) if want_tape else None
     return ForwardResult(logits, values, tape)
 
 
@@ -417,111 +606,16 @@ def _apply_layers(
     the input batch). Splitting this out of forward_batch lets gradient
     checking rerun only the part of the graph a perturbed parameter can reach.
     """
-    conv_table = _conv_constants(net)
-    all_params = net.params
-
+    run = _Pass(net.buffers, windows, training, dropout_prob, rng, update_buffers)
     for ls in net.spec.layers[start:]:
-        p = all_params[ls.name]
-        cache: dict = {}
-        if ls.kind == "concat":
-            parts = [values[n] for n in ls.inputs]
-            if any(isinstance(v, FrameBatch) for v in parts):
-                raise InvalidInputError(f"{ls.name}: concat joins segment-level values only")
-            out = np.hstack(parts)
-            cache = {"dims": [v.shape[1] for v in parts]}
-        else:
-            x = values[ls.inputs[0]]
-            crop_left, skip_stack = None, None
-            if ls.skip_from:
-                x, crop_left, skip_stack = _combine_skip(ls, p, x, values[ls.skip_from])
-            if ls.kind in ("tdnn", "factorized_tdnn"):
-                if not isinstance(x, FrameBatch):
-                    raise InvalidInputError(f"{ls.name}: needs frame-level input")
-                outs = []
-                if ls.kind == "tdnn":
-                    ctx, span = conv_table[ls.name]
-                    _check_lengths(ls.name, x.lengths, span)
-                    wt = p["W"].T
-                    spliced = [_splice(seq, ctx, seq.shape[0] - span) for seq in x.split()]
-                    outs = [s @ wt for s in spliced]
-                    cache = {"spliced": spliced}
-                else:
-                    c1, c2, span1, span2 = conv_table[ls.name]
-                    span = span1 + span2
-                    _check_lengths(ls.name, x.lengths, span)
-                    mt, ft = p["M"].T, p["F"].T
-                    spliced_x, spliced_h = [], []
-                    for seq in x.split():
-                        sx = _splice(seq, c1, seq.shape[0] - span1)
-                        hidden = sx @ mt
-                        sh = _splice(hidden, c2, hidden.shape[0] - span2)
-                        spliced_x.append(sx)
-                        spliced_h.append(sh)
-                        outs.append(sh @ ft)
-                    cache = {"spliced_x": spliced_x, "spliced_h": spliced_h, "contexts": (c1, c2)}
-                data = np.vstack(outs) if len(outs) > 1 else outs[0]
-                data += p["b"]
-                out = FrameBatch(data, tuple(n - span for n in x.lengths), x.span + span)
-            elif ls.kind == "dense":
-                xd = _data(x)
-                yd = xd @ p["W"].T + p["b"]
-                out = FrameBatch(yd, x.lengths, x.span) if isinstance(x, FrameBatch) else yd
-                cache = {"x_data": xd}
-            elif ls.kind == "relu_batchnorm":
-                xd = _data(x)
-                relu = np.maximum(xd, 0.0)
-                if training:
-                    mu = relu.mean(axis=0)
-                    centered = relu - mu
-                    var = np.einsum("ij,ij->j", centered, centered) / relu.shape[0]
-                    if update_buffers:
-                        buf = net.buffers[ls.name]
-                        buf["running_mean"] *= BN_MOMENTUM
-                        buf["running_mean"] += (1.0 - BN_MOMENTUM) * mu
-                        buf["running_var"] *= BN_MOMENTUM
-                        buf["running_var"] += (1.0 - BN_MOMENTUM) * var
-                else:
-                    buf = net.buffers[ls.name]
-                    mu, var = buf["running_mean"], buf["running_var"]
-                    centered = relu - mu
-                istd = 1.0 / np.sqrt(var + BN_EPS)
-                xhat = centered * istd
-                yd = p["gamma"] * xhat + p["beta"]
-                mask = None
-                if dropout_prob > 0.0:
-                    mask = (rng.random(yd.shape) >= dropout_prob) / (1.0 - dropout_prob)
-                    yd = yd * mask
-                out = FrameBatch(yd, x.lengths, x.span) if isinstance(x, FrameBatch) else yd
-                cache = {"x_data": xd, "xhat": xhat, "istd": istd, "mask": mask, "rows": xd.shape[0]}
-            elif ls.kind == "stats_pool":
-                if not isinstance(x, FrameBatch):
-                    raise InvalidInputError(f"{ls.name}: needs frame-level input")
-                dim = x.data.shape[1]
-                pooled_rows = []
-                win_caches = []
-                for i, seq in enumerate(x.split()):
-                    per_window = []
-                    wcache = []
-                    for w in windows[i]:
-                        a, b = _pool_rows(w, x.span, seq.shape[0], ls.name)
-                        rows = seq[a:b]
-                        mean = rows.mean(axis=0)
-                        centered = rows - mean
-                        var = np.einsum("ij,ij->j", centered, centered) / (b - a)
-                        std = np.sqrt(np.maximum(var, VARIANCE_FLOOR))
-                        per_window.append(np.concatenate([mean, std]))
-                        wcache.append((a, b, mean, var, std))
-                    pooled_rows.append(np.mean(per_window, axis=0))
-                    win_caches.append(wcache)
-                out = np.stack(pooled_rows)
-                cache = {"windows": win_caches, "dim": dim}
-            else:  # pragma: no cover - guarded by validate_spec
-                raise InvalidInputError(f"{ls.name}: unhandled kind {ls.kind}")
-            if want_tape:
-                cache["crop_left"] = crop_left
-                cache["skip_stack"] = skip_stack
-                cache["in_value"] = x
+        p = net.params[ls.name]
+        xs = [values[n] for n in ls.inputs]
+        crop_left, skip_stack = None, None
+        if ls.skip_from:
+            xs[0], crop_left, skip_stack = _combine_skip(ls, p, xs[0], values[ls.skip_from])
+        out, cache = LAYER_KINDS[ls.kind].forward(ls, p, xs, run)
         if want_tape:
+            cache.update(in_value=xs[0], crop_left=crop_left, skip_stack=skip_stack)
             caches[ls.name] = cache
         values[ls.name] = out
 
@@ -549,18 +643,11 @@ def backward_batch(net: Network, result: ForwardResult, logits_grad: np.ndarray)
             grads[name] = g
 
     def push_through_skip(ls: LayerSpec, cache: dict, gx: np.ndarray):
-        """Route the gradient at the (possibly skip-combined) layer input."""
-        if not ls.skip_from:
-            push(ls.inputs[0], gx)
-            return
+        """Route the gradient at a skip-combined layer input to both sources."""
         x = cache["in_value"]
         if ls.skip_mode == "concat":
             stacked = cache["skip_stack"]
-            gP = gx.T @ stacked
-            if ls.name in param_grads:
-                param_grads[ls.name]["P"] = gP
-            else:
-                param_grads[ls.name] = {"P": gP}
+            param_grads.setdefault(ls.name, {})["P"] = gx.T @ stacked
             gz = gx @ net.params[ls.name]["P"]
             gmain, gcrop = gz[:, : ls.in_dim], gz[:, ls.in_dim :]
         else:
@@ -580,97 +667,16 @@ def backward_batch(net: Network, result: ForwardResult, logits_grad: np.ndarray)
         g = grads.pop(ls.name, None)
         if g is None:
             continue
-        p = net.params[ls.name]
         cache = caches[ls.name]
-        if ls.kind == "concat":
-            pos = 0
-            for src, dim in zip(ls.inputs, cache["dims"]):
-                push(src, g[:, pos : pos + dim])
-                pos += dim
-            continue
-        x = cache["in_value"]
-        if ls.kind == "tdnn":
-            out_lengths = tuple(n - context_span(ls.context) for n in x.lengths)
-            gW = np.zeros_like(p["W"])
-            gb = g.sum(axis=0)
-            gx = np.zeros_like(x.data)
-            pos_out, pos_in = 0, 0
-            for spliced, len_in, len_out in zip(cache["spliced"], x.lengths, out_lengths):
-                gs = g[pos_out : pos_out + len_out]
-                gW += gs.T @ spliced
-                gx[pos_in : pos_in + len_in] = unsplice(gs @ p["W"], ls.context, len_in, ls.in_dim)
-                pos_out += len_out
-                pos_in += len_in
-            param_grads[ls.name] = {"W": gW, "b": gb}
-            push_through_skip(ls, cache, gx)
-        elif ls.kind == "factorized_tdnn":
-            c1, c2 = cache["contexts"]
-            span1, span2 = context_span(c1), context_span(c2)
-            gM = np.zeros_like(p["M"])
-            gF = np.zeros_like(p["F"])
-            gb = g.sum(axis=0)
-            gx = np.zeros_like(x.data)
-            pos_out, pos_in = 0, 0
-            for spliced_x, spliced_h, len_in in zip(cache["spliced_x"], cache["spliced_h"], x.lengths):
-                len_h = len_in - span1
-                len_out = len_h - span2
-                gs = g[pos_out : pos_out + len_out]
-                gF += gs.T @ spliced_h
-                gh = unsplice(gs @ p["F"], c2, len_h, ls.inner_dim)
-                gM += gh.T @ spliced_x
-                gx[pos_in : pos_in + len_in] = unsplice(gh @ p["M"], c1, len_in, ls.in_dim)
-                pos_out += len_out
-                pos_in += len_in
-            param_grads[ls.name] = {"M": gM, "F": gF, "b": gb}
-            push_through_skip(ls, cache, gx)
-        elif ls.kind == "dense":
-            xd = cache["x_data"]
-            param_grads[ls.name] = {"W": g.T @ xd, "b": g.sum(axis=0)}
-            gx = g @ p["W"]
-            if isinstance(x, FrameBatch):
-                push_through_skip(ls, cache, gx)
-            else:
-                push(ls.inputs[0], gx)
-        elif ls.kind == "relu_batchnorm":
-            if cache["mask"] is not None:
-                g = g * cache["mask"]
-            xhat, istd = cache["xhat"], cache["istd"]
-            param_grads[ls.name] = {
-                "gamma": (g * xhat).sum(axis=0),
-                "beta": g.sum(axis=0),
-            }
-            dxhat = g * p["gamma"]
-            dr = istd * (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0))
-            gx = dr * (cache["x_data"] > 0.0)
-            if isinstance(x, FrameBatch):
-                push_through_skip(ls, cache, gx)
-            else:
-                push(ls.inputs[0], gx)
-        elif ls.kind == "stats_pool":
-            dim = cache["dim"]
-            gx = np.zeros_like(x.data)
-            pos_in = 0
-            for i, (seq, wcache) in enumerate(zip(x.split(), cache["windows"])):
-                n_windows = len(wcache)
-                dmean = g[i, :dim] / n_windows
-                dstd = g[i, dim:] / n_windows
-                for a, b, mean, var, std in wcache:
-                    rows = seq[a:b]
-                    width = b - a
-                    gate = np.where(var > VARIANCE_FLOOR, dstd / (std * width), 0.0)
-                    gx[pos_in + a : pos_in + b] += dmean / width + (rows - mean) * gate
-                pos_in += seq.shape[0]
-            push(ls.inputs[0], gx)
-        else:  # pragma: no cover
-            raise InvalidInputError(f"{ls.name}: unhandled kind {ls.kind}")
+        layer_grads, input_grads = LAYER_KINDS[ls.kind].backward(ls, net.params[ls.name], g, cache)
+        if layer_grads:
+            param_grads[ls.name] = layer_grads
+        if ls.skip_from:
+            push_through_skip(ls, cache, input_grads[0])
+        else:
+            for src, gx in zip(ls.inputs, input_grads):
+                push(src, gx)
     return param_grads
-
-
-def forward(net: Network, feats, mode: str = "inference", want_tape: bool = False):
-    """Single-sequence forward pass; returns (logits vector, tape or None)."""
-    x = getattr(feats, "values", feats)
-    result = forward_batch(net, [x], mode=mode, want_tape=want_tape)
-    return result.logits[0], result.tape
 
 
 def extract_embedding(net: Network, feats) -> np.ndarray:

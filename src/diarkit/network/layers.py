@@ -1,6 +1,6 @@
-"""Layer primitives: spliced temporal convolution, its low-rank factorized
-form, statistics pooling, and the semi-orthogonal projection applied to
-factor matrices."""
+"""Layer primitives: frame splicing and its adjoint, the factor contexts of a
+factorized convolution, statistics pooling, and the semi-orthogonal
+projection applied to factor matrices."""
 
 from __future__ import annotations
 
@@ -25,35 +25,30 @@ def context_span(context) -> int:
 
 
 def splice(x: np.ndarray, context) -> np.ndarray:
-    """Stack the rows of x at each context offset: (T, D) -> (T', D*len(context)).
+    """Stack the rows of x at each offset of a validated context:
+    (T, D) -> (T', D*len(context)).
 
     Output row t gathers input rows t + (offset - min_offset), i.e. the valid
-    positions only; T' = T - (max - min).
+    positions only; T' = T - (max - min). A singleton context returns x itself.
     """
-    ctx = validate_context(context)
-    span = context_span(ctx)
-    total = x.shape[0]
-    if total <= span:
-        raise InvalidInputError(f"need more than {span} frames for context {ctx}, got {total}")
-    base = ctx[0]
-    out_len = total - span
-    return np.concatenate([x[o - base : o - base + out_len] for o in ctx], axis=1)
+    span = context_span(context)
+    out_len = x.shape[0] - span
+    if out_len < 1:
+        raise InvalidInputError(f"need more than {span} frames for context {context}, got {x.shape[0]}")
+    if len(context) == 1:
+        return x
+    base = context[0]
+    return np.concatenate([x[o - base : o - base + out_len] for o in context], axis=1)
 
 
 def unsplice(grad_spliced: np.ndarray, context, total: int, dim: int) -> np.ndarray:
     """Scatter a gradient w.r.t. spliced rows back onto the input rows."""
-    ctx = validate_context(context)
-    base = ctx[0]
-    out_len = total - context_span(ctx)
+    base = context[0]
+    out_len = total - context_span(context)
     grad = np.zeros((total, dim))
-    for i, o in enumerate(ctx):
+    for i, o in enumerate(context):
         grad[o - base : o - base + out_len] += grad_spliced[:, i * dim : (i + 1) * dim]
     return grad
-
-
-def tdnn_forward(weights: np.ndarray, bias: np.ndarray, context, x: np.ndarray) -> np.ndarray:
-    """Valid (un-padded) temporal convolution: affine map over spliced rows."""
-    return splice(x, context) @ weights.T + bias
 
 
 def factor_contexts(context) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -69,17 +64,6 @@ def factor_contexts(context) -> tuple[tuple[int, ...], tuple[int, ...]]:
         k = ctx[2]
         return (-k, 0), (0, k)
     raise InvalidInputError(f"factorized layers need context {{0}} or {{-k,0,+k}}, got {ctx}")
-
-
-def factorized_tdnn_forward(factor1: np.ndarray, factor2: np.ndarray, context, x: np.ndarray) -> np.ndarray:
-    """Two chained spliced linear maps; equivalent to one wider convolution.
-
-    The first factor is the one held semi-orthogonal during training. No bias
-    here; an enclosing layer adds its bias after the second factor.
-    """
-    c1, c2 = factor_contexts(context)
-    hidden = splice(x, c1) @ factor1.T
-    return splice(hidden, c2) @ factor2.T
 
 
 def semi_orthogonalize(m: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
@@ -98,15 +82,22 @@ def ortho_residual(m: np.ndarray) -> float:
     return float(np.linalg.norm(gram - np.eye(gram.shape[0])))
 
 
-def stats_pool(frames: np.ndarray) -> np.ndarray:
-    """Mean and per-dimension standard deviation over the frame axis.
+def pool_moments(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean, population variance and standard deviation over the frame axis.
 
-    The population variance is floored at 1e-10 so the std gradient stays
-    finite for constant input.
+    The variance is floored at VARIANCE_FLOOR under the square root so the
+    std gradient stays finite for constant input.
     """
+    mean = frames.mean(axis=0)
+    centered = frames - mean
+    var = np.einsum("ij,ij->j", centered, centered) / frames.shape[0]
+    return mean, var, np.sqrt(np.maximum(var, VARIANCE_FLOOR))
+
+
+def stats_pool(frames: np.ndarray) -> np.ndarray:
+    """Statistics pooling of one (T, D) matrix: mean and std stacked."""
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[0] < 1:
         raise InvalidInputError("statistics pooling needs a non-empty (T, D) matrix")
-    mean = frames.mean(axis=0)
-    var = np.maximum(((frames - mean) ** 2).mean(axis=0), VARIANCE_FLOOR)
-    return np.concatenate([mean, np.sqrt(var)])
+    mean, _, std = pool_moments(frames)
+    return np.concatenate([mean, std])

@@ -3,8 +3,9 @@
 Layout: magic ``XVEC``, u32 format version, a u64-length-prefixed canonical
 text block describing the layer graph, then one u64-length-prefixed blob of
 little-endian float64 values per parameter (and per batch-norm running
-moment), in spec order. Shapes are implied by the graph, so blobs carry no
-shape headers; save followed by load is bit-exact.
+moment), in spec order. Shapes are implied by the graph: the layer-kind table
+in graph.py (LAYER_KINDS) gives every parameter's shape and every buffer, so
+blobs carry no shape headers; save followed by load is bit-exact.
 """
 
 from __future__ import annotations
@@ -15,39 +16,16 @@ import numpy as np
 
 from ..errors import FormatError
 from .graph import (
-    RBN_BUFFERS,
+    LAYER_KINDS,
     LayerSpec,
     Network,
     NetworkSpec,
-    layer_param_names,
+    param_shapes,
     validate_spec,
 )
-from .layers import factor_contexts
 
 MODEL_MAGIC = b"XVEC"
 MODEL_FORMAT_VERSION = 1
-
-
-def param_shapes(ls: LayerSpec) -> dict[str, tuple[int, ...]]:
-    """Expected array shape for every parameter of a layer, in canonical order."""
-    shapes: dict[str, tuple[int, ...]] = {}
-    if ls.kind == "tdnn":
-        shapes["W"] = (ls.out_dim, ls.in_dim * len(ls.context))
-        shapes["b"] = (ls.out_dim,)
-    elif ls.kind == "factorized_tdnn":
-        c1, c2 = factor_contexts(ls.context)
-        shapes["M"] = (ls.inner_dim, ls.in_dim * len(c1))
-        shapes["F"] = (ls.out_dim, ls.inner_dim * len(c2))
-        shapes["b"] = (ls.out_dim,)
-    elif ls.kind == "dense":
-        shapes["W"] = (ls.out_dim, ls.in_dim)
-        shapes["b"] = (ls.out_dim,)
-    elif ls.kind == "relu_batchnorm":
-        shapes["gamma"] = (ls.out_dim,)
-        shapes["beta"] = (ls.out_dim,)
-    if ls.skip_from and ls.skip_mode == "concat":
-        shapes["P"] = (ls.in_dim, 2 * ls.in_dim)
-    return shapes
 
 
 def _csv(items) -> str:
@@ -120,16 +98,6 @@ def spec_from_text(text: str) -> NetworkSpec:
     return spec
 
 
-def _iter_blob_arrays(net: Network):
-    """Every stored array in file order: params, then buffers, layer by layer."""
-    for ls in net.spec.layers:
-        for pname in layer_param_names(ls):
-            yield ls.name, pname, net.params[ls.name][pname]
-        if ls.kind == "relu_batchnorm":
-            for bname in RBN_BUFFERS:
-                yield ls.name, bname, net.buffers[ls.name][bname]
-
-
 def save_network(net: Network, path) -> None:
     text = spec_to_text(net.spec).encode("utf-8")
     with open(path, "wb") as fh:
@@ -137,10 +105,13 @@ def save_network(net: Network, path) -> None:
         fh.write(struct.pack("<I", MODEL_FORMAT_VERSION))
         fh.write(struct.pack("<Q", len(text)))
         fh.write(text)
-        for _, _, arr in _iter_blob_arrays(net):
-            blob = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-            fh.write(struct.pack("<Q", len(blob)))
-            fh.write(blob)
+        for ls in net.spec.layers:  # params, then buffers, layer by layer
+            arrays = [net.params[ls.name][n] for n in param_shapes(ls)]
+            arrays += [net.buffers[ls.name][n] for n in LAYER_KINDS[ls.kind].buffers]
+            for arr in arrays:
+                blob = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+                fh.write(struct.pack("<Q", len(blob)))
+                fh.write(blob)
 
 
 def load_network(path) -> Network:
@@ -171,11 +142,11 @@ def load_network(path) -> Network:
     params: dict[str, dict[str, np.ndarray]] = {ls.name: {} for ls in spec.layers}
     buffers: dict[str, dict[str, np.ndarray]] = {}
     for ls in spec.layers:
-        shapes = param_shapes(ls)
-        targets = [(params[ls.name], n, shapes[n]) for n in layer_param_names(ls)]
-        if ls.kind == "relu_batchnorm":
+        targets = [(params[ls.name], n, shape) for n, shape in param_shapes(ls).items()]
+        kind_buffers = LAYER_KINDS[ls.kind].buffers
+        if kind_buffers:
             buffers[ls.name] = {}
-            targets += [(buffers[ls.name], n, (ls.out_dim,)) for n in RBN_BUFFERS]
+            targets += [(buffers[ls.name], n, (ls.out_dim,)) for n in kind_buffers]
         for store, aname, shape in targets:
             (blob_len,) = struct.unpack("<Q", take(8, f"{ls.name}.{aname} length"))
             expected = int(np.prod(shape)) * 8

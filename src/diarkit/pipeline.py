@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .backend import (
+    CONV_PCA_FRACTION,
     EmbeddingRecord,
     Plda,
     Whitener,
@@ -24,10 +25,8 @@ from .clustering import ahc
 from .der import TimelineEntry, build_hypothesis
 from .errors import InvalidInputError
 from .features import FRAME_SHIFT_S, FeatureMatrix, SadMark, Segment, segment_speech
-from .network import Network, extract_embeddings
-from .training import load_manifest_features, receptive_span
-
-CONV_PCA_FRACTION = 0.10
+from .network import Network, extract_embeddings, receptive_span
+from .training import load_manifest_features
 
 
 def utterance_embeddings(net: Network, manifest_path) -> list[EmbeddingRecord]:

@@ -22,9 +22,9 @@ from .features import read_features, stride_windows
 from .network import (
     Network,
     backward_batch,
-    context_span,
     forward_batch,
     ortho_residual,
+    receptive_span,
     semi_orthogonalize,
 )
 
@@ -126,11 +126,6 @@ def load_train_set(manifest_path) -> TrainSet:
     return build_train_set(entries, feats)
 
 
-def receptive_span(spec) -> int:
-    return sum(context_span(ls.context) for ls in spec.layers
-               if ls.kind in ("tdnn", "factorized_tdnn"))
-
-
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean negative log-likelihood and its gradient w.r.t. the logits."""
     z = logits - logits.max(axis=1, keepdims=True)
@@ -167,17 +162,14 @@ def sgd_update(net: Network, velocity, grads, lr: float, cfg: TrainConfig) -> No
 
 
 def project_factors(net: Network) -> None:
-    for ls in net.spec.layers:
-        if ls.kind == "factorized_tdnn":
-            m = net.params[ls.name]["M"]
-            m[:] = semi_orthogonalize(m)
+    for m in net.factor_matrices():
+        m[:] = semi_orthogonalize(m)
 
 
 def max_ortho_residual(net: Network) -> float:
     worst = 0.0
-    for ls in net.spec.layers:
-        if ls.kind == "factorized_tdnn":
-            worst = max(worst, ortho_residual(net.params[ls.name]["M"]))
+    for m in net.factor_matrices():
+        worst = max(worst, ortho_residual(m))
     return worst
 
 

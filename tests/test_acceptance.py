@@ -33,9 +33,9 @@ from diarkit.network import (
     check_gradients,
     condition_for_fd,
     initialize_network,
-    layer_param_names,
+    param_shapes,
 )
-from diarkit.network.graph import KINDS
+from diarkit.network.graph import LAYER_KINDS
 from diarkit.network.layers import stats_pool
 from diarkit.training import ManifestEntry, TrainConfig, build_train_set, train
 
@@ -54,7 +54,7 @@ def test_gradients_match_finite_differences_on_full_net():
     dims = DimOverrides(width=32, factor_width=32, inner_dim=16,
                         pool_width=32, branch_dim=32, embed_dim=32)
     spec = build_architecture("ftdnn_msa", 4, dims=dims)
-    assert {ls.kind for ls in spec.layers} == set(KINDS)
+    assert {ls.kind for ls in spec.layers} == set(LAYER_KINDS)
     net = initialize_network(spec, seed=7)
 
     rng = np.random.default_rng(1007)
@@ -67,7 +67,7 @@ def test_gradients_match_finite_differences_on_full_net():
     elapsed = time.perf_counter() - t0
 
     checked = {k.split(".")[0] for k in rels}
-    missing = {ls.name for ls in spec.layers if layer_param_names(ls)} - checked
+    missing = {ls.name for ls in spec.layers if param_shapes(ls)} - checked
     worst_name, worst = max(rels.items(), key=lambda kv: kv[1])
     ok = worst < 1e-4 and elapsed < 60.0 and not missing
     _report("gradient sweep", ok,

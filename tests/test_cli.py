@@ -4,13 +4,16 @@ The fixtures run the real subcommands in-process on a miniature corpus, so
 these tests double as an end-to-end check of the wiring.
 """
 
+import os
 import subprocess
 import sys
 
 import pytest
 
+import diarkit
 from diarkit.cli import main
 from diarkit.der import read_rttm
+from diarkit.errors import TrainingDivergedError
 from diarkit.features import read_sad
 
 
@@ -84,6 +87,19 @@ def test_invalid_input_is_exit_4(work, tmp_path, capsys):
                  "--hyp", str(stray),
                  "--sad", str(work["corpus"] / "eval/sad.lab")]) == 4
     assert "ghost" in capsys.readouterr().err
+
+
+def test_diverged_training_is_exit_5(work, tmp_path, monkeypatch, capsys):
+    def diverge(*args, **kwargs):
+        raise TrainingDivergedError("loss is not finite: nan")
+
+    monkeypatch.setattr("diarkit.cli.train", diverge)
+    out = tmp_path / "model.bin"
+    assert main(["train", "--manifest", str(work["corpus"] / "train/manifest.txt"),
+                 "--out", str(out), "--arch", "tdnn", "--feat-dim", "23",
+                 "--width", "8", "--pool-width", "12", "--epochs", "1"]) == 5
+    assert "error: loss is not finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_diarize_requires_exactly_one_stop_rule(work, capsys):
@@ -262,8 +278,9 @@ def test_calibrate_reports_and_writes(work, tmp_path, capsys):
 
 
 def test_console_entry_point():
+    src = os.path.dirname(os.path.dirname(diarkit.__file__))  # the package under test
     proc = subprocess.run([sys.executable, "-m", "diarkit.cli", "synth",
                            "--out", "unused", "--dry-run"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0
     assert "corpus spec valid" in proc.stdout

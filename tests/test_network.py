@@ -1,5 +1,7 @@
 """Network stack: splicing, layer math, graph behavior, gradients, model files."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,18 +20,17 @@ from diarkit.network import (
     extract_embedding,
     extract_embeddings,
     factor_contexts,
-    factorized_tdnn_forward,
     fd_gradients,
     forward_batch,
     initialize_network,
     load_network,
     ortho_residual,
+    receptive_span,
     relative_errors,
     save_network,
     semi_orthogonalize,
     splice,
     stats_pool,
-    tdnn_forward,
     unsplice,
     validate_spec,
 )
@@ -46,6 +47,26 @@ def _spec(layers, embedding, num_speakers=3):
     return spec
 
 
+# --------------------------------------- reference convolutions (oracles)
+
+def naive_splice(x, context):
+    """Row t stacks input rows t + offset - min_offset for every offset."""
+    span = context[-1] - context[0]
+    rows = [np.concatenate([x[t + o - context[0]] for o in context]) for t in range(len(x) - span)]
+    return np.array(rows).reshape(len(x) - span, x.shape[1] * len(context))
+
+
+def tdnn_forward(weights, bias, context, x):
+    """Valid (un-padded) temporal convolution: affine map over spliced rows."""
+    return naive_splice(x, context) @ weights.T + bias
+
+
+def factorized_tdnn_forward(factor1, factor2, context, x):
+    """Two chained spliced linear maps, no bias; one wider convolution."""
+    c1, c2 = factor_contexts(context)
+    return naive_splice(naive_splice(x, c1) @ factor1.T, c2) @ factor2.T
+
+
 # ---------------------------------------------------------------- splicing
 
 def test_splice_matches_naive_gather():
@@ -57,9 +78,8 @@ def test_splice_matches_naive_gather():
         d = int(rng.integers(1, 5))
         x = rng.normal(size=(t, d))
         got = splice(x, ctx)
-        want = np.array([np.concatenate([x[i + o - ctx[0]] for o in ctx]) for i in range(t - span)])
         assert got.shape == (t - span, d * len(ctx))
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, naive_splice(x, ctx))
 
 
 def test_splice_rejects_short_input():
@@ -249,11 +269,19 @@ def test_receptive_spans():
     x = rng.normal(size=(150, 23))
     for arch, last, span in [("tdnn", "frame5_post", 14),
                              ("etdnn", "frame10_post", 22),
-                             ("ftdnn", "frame9_post", 32)]:
-        net = initialize_network(build_architecture(arch, 4, dims=REDUCED), seed=1)
+                             ("ftdnn", "frame9_post", 32),
+                             ("ftdnn_msa", "frame9_post", 32)]:
+        spec = build_architecture(arch, 4, dims=REDUCED)
+        net = initialize_network(spec, seed=1)
         res = forward_batch(net, [x])
         assert res.values[last].lengths == (150 - span,)
         assert res.logits.shape == (1, 4)
+        assert receptive_span(spec) == span
+        # every pooling layer, both msa taps included, sees the full span
+        pools = [ls for ls in spec.layers if ls.kind == "stats_pool"]
+        assert len(pools) == max(1, len(spec.msa_taps))
+        for ls in pools:
+            assert res.values[ls.inputs[0]].span == span, ls.name
 
 
 def test_short_sequence_raises():
@@ -317,6 +345,21 @@ def test_sum_skip_joins_layer_input():
     p = net.params["frame5"]
     want = factorized_tdnn_forward(p["M"], p["F"], (0,), combined) + p["b"]
     assert np.allclose(res.values["frame5"].data, want, rtol=1e-12, atol=1e-15)
+
+
+def test_conv_layers_match_oracles():
+    """Each sequence of a ragged batch convolves on its own."""
+    net = initialize_network(build_architecture("ftdnn", 4, dims=REDUCED), seed=9)
+    rng = np.random.default_rng(15)
+    seqs = [rng.normal(size=(80, 23)), rng.normal(0.3, 1.1, size=(67, 23))]
+    res = forward_batch(net, seqs)
+    p1, p4 = net.params["frame1"], net.params["frame4"]
+    for seq, got1, x4, got4 in zip(seqs, res.values["frame1"].split(),
+                                   res.values["frame3_post"].split(), res.values["frame4"].split()):
+        want1 = tdnn_forward(p1["W"], p1["b"], (-2, -1, 0, 1, 2), seq)
+        want4 = factorized_tdnn_forward(p4["M"], p4["F"], (-3, 0, 3), x4) + p4["b"]
+        assert np.allclose(got1, want1, rtol=1e-12, atol=1e-14)
+        assert np.allclose(got4, want4, rtol=1e-12, atol=1e-14)
 
 
 def test_inference_is_deterministic_and_frozen():
@@ -582,6 +625,25 @@ def test_model_file_errors(tmp_path):
     bad.write_bytes(raw + b"\x00" * 8)
     with pytest.raises(FormatError):
         load_network(bad)
+
+
+# Pin the initial draw order and the file layout. Factor matrices pass through
+# an SVD, so another LAPACK build may move their last bits and these hashes.
+INIT_MODEL_SHA256 = {
+    ("tdnn", "sum"): "1183977f0c896a2c4f23c643a9885ec208beaf716cbc897390be33bafd735fec",
+    ("etdnn", "sum"): "5bc6207a75f7fde2320dbb37f4a483886522dbc3018d7219a5ec079a0411af1d",
+    ("ftdnn", "sum"): "fc625e23b9e22531f85c0483a24f7f3cf075b895cef2fa3c1cb8b98b8d36bc29",
+    ("ftdnn_msa", "sum"): "76b3e207e4964b8bd3da419e76badc342b6da3d24244b9a925594c8e1e511d20",
+    ("ftdnn", "concat"): "82241d52b3c73c32e57aab0ae864f830b9a008cce00be6f2a10ad2d9323bea57",
+}
+
+
+@pytest.mark.parametrize("arch,skip_mode", sorted(INIT_MODEL_SHA256))
+def test_initial_model_bytes_are_pinned(tmp_path, arch, skip_mode):
+    spec = build_architecture(arch, 4, dims=REDUCED, skip_mode=skip_mode)
+    path = tmp_path / "init.xvec"
+    save_network(initialize_network(spec, seed=0), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == INIT_MODEL_SHA256[arch, skip_mode]
 
 
 def test_initialization_bounds_and_determinism():
