@@ -7,7 +7,6 @@ from .graph import (
     Network,
     NetworkSpec,
     backward_batch,
-    extract_embedding,
     extract_embeddings,
     forward_batch,
     initialize_network,
@@ -39,7 +38,6 @@ __all__ = [
     "check_gradients",
     "condition_for_fd",
     "context_span",
-    "extract_embedding",
     "extract_embeddings",
     "factor_contexts",
     "fd_gradients",

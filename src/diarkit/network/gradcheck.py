@@ -55,8 +55,6 @@ def fd_gradients(
     instead of restarting mid-graph.
     """
     seqs = [np.ascontiguousarray(np.asarray(s, dtype=np.float64)) for s in sequences]
-    if windows is None:
-        windows = [[(0, s.shape[0])] for s in seqs]
     grad_out = np.asarray(grad_out, dtype=np.float64)
     reuse = dropout_prob == 0.0
 
@@ -167,12 +165,11 @@ def condition_for_fd(
     pre-activation std hits target_std, then its bias shifted per channel to
     the midpoint of a wide interior gap of the realized values: live and dead
     rows on both sides, nothing within margin * target_std of the threshold.
-    Channels realized over no more rows than there are sequences (pooled
-    values with one window per sequence) keep no gap worth the name and are
-    pushed firmly all-live instead. Factorized layers get their inner
-    projection prescaled by factor_scale, trading inner for outer magnitude to
-    balance the two truncation terms. The output layer is left alone; it feeds
-    the loss directly and has no relu after it.
+    Segment-level channels, realized over one value per pooling row, keep no
+    gap worth the name and are pushed firmly all-live instead. Factorized
+    layers get their inner projection prescaled by factor_scale, trading inner
+    for outer magnitude to balance the two truncation terms. The output layer
+    is left alone; it feeds the loss directly and has no relu after it.
 
     Assumes skips run in sum mode: a concat skip reprojects the bias through
     its learned matrix, so the per-channel placement would not land where it
@@ -181,11 +178,12 @@ def condition_for_fd(
     spec = net.spec
 
     def realized(name):
+        """The layer's output values and whether they are frame-level."""
         res = forward_batch(
             net, sequences, mode="training", windows=windows, update_buffers=False
         )
         val = res.values[name]
-        return val.data if isinstance(val, FrameBatch) else val
+        return (val.data, True) if isinstance(val, FrameBatch) else (val, False)
 
     for ls in spec.layers:
         if ls.kind == "relu_batchnorm":
@@ -194,12 +192,12 @@ def condition_for_fd(
             row = _ROW_PARAM[ls.kind]
             if ls.kind == "factorized_tdnn":
                 net.params[ls.name]["M"] *= factor_scale
-            z = realized(ls.name)
+            z, _ = realized(ls.name)
             scale = target_std / np.maximum(z.std(axis=0), 1e-6)
             net.params[ls.name][row] *= scale[:, None]
-            z = realized(ls.name)
+            z, frame_level = realized(ls.name)
             b = net.params[ls.name]["b"]
-            if z.shape[0] > len(sequences):
+            if frame_level:
                 quota = max(1, z.shape[0] // 6)
                 for j in range(z.shape[1]):
                     b[j] += _gap_bias(z[:, j], margin * target_std, quota)

@@ -114,7 +114,7 @@ class _Pass(NamedTuple):
     """Per-evaluation settings every layer's forward may read."""
 
     buffers: dict[str, dict[str, np.ndarray]]
-    windows: list
+    rows: list  # pooling rows, as forward_batch's windows
     training: bool
     dropout_prob: float
     rng: Optional[np.random.Generator]
@@ -162,6 +162,8 @@ class LayerKind:
         return 0
 
     def check(self, ls: LayerSpec, sources) -> str:
+        if len(sources) != 1:
+            raise InvalidInputError(f"{ls.name}: a {ls.kind} layer takes exactly one input")
         in_dim, level = sources[0]
         if in_dim != ls.in_dim:
             raise InvalidInputError(f"{ls.name}: expects in_dim {ls.in_dim}, gets {in_dim}")
@@ -343,7 +345,8 @@ class _ReluBatchNorm(LayerKind):
 
 
 class _StatsPool(LayerKind):
-    """Mean and std over each pooling window, averaged over the windows."""
+    """One output row per pooling row: mean and std over each of the row's
+    windows of its source sequence, averaged over those windows."""
 
     frame_input = True
 
@@ -355,37 +358,38 @@ class _StatsPool(LayerKind):
 
     def forward(self, ls, p, xs, run):
         x = xs[0]
-        pooled_rows, win_caches = [], []
-        for seq, wins in zip(x.split(), run.windows):
+        seqs = x.split()
+        pooled_rows, row_caches = [], []
+        for i, wins in run.rows:
             per_window, wcache = [], []
             for w in wins:
                 a, b = int(w[0]), int(w[1]) - x.span
-                if not (0 <= a < b <= seq.shape[0]):
+                if not (0 <= a < b <= seqs[i].shape[0]):
                     raise InvalidInputError(
                         f"{ls.name}: window {w} leaves no frames after a {x.span}-frame receptive span"
                     )
-                mean, var, std = pool_moments(seq[a:b])
+                mean, var, std = pool_moments(seqs[i][a:b])
                 per_window.append(np.concatenate([mean, std]))
                 wcache.append((a, b, mean, var, std))
             pooled_rows.append(np.mean(per_window, axis=0))
-            win_caches.append(wcache)
-        return np.stack(pooled_rows), {"windows": win_caches}
+            row_caches.append((i, wcache))
+        return np.stack(pooled_rows), {"rows": row_caches}
 
     def backward(self, ls, p, g, cache):
+        """Rows that share a sequence add their gradients into its frames."""
         x = cache["in_value"]
         dim = ls.in_dim
         gx = np.zeros_like(x.data)
-        pos_in = 0
-        for i, (seq, wcache) in enumerate(zip(x.split(), cache["windows"])):
+        starts = np.cumsum((0,) + x.lengths)
+        for r, (i, wcache) in enumerate(cache["rows"]):
             n_windows = len(wcache)
-            dmean = g[i, :dim] / n_windows
-            dstd = g[i, dim:] / n_windows
+            dmean = g[r, :dim] / n_windows
+            dstd = g[r, dim:] / n_windows
             for a, b, mean, var, std in wcache:
-                rows = seq[a:b]
+                rows = x.data[starts[i] + a : starts[i] + b]
                 width = b - a
                 gate = np.where(var > VARIANCE_FLOOR, dstd / (std * width), 0.0)
-                gx[pos_in + a : pos_in + b] += dmean / width + (rows - mean) * gate
-            pos_in += seq.shape[0]
+                gx[starts[i] + a : starts[i] + b] += dmean / width + (rows - mean) * gate
         return {}, [gx]
 
 
@@ -446,6 +450,7 @@ def validate_spec(spec: NetworkSpec) -> None:
     seen: dict[str, LayerSpec] = {}
     # name -> (dim, level); level is "frame" or "segment"
     info: dict[str, tuple[int, str]] = {INPUT_NAME: (spec.layers[0].in_dim, "frame")}
+    spans = {INPUT_NAME: 0}  # as in receptive_span
     for ls in spec.layers:
         if ls.kind not in LAYER_KINDS:
             raise InvalidInputError(f"{ls.name}: unknown layer kind {ls.kind!r}")
@@ -462,8 +467,10 @@ def validate_spec(spec: NetworkSpec) -> None:
                 raise InvalidInputError(
                     f"{ls.name}: skip source must be an earlier frame-level layer of dim {ls.in_dim}"
                 )
+            _skip_crop(ls, spans[ls.inputs[0]], spans[ls.skip_from])
         seen[ls.name] = ls
         info[ls.name] = (ls.out_dim, level)
+        spans[ls.name] = spans[ls.inputs[0]] + LAYER_KINDS[ls.kind].span(ls)
     last = spec.layers[-1]
     if last.kind != "dense" or last.out_dim != spec.num_speakers or info[last.name][1] != "segment":
         raise InvalidInputError("last layer must be the dense softmax map onto the speakers")
@@ -516,6 +523,15 @@ class ForwardResult:
     tape: Optional[Tape]
 
 
+def _skip_crop(ls: LayerSpec, main_span: int, skip_span: int) -> int:
+    """Rows cut from the front of each skip-source sequence to center it on
+    the layer input; the span difference must be even and not negative."""
+    diff = main_span - skip_span
+    if diff < 0 or diff % 2 != 0:
+        raise InvalidInputError(f"{ls.name}: skip source cannot be center-aligned (offset {diff})")
+    return diff // 2
+
+
 def _combine_skip(ls: LayerSpec, params: dict, main: FrameBatch, skip: FrameBatch):
     """Join the skip source onto the layer input, center-cropped per sequence.
 
@@ -524,10 +540,7 @@ def _combine_skip(ls: LayerSpec, params: dict, main: FrameBatch, skip: FrameBatc
     per-sequence crop offset, and the stacked matrix concat mode needs again
     on the way back (None for sum mode).
     """
-    diff = main.span - skip.span
-    if diff < 0 or diff % 2 != 0:
-        raise InvalidInputError(f"{ls.name}: skip source cannot be center-aligned (offset {diff})")
-    left = diff // 2
+    left = _skip_crop(ls, main.span, skip.span)
     cropped = []
     for seq_main, seq_skip in zip(main.split(), skip.split()):
         cropped.append(seq_skip[left : left + seq_main.shape[0]])
@@ -550,9 +563,13 @@ def forward_batch(
 ) -> ForwardResult:
     """Run the graph over a list of (T_i, D) sequences.
 
-    windows, when given, is a per-sequence list of (start, end) frame windows
-    in input time; statistics pooling averages its per-window statistics over
-    them. The default is one window spanning each whole sequence.
+    windows, when given, lists the pooling rows: one (sequence index,
+    [(start, end), ...]) entry per segment-level output row, the windows in
+    that sequence's input frames. Statistics pooling averages the row's
+    per-window statistics. Training gives each utterance one row over all its
+    windows; embedding gives each segment its own row, so overlapping
+    segments share one frame-level pass over their region. The default is one
+    row per sequence with one window spanning it.
 
     update_buffers=False keeps training mode from touching the running
     batch-norm moments; gradient checks use it so repeated evaluations leave
@@ -572,10 +589,6 @@ def forward_batch(
     for s in seqs:
         if s.ndim != 2 or s.shape[1] != in_dim:
             raise InvalidInputError(f"expected (T, {in_dim}) sequences, got {s.shape}")
-    if windows is None:
-        windows = [[(0, s.shape[0])] for s in seqs]
-    if len(windows) != len(seqs):
-        raise InvalidInputError("need one window list per sequence")
 
     values: dict[str, object] = {
         INPUT_NAME: FrameBatch(np.vstack(seqs), tuple(s.shape[0] for s in seqs), 0)
@@ -586,6 +599,17 @@ def forward_batch(
     logits = values[net.spec.output_layer]
     tape = Tape(caches) if want_tape else None
     return ForwardResult(logits, values, tape)
+
+
+def _pooling_rows(windows, lengths: tuple[int, ...]) -> list:
+    """The windows argument of forward_batch, with its default filled in."""
+    if windows is None:
+        return [(i, [(0, n)]) for i, n in enumerate(lengths)]
+    for row in windows:
+        ok = len(row) == 2 and isinstance(row[0], (int, np.integer)) and 0 <= row[0] < len(lengths)
+        if not (ok and len(row[1]) > 0):
+            raise InvalidInputError(f"pooling row {row!r} is not (sequence index, windows)")
+    return windows
 
 
 def _apply_layers(
@@ -606,7 +630,8 @@ def _apply_layers(
     the input batch). Splitting this out of forward_batch lets gradient
     checking rerun only the part of the graph a perturbed parameter can reach.
     """
-    run = _Pass(net.buffers, windows, training, dropout_prob, rng, update_buffers)
+    rows = _pooling_rows(windows, values[INPUT_NAME].lengths)
+    run = _Pass(net.buffers, rows, training, dropout_prob, rng, update_buffers)
     for ls in net.spec.layers[start:]:
         p = net.params[ls.name]
         xs = [values[n] for n in ls.inputs]
@@ -679,16 +704,10 @@ def backward_batch(net: Network, result: ForwardResult, logits_grad: np.ndarray)
     return param_grads
 
 
-def extract_embedding(net: Network, feats) -> np.ndarray:
-    """Embedding of one segment: the designated layer's pre-activation output,
+def extract_embeddings(net: Network, sequences, windows=None) -> np.ndarray:
+    """One embedding per pooling row (windows as in forward_batch; by default
+    one row per whole sequence): the designated layer's pre-activation output,
     computed in inference mode (running batch-norm moments, no dropout)."""
-    x = getattr(feats, "values", feats)
-    result = forward_batch(net, [x], mode="inference")
-    return np.array(result.values[net.spec.embedding_layer][0])
-
-
-def extract_embeddings(net: Network, segments_feats) -> np.ndarray:
-    """Batched embedding extraction over a list of (T_i, D) matrices."""
-    arrays = [getattr(f, "values", f) for f in segments_feats]
-    result = forward_batch(net, arrays, mode="inference")
+    arrays = [getattr(f, "values", f) for f in sequences]
+    result = forward_batch(net, arrays, mode="inference", windows=windows)
     return np.array(result.values[net.spec.embedding_layer])

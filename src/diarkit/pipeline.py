@@ -58,8 +58,7 @@ def windowed_utterance_embeddings(net: Network, manifest_path) -> list[Embedding
         fm = FeatureMatrix(f)
         marks = [SadMark(e.utterance_id, 0.0, f.shape[0] * FRAME_SHIFT_S)]
         segments = conversation_segments(fm, marks, min_frames=span + 2)
-        vecs = extract_embeddings(
-            net, [fm.values[a:b] for a, b in (s.frame_range for s in segments)])
+        vecs = _segment_embeddings(net, fm.values, segments)
         out.extend(EmbeddingRecord(e.utterance_id, s.start_s, s.end_s, e.speaker_id, v)
                    for s, v in zip(segments, vecs))
     return out
@@ -89,8 +88,30 @@ def conversation_embeddings(net: Network, feats: FeatureMatrix,
                             marks: list[SadMark]) -> tuple[list[Segment], np.ndarray]:
     span = receptive_span(net.spec)
     segments = conversation_segments(feats, marks, min_frames=span + 2)
-    pieces = [feats.values[a:b] for a, b in (s.frame_range for s in segments)]
-    return segments, extract_embeddings(net, pieces)
+    return segments, _segment_embeddings(net, feats.values, segments)
+
+
+def _segment_embeddings(net: Network, values: np.ndarray,
+                        segments: list[Segment]) -> np.ndarray:
+    """One embedding per segment, segments in order of start frame.
+
+    Segments whose frame ranges overlap or touch form one run, and the
+    network sees each run once, as one sequence with a pooling row per
+    segment. That is exact: in inference batch norm uses its running
+    moments and dropout is off, so frame-level row j of a run depends only on
+    its input frames [j, j + span], and a segment's window pools the same
+    numbers a forward pass over values[a:b] alone would.
+    """
+    runs: list[list[int]] = []
+    rows = []
+    for a, b in (s.frame_range for s in segments):
+        if runs and a <= runs[-1][1]:
+            runs[-1][1] = max(runs[-1][1], b)
+        else:
+            runs.append([a, b])
+        start = runs[-1][0]
+        rows.append((len(runs) - 1, [(a - start, b - start)]))
+    return extract_embeddings(net, [values[a:b] for a, b in runs], rows)
 
 
 def fit_backend(records: list[EmbeddingRecord], pca_dim: int | None = None

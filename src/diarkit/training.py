@@ -197,7 +197,7 @@ def train_step(
     """Forward, loss, backward, update; optionally re-project the factors."""
     windows = None
     if cfg.pooling == "windowed":
-        windows = [pool_windows(s.shape[0], cfg) for s in seqs]
+        windows = [(i, pool_windows(s.shape[0], cfg)) for i, s in enumerate(seqs)]
     res = forward_batch(net, seqs, mode="training", windows=windows,
                         dropout_prob=cfg.dropout_prob, rng=rng, want_tape=True)
     loss, logit_grad = softmax_cross_entropy(res.logits, labels)

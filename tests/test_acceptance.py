@@ -60,7 +60,7 @@ def test_gradients_match_finite_differences_on_full_net():
     rng = np.random.default_rng(1007)
     seqs = [rng.normal(m, s, size=(n, dims.feat_dim))
             for n, m, s in ((35, -1.2, 0.7), (35, 0.9, 1.3), (36, -0.2, 1.0))]
-    windows = [[(0, 35)], [(0, 35)], [(0, 35), (1, 36)]]
+    windows = [(0, [(0, 35)]), (1, [(0, 35)]), (2, [(0, 35), (1, 36)])]
     condition_for_fd(net, seqs, windows=windows)
     grad_out = np.random.default_rng(5).choice([-1.0, 1.0], size=(3, 4))
     rels = check_gradients(net, seqs, grad_out, windows=windows)

@@ -1,6 +1,8 @@
 """Network stack: splicing, layer math, graph behavior, gradients, model files."""
 
 import hashlib
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,13 +13,13 @@ from diarkit.network import (
     VARIANCE_FLOOR,
     DimOverrides,
     LayerSpec,
+    Network,
     NetworkSpec,
     backward_batch,
     build_architecture,
     check_gradients,
     condition_for_fd,
     context_span,
-    extract_embedding,
     extract_embeddings,
     factor_contexts,
     fd_gradients,
@@ -34,6 +36,7 @@ from diarkit.network import (
     unsplice,
     validate_spec,
 )
+from embedding_reference import extract_embedding
 
 TOL_GRAD = 1e-4
 REDUCED = DimOverrides(width=32, factor_width=32, inner_dim=16,
@@ -290,6 +293,61 @@ def test_short_sequence_raises():
         forward_batch(net, [np.zeros((30, 23))])
 
 
+# ---------------------------------------------------------- spec validation
+
+def _pooled_head(source, dim):
+    """stats_pool over source, then the embedding and output layers."""
+    return [
+        LayerSpec("stats", "stats_pool", dim, 2 * dim, (0,), 0, (source,)),
+        LayerSpec("seg", "dense", 2 * dim, 6, (0,), 0, ("stats",)),
+        LayerSpec("output", "dense", 6, 3, (0,), 0, ("seg",)),
+    ]
+
+
+def test_spec_rejects_several_inputs_outside_concat():
+    """Only concat joins inputs; any other kind would read the first and
+    silently drop the rest."""
+    trunk = [
+        LayerSpec("a", "tdnn", 5, 4, (-1, 0, 1), 0, ("input",)),
+        LayerSpec("b", "tdnn", 5, 4, (-1, 0, 1), 0, ("input",)),
+    ]
+    for extra in [
+        LayerSpec("x", "stats_pool", 4, 8, (0,), 0, ("a", "b")),
+        LayerSpec("x", "dense", 4, 4, (0,), 0, ("a", "b")),
+        LayerSpec("x", "relu_batchnorm", 4, 4, (0,), 0, ("a", "b")),
+        LayerSpec("x", "tdnn", 4, 4, (0,), 0, ("a", "b")),
+        LayerSpec("x", "factorized_tdnn", 4, 4, (0,), 2, ("a", "b")),
+    ]:
+        with pytest.raises(InvalidInputError, match="x: a .* layer takes exactly one input"):
+            _spec(trunk + [extra] + _pooled_head("a", 4), "seg")
+        _spec(trunk + [replace(extra, inputs=("a",))] + _pooled_head("a", 4), "seg")
+
+
+def test_spec_rejects_skip_that_cannot_be_centered():
+    """A skip source is center-cropped onto the layer input, which needs an
+    even, non-negative span difference; validation says so up front, with the
+    message the forward pass would raise."""
+    def layers(context, skip_from, main="f1"):
+        return [
+            LayerSpec("f1", "tdnn", 5, 5, context, 0, ("input",)),
+            LayerSpec("f2", "dense", 5, 5, (0,), 0, (main,), skip_from),
+        ] + _pooled_head("f2", 5)
+
+    _spec(layers((-1, 0, 1), "input"), "seg")  # offset 2: one frame each side
+    odd = "f2: skip source cannot be center-aligned (offset 1)"
+    with pytest.raises(InvalidInputError, match=re.escape(odd)):
+        _spec(layers((-1, 0), "input"), "seg")
+    with pytest.raises(InvalidInputError, match=r"center-aligned \(offset -2\)"):
+        _spec(layers((-1, 0, 1), "f1", main="input"), "seg")
+
+    # an unvalidated network with the odd offset fails at run time the same way
+    net = initialize_network(_spec(layers((-1, 1), "input"), "seg"))
+    bad = NetworkSpec(tuple(layers((-1, 0), "input")), "seg", 3)
+    with pytest.raises(InvalidInputError) as run_time:
+        forward_batch(Network(bad, net.params, net.buffers), [np.zeros((10, 5))])
+    assert str(run_time.value) == odd
+
+
 # ------------------------------------------------------------ graph behavior
 
 def _reduced_msa_net(seed=1):
@@ -391,22 +449,26 @@ def test_training_mode_buffer_switch():
 def test_repeated_window_equals_single():
     net = _reduced_msa_net()
     x = np.random.default_rng(13).normal(size=(70, 23))
-    one = forward_batch(net, [x], mode="training", windows=[[(0, 70)]],
+    one = forward_batch(net, [x], mode="training", windows=[(0, [(0, 70)])],
                         update_buffers=False)
-    two = forward_batch(net, [x], mode="training", windows=[[(0, 70), (0, 70)]],
+    two = forward_batch(net, [x], mode="training", windows=[(0, [(0, 70), (0, 70)])],
                         update_buffers=False)
     assert np.allclose(one.logits, two.logits, atol=1e-12)
 
 
 def test_window_average_matches_pool_oracle():
+    """Each pooling row averages the statistics of its own windows of its own
+    sequence; rows may share a sequence and come in any order."""
     net = _reduced_msa_net()
-    x = np.random.default_rng(14).normal(size=(70, 23))
-    wins = [(0, 50), (15, 70)]
-    res = forward_batch(net, [x], mode="training", windows=[wins], update_buffers=False)
+    rng = np.random.default_rng(14)
+    seqs = [rng.normal(size=(70, 23)), rng.normal(size=(50, 23))]
+    rows = [(1, [(0, 50)]), (0, [(0, 50), (15, 70)]), (0, [(0, 45)])]
+    res = forward_batch(net, seqs, mode="training", windows=rows, update_buffers=False)
     frames = res.values["pre_stats_frame8_post"]
-    per_window = [stats_pool(frames.data[a:b - frames.span]) for a, b in wins]
-    want = np.mean(per_window, axis=0)
-    assert np.allclose(res.values["stats_frame8"][0], want, atol=1e-12)
+    for r, (i, wins) in enumerate(rows):
+        per_window = [stats_pool(frames.split()[i][a:b - frames.span]) for a, b in wins]
+        want = np.mean(per_window, axis=0)
+        assert np.allclose(res.values["stats_frame8"][r], want, atol=1e-12)
 
 
 def test_bad_windows_raise():
@@ -414,7 +476,12 @@ def test_bad_windows_raise():
     x = np.zeros((70, 23))
     for wins in [[(0, 32)], [(-1, 70)], [(0, 71)], [(40, 40)]]:
         with pytest.raises(InvalidInputError):
-            forward_batch(net, [x], mode="training", windows=[wins])
+            forward_batch(net, [x], mode="training", windows=[(0, wins)])
+    # rows must name a sequence of the batch and hold at least one window
+    for rows in [[(1, [(0, 70)])], [(-1, [(0, 70)])], [(0, [])], [[(0, 70)]],
+                 [[(0, 70), (0, 70)]]]:
+        with pytest.raises(InvalidInputError):
+            forward_batch(net, [x], mode="training", windows=rows)
 
 
 def test_backward_requires_tape():
@@ -426,13 +493,14 @@ def test_backward_requires_tape():
 
 # ------------------------------------------------------------ gradient checks
 
-def _grad_case(layers, embedding, seqs, seed=0, condition=True, **kwargs):
+def _grad_case(layers, embedding, seqs, seed=0, condition=True, windows=None, **kwargs):
     spec = _spec(layers, embedding)
     net = initialize_network(spec, seed=seed)
     if condition:
-        condition_for_fd(net, seqs)
-    grad_out = np.random.default_rng(99).choice([-1.0, 1.0], size=(len(seqs), 3))
-    rels = check_gradients(net, seqs, grad_out, **kwargs)
+        condition_for_fd(net, seqs, windows=windows)
+    rows = len(seqs) if windows is None else len(windows)
+    grad_out = np.random.default_rng(99).choice([-1.0, 1.0], size=(rows, 3))
+    rels = check_gradients(net, seqs, grad_out, windows=windows, **kwargs)
     worst = max(rels.values())
     assert worst < TOL_GRAD, sorted(rels.items(), key=lambda kv: -kv[1])[:5]
     return rels
@@ -452,6 +520,26 @@ def test_grad_tdnn_chain():
     ]
     seqs = [rng.normal(size=(12, 5)), rng.normal(0.4, 1.2, size=(13, 5))]
     _grad_case(layers, "seg", seqs)
+
+
+def test_grad_rows_sharing_a_sequence():
+    """One sequence feeds two overlapping pooling rows (one of them averaging
+    two windows), so stats-pool backward adds both rows' gradients into the
+    frames they share."""
+    rng = np.random.default_rng(26)
+    layers = [
+        LayerSpec("frame1", "tdnn", 5, 8, (-1, 0, 1), 0, ("input",)),
+        LayerSpec("frame1_post", "relu_batchnorm", 8, 8, (0,), 0, ("frame1",)),
+        LayerSpec("pool_in", "dense", 8, 6, (0,), 0, ("frame1_post",)),
+        LayerSpec("pool_in_post", "relu_batchnorm", 6, 6, (0,), 0, ("pool_in",)),
+        LayerSpec("stats", "stats_pool", 6, 12, (0,), 0, ("pool_in_post",)),
+        LayerSpec("seg", "dense", 12, 7, (0,), 0, ("stats",)),
+        LayerSpec("seg_post", "relu_batchnorm", 7, 7, (0,), 0, ("seg",)),
+        LayerSpec("output", "dense", 7, 3, (0,), 0, ("seg_post",)),
+    ]
+    seqs = [rng.normal(size=(16, 5)), rng.normal(0.4, 1.2, size=(13, 5))]
+    windows = [(0, [(0, 10)]), (1, [(0, 13)]), (0, [(4, 16), (2, 12)])]
+    _grad_case(layers, "seg", seqs, windows=windows)
 
 
 def test_grad_factorized_with_sum_skip():

@@ -6,7 +6,13 @@ import pytest
 from diarkit.backend import EmbeddingRecord
 from diarkit.errors import InvalidInputError
 from diarkit.features import FeatureMatrix, SadMark, Segment, write_features
-from diarkit.network import DimOverrides, build_architecture, extract_embedding, initialize_network
+from diarkit.network import (
+    DimOverrides,
+    build_architecture,
+    extract_embeddings,
+    forward_batch,
+    initialize_network,
+)
 from diarkit.pipeline import (
     conversation_embeddings,
     conversation_scores,
@@ -17,6 +23,7 @@ from diarkit.pipeline import (
     windowed_utterance_embeddings,
 )
 from diarkit.training import ManifestEntry, write_manifest
+from embedding_reference import extract_embedding
 
 
 def _toy_net(num_speakers=3, seed=0):
@@ -60,6 +67,71 @@ def test_conversation_embeddings_match_single_extraction():
         a, b = seg.frame_range
         assert np.allclose(vec, extract_embedding(net, feats.values[a:b]),
                            rtol=0, atol=1e-12)
+
+
+TOY_DIMS = DimOverrides(feat_dim=6, width=8, factor_width=8, inner_dim=4,
+                       pool_width=8, branch_dim=8, embed_dim=8)
+# ftdnn has sum skips; taps frame7 and frame9 pool at spans 26 and 32
+REGION_ARCHS = [("tdnn", None), ("etdnn", None), ("ftdnn", None),
+                ("ftdnn_msa", ("frame7", "frame9"))]
+
+
+def _region_net(arch, taps, rng):
+    """Toy-width net whose batch-norm running moments have moved off 0 and 1."""
+    net = initialize_network(build_architecture(arch, 3, taps=taps, dims=TOY_DIMS), seed=2)
+    forward_batch(net, [rng.normal(0.3, 1.5, size=(120, 6))], mode="training")
+    return net
+
+
+def _assert_matches_oracle(net, values, ranges, vecs):
+    assert len(vecs) == len(ranges)
+    for (a, b), vec in zip(ranges, vecs):
+        assert np.allclose(vec, extract_embedding(net, values[a:b]), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("arch,taps", REGION_ARCHS)
+def test_conversation_embeddings_match_per_segment_oracle(arch, taps, monkeypatch):
+    """Two SAD regions split by a gap, a third shorter than a segment, and a
+    tail segment cut short by the end of the features: every segment's
+    embedding from the shared region pass equals a forward over its frames."""
+    rng = np.random.default_rng(40)
+    net = _region_net(arch, taps, rng)
+    feats = FeatureMatrix(rng.normal(size=(690, 6)))
+    marks = [SadMark("c", 0.0, 2.6), SadMark("c", 3.5, 4.5), SadMark("c", 5.0, 7.0)]
+    seen = []
+
+    def recording(net, sequences, windows=None):
+        seen.append([len(s) for s in sequences])
+        return extract_embeddings(net, sequences, windows)
+
+    monkeypatch.setattr("diarkit.pipeline.extract_embeddings", recording)
+    segs, vecs = conversation_embeddings(net, feats, marks)
+    assert seen == [[260, 100, 190]]  # one pass per speech region
+    ranges = [s.frame_range for s in segs]
+    assert ranges == [(0, 150), (75, 225), (150, 260), (350, 450),
+                      (500, 650), (575, 690)]
+    _assert_matches_oracle(net, feats.values, ranges, vecs)
+
+
+@pytest.mark.parametrize("arch,taps", REGION_ARCHS)
+def test_windowed_utterance_embeddings_match_per_segment_oracle(tmp_path, arch, taps):
+    """An utterance with a truncated tail window and one shorter than a
+    segment: every window's embedding equals a forward over its frames."""
+    rng = np.random.default_rng(41)
+    net = _region_net(arch, taps, rng)
+    arrays = {"long": rng.normal(size=(330, 6)), "short": rng.normal(size=(100, 6))}
+    want = {"long": [(0, 150), (75, 225), (150, 300), (225, 330)], "short": [(0, 100)]}
+    for utt, arr in arrays.items():
+        write_features(tmp_path / f"{utt}.fea", FeatureMatrix(arr))
+    write_manifest(tmp_path / "m.txt", [ManifestEntry("long", "ann", "long.fea"),
+                                        ManifestEntry("short", "ben", "short.fea")])
+    recs = windowed_utterance_embeddings(net, tmp_path / "m.txt")
+    for utt, arr in arrays.items():
+        mine = [r for r in recs if r.conversation_id == utt]
+        ranges = [(round(r.start_s * 100), round(r.end_s * 100)) for r in mine]
+        assert ranges == want[utt]
+        stored = arr.astype(np.float32).astype(np.float64)
+        _assert_matches_oracle(net, stored, ranges, [r.vector for r in mine])
 
 
 def test_utterance_embeddings_from_manifest(tmp_path):
