@@ -143,18 +143,9 @@ def project_plda(plda: Plda, vectors: np.ndarray) -> np.ndarray:
     return (np.asarray(vectors, dtype=np.float64) - plda.mean) @ plda.transform.T
 
 
-def plda_score(plda: Plda, u1: np.ndarray, u2: np.ndarray) -> float:
-    """Same/different-speaker log-likelihood ratio of two projected vectors."""
-    a = plda.psi + 1.0
-    b = plda.psi
-    det_ratio = (a * a - b * b) / (a * a)
-    quad_same = (a * (u1 * u1 + u2 * u2) - 2.0 * b * u1 * u2) / (2.0 * (a * a - b * b))
-    quad_diff = (u1 * u1 + u2 * u2) / (2.0 * a)
-    return float(np.sum(-0.5 * np.log(det_ratio) - quad_same + quad_diff))
-
-
 def score_matrix(plda: Plda, projected: np.ndarray) -> np.ndarray:
-    """All-pairs LLR matrix; algebraically identical to plda_score per pair."""
+    """All-pairs same/different-speaker log-likelihood ratios of projected
+    vectors, from per-dimension constants shared by every pair."""
     u = np.asarray(projected, dtype=np.float64)
     a = plda.psi + 1.0
     b = plda.psi

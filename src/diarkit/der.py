@@ -3,10 +3,16 @@
 All interval arithmetic runs on an integer 0.1 ms grid, so set operations are
 exact and the hand-computable cases come out bit-for-bit.
 
-Scoring excludes a collar around each point where the reference switches from
-one speaker to another, and (by default) any region where reference speakers
-overlap. Speech onsets and offsets get no collar: there is no speaker
-transition there to forgive.
+Scoring follows the CALLHOME convention: it excludes a collar around each
+point where the reference switches from one set of active speakers to
+another, and every region where reference speakers overlap. Speech onsets and
+offsets get no collar: there is no speaker transition there to forgive.
+
+One boundary sweep (`_runs`, as in md-eval and pyannote.metrics) serves every
+step: over the reference it finds the speaker changes and the overlap; over
+the SAD speech and those it gives the scored regions; over the scored
+regions, reference and hypothesis together it gives the (duration, ref set,
+hyp set) runs and the ref x hyp overlap matrix for the mapping.
 """
 
 from __future__ import annotations
@@ -59,41 +65,27 @@ def _merge(intervals: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     return out
 
 
-def _intersect(xs: list[tuple[int, int]], ys: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    out = []
-    i = j = 0
-    while i < len(xs) and j < len(ys):
-        a = max(xs[i][0], ys[j][0])
-        b = min(xs[i][1], ys[j][1])
-        if a < b:
-            out.append((a, b))
-        if xs[i][1] <= ys[j][1]:
-            i += 1
-        else:
-            j += 1
+def _runs(*groups: Mapping[str, list[tuple[int, int]]]):
+    """Sweep the boundaries of several groups of named interval lists at once.
+
+    Returns the runs (start, end, active) between consecutive boundaries, in
+    time order from the first boundary to the last, gaps included. active
+    holds one frozenset per group: the names whose intervals cover the run.
+    Each name's intervals must be disjoint, as `_merge` leaves them.
+    """
+    events = sorted((p, starts, g, name)
+                    for g, group in enumerate(groups)
+                    for name, ivs in group.items()
+                    for a, b in ivs
+                    for p, starts in ((a, True), (b, False)))
+    active: list[set[str]] = [set() for _ in groups]
+    out, prev = [], None
+    for p, starts, g, name in events:
+        if prev is not None and p > prev:
+            out.append((prev, p, tuple(frozenset(s) for s in active)))
+        prev = p
+        (active[g].add if starts else active[g].discard)(name)
     return out
-
-
-def _subtract(xs: list[tuple[int, int]], ys: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    out = []
-    j = 0
-    for a, b in xs:
-        cur = a
-        while j < len(ys) and ys[j][1] <= cur:
-            j += 1
-        k = j
-        while k < len(ys) and ys[k][0] < b:
-            if ys[k][0] > cur:
-                out.append((cur, ys[k][0]))
-            cur = max(cur, ys[k][1])
-            k += 1
-        if cur < b:
-            out.append((cur, b))
-    return out
-
-
-def _total(xs: list[tuple[int, int]]) -> int:
-    return sum(b - a for a, b in xs)
 
 
 # ------------------------------------------------------------------ timelines
@@ -118,50 +110,29 @@ def _by_speaker(entries: Sequence[TimelineEntry]) -> dict[str, list[tuple[int, i
     return {s: _merge(iv) for s, iv in sorted(out.items())}
 
 
-def _overlap_regions(per_speaker: Mapping[str, list[tuple[int, int]]]) -> list[tuple[int, int]]:
-    bounds: list[tuple[int, int]] = []  # (point, +1/-1)
-    for ivs in per_speaker.values():
-        for a, b in ivs:
-            bounds.append((a, 1))
-            bounds.append((b, -1))
-    bounds.sort()
-    out, depth, start = [], 0, 0
-    for p, d in bounds:
-        was = depth
-        depth += d
-        if was < 2 <= depth:
-            start = p
-        elif was >= 2 > depth:
-            out.append((start, p))
-    return _merge(out)
+def _scored_runs(per_ref, per_hyp, scored):
+    """One sweep over the scored regions, reference and hypothesis together.
 
-
-def _transition_points(per_speaker: Mapping[str, list[tuple[int, int]]]) -> list[int]:
-    points = sorted({p for ivs in per_speaker.values() for iv in ivs for p in iv})
-    out = []
-    for p in points:
-        before = {s for s, ivs in per_speaker.items() if any(a < p <= b for a, b in ivs)}
-        after = {s for s, ivs in per_speaker.items() if any(a <= p < b for a, b in ivs)}
-        if before and after and before != after:
-            out.append(p)
-    return out
-
-
-def _elements(per_ref, per_hyp, scored):
-    """Decompose the scored regions into runs of constant (ref set, hyp set)."""
-    ref_in = {s: _intersect(iv, scored) for s, iv in per_ref.items()}
-    hyp_in = {s: _intersect(iv, scored) for s, iv in per_hyp.items()}
-    points = sorted({p for iv in list(ref_in.values()) + list(hyp_in.values()) + [scored]
-                     for ab in iv for p in ab})
-    out = []
-    for a, b in zip(points, points[1:]):
-        mid_containing = [(a, b)]
-        if not _intersect([(a, b)], scored):
-            continue
-        r = frozenset(s for s, iv in ref_in.items() if _intersect(iv, mid_containing))
-        h = frozenset(s for s, iv in hyp_in.items() if _intersect(iv, mid_containing))
-        out.append((b - a, r, h))
-    return out
+    Returns the (duration, ref set, hyp set) runs inside the scored regions
+    and the one-to-one hypothesis-label to reference-speaker map maximizing
+    the total scored overlap; labels with no useful overlap stay unmapped.
+    """
+    row = {s: i for i, s in enumerate(per_ref)}
+    col = {s: j for j, s in enumerate(per_hyp)}
+    overlap = np.zeros((len(row), len(col)))
+    elements = []
+    for a, b, (s, r, h) in _runs({"scored": scored}, per_ref, per_hyp):
+        if s:
+            elements.append((b - a, r, h))
+            for x in r:
+                for y in h:
+                    overlap[row[x], col[y]] += b - a
+    if overlap.size == 0:
+        return elements, {}
+    rows, cols = scipy.optimize.linear_sum_assignment(overlap, maximize=True)
+    ref_names, hyp_names = list(per_ref), list(per_hyp)
+    return elements, {hyp_names[j]: ref_names[i]
+                      for i, j in zip(rows, cols) if overlap[i, j] > 0}
 
 
 def optimal_speaker_mapping(
@@ -173,21 +144,7 @@ def optimal_speaker_mapping(
     total overlap inside the scored regions; labels with no useful overlap
     stay unmapped."""
     scored = _merge([(_q(a), _q(b)) for a, b in scored_regions])
-    return _mapping_on_grid(_by_speaker(ref), _by_speaker(hyp), scored)
-
-
-def _mapping_on_grid(per_ref, per_hyp, scored) -> dict[str, str]:
-    ref_names = sorted(per_ref)
-    hyp_names = sorted(per_hyp)
-    overlap = np.zeros((len(ref_names), len(hyp_names)))
-    for i, r in enumerate(ref_names):
-        for j, h in enumerate(hyp_names):
-            overlap[i, j] = _total(_intersect(_intersect(per_ref[r], per_hyp[h]), scored))
-    if overlap.size == 0:
-        return {}
-    rows, cols = scipy.optimize.linear_sum_assignment(overlap, maximize=True)
-    return {hyp_names[j]: ref_names[i]
-            for i, j in zip(rows, cols) if overlap[i, j] > 0}
+    return _scored_runs(_by_speaker(ref), _by_speaker(hyp), scored)[1]
 
 
 def compute_der(
@@ -195,16 +152,16 @@ def compute_der(
     hyp: Sequence[TimelineEntry],
     sad: Sequence[SadMark],
     collar_s: float = DEFAULT_COLLAR_S,
-    ignore_overlap: bool = True,
 ) -> DerResult:
     """Score one conversation's hypothesis against its reference.
 
     scored regions = SAD speech, minus a +-collar_s window around every
-    internal speaker transition, minus reference overlap when ignore_overlap.
-    miss is scored reference time with no hypothesis, false alarm is scored
-    hypothesis time outside reference speech, and speaker error is scored time
-    where the optimally mapped labels disagree. The denominator is the scored
-    reference speech time.
+    speaker change (two adjacent reference runs, both non-empty and
+    different), minus all reference overlap (runs of two or more speakers;
+    always excluded). Over the scored runs, miss is reference time with no
+    hypothesis, false alarm is hypothesis time outside reference speech, and
+    speaker error is time where the optimally mapped labels disagree. The
+    denominator is the scored reference speech time.
     """
     conv = _validate_entries(ref, "reference")
     if hyp:
@@ -221,18 +178,18 @@ def compute_der(
     speech = _merge([(_q(m.start_s), _q(m.end_s)) for m in sad])
 
     per_ref = _by_speaker(ref)
-    per_hyp = _by_speaker(hyp) if hyp else {}
     qc = _q(collar_s)
-    collars = _merge([(p - qc, p + qc) for p in _transition_points(per_ref)])
-    scored = _subtract(speech, collars)
-    if ignore_overlap:
-        scored = _subtract(scored, _overlap_regions(per_ref))
+    runs = _runs(per_ref)
+    unscored = [(p - qc, p + qc) for (_, p, (before,)), (_, _, (after,)) in zip(runs, runs[1:])
+                if before and after and before != after]
+    unscored += [(a, b) for a, b, (r,) in runs if len(r) >= 2]
+    scored = [(a, b) for a, b, (s, u) in _runs({"speech": speech}, {"unscored": _merge(unscored)})
+              if s and not u]
 
-    elements = _elements(per_ref, per_hyp, scored)
+    elements, mapping = _scored_runs(per_ref, _by_speaker(hyp), scored)
     scored_time = sum(n for n, r, _ in elements if r)
     if scored_time == 0:
         raise InvalidInputError(f"{conv}: no scorable reference speech")
-    mapping = _mapping_on_grid(per_ref, per_hyp, scored)
 
     miss = fa = err = 0
     for n, r, h in elements:
@@ -331,6 +288,9 @@ def read_rttm(path) -> list[TimelineEntry]:
                 tbeg, tdur = float(fields[3]), float(fields[4])
             except ValueError:
                 raise FormatError(f"{path}:{ln}: non-numeric time fields") from None
+            if not np.isfinite([tbeg, tbeg + tdur]).all():
+                raise FormatError(f"{path}:{ln}: time fields must be finite, "
+                                  f"got {fields[3]} {fields[4]}")
             if tdur <= 0:
                 raise FormatError(f"{path}:{ln}: duration must be positive, got {fields[4]}")
             out.append(TimelineEntry(fields[1], tbeg, tbeg + tdur, fields[7]))

@@ -111,7 +111,7 @@ class SadMark:
     end_s: float
 
     def __post_init__(self):
-        if not (0.0 <= self.start_s < self.end_s):
+        if not (0.0 <= self.start_s < self.end_s < np.inf):
             raise InvalidInputError(
                 f"bad SAD mark for {self.conversation_id!r}: [{self.start_s}, {self.end_s}]"
             )

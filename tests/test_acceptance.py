@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from diarkit import der
-from diarkit.backend import Plda, fit_plda, plda_score
+from diarkit.backend import Plda, fit_plda
 from diarkit.clustering import ahc
 from diarkit.cli import main
 from diarkit.features import SadMark, read_features, read_sad
@@ -38,6 +38,7 @@ from diarkit.network import (
 from diarkit.network.graph import LAYER_KINDS
 from diarkit.network.layers import stats_pool
 from diarkit.training import ManifestEntry, TrainConfig, build_train_set, train
+from plda_reference import plda_score
 
 
 def _report(name: str, ok: bool, detail: str) -> None:

@@ -22,7 +22,6 @@ from diarkit.backend import (
     fit_plda,
     length_normalize,
     load_backend,
-    plda_score,
     project_plda,
     read_embeddings,
     save_backend,
@@ -30,6 +29,7 @@ from diarkit.backend import (
     write_embeddings,
 )
 from diarkit.errors import FormatError, InvalidInputError
+from plda_reference import plda_score
 
 
 # ------------------------------------------------------------- normalization

@@ -79,6 +79,20 @@ def test_malformed_file_is_exit_3(work, tmp_path, capsys):
                  "--sad", str(work["corpus"] / "eval/sad.lab")]) == 3
 
 
+@pytest.mark.parametrize("ref_line,sad_line", [
+    ("SPEAKER c 1 0.0 inf <NA> <NA> A <NA> <NA>", "c 0.0 2.0"),
+    ("SPEAKER c 1 nan 1.0 <NA> <NA> A <NA> <NA>", "c 0.0 2.0"),
+    ("SPEAKER c 1 0.0 1.0 <NA> <NA> A <NA> <NA>", "c 0.0 inf"),
+])
+def test_non_finite_time_is_exit_3(tmp_path, capsys, ref_line, sad_line):
+    ref, hyp, sad = tmp_path / "ref.rttm", tmp_path / "hyp.rttm", tmp_path / "sad.lab"
+    ref.write_text(ref_line + "\n")
+    hyp.write_text("SPEAKER c 1 0.0 1.0 <NA> <NA> x <NA> <NA>\n")
+    sad.write_text(sad_line + "\n")
+    assert main(["score", "--ref", str(ref), "--hyp", str(hyp), "--sad", str(sad)]) == 3
+    assert ":1:" in capsys.readouterr().err
+
+
 def test_invalid_input_is_exit_4(work, tmp_path, capsys):
     # hypothesis names a conversation the reference does not have
     stray = tmp_path / "stray.rttm"

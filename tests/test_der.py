@@ -1,7 +1,10 @@
-"""DER scorer tests: frozen hand arithmetic, invariances, and a brute-force
-assignment oracle for the speaker mapping."""
+"""DER scorer tests: frozen hand arithmetic, invariances, a brute-force
+assignment oracle for the speaker mapping, an independent 10 ms raster scorer,
+and pinned results over random timelines."""
 
+import hashlib
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -186,6 +189,194 @@ def test_mapping_prefers_larger_overlap():
     assert optimal_speaker_mapping(ref, hyp, [(0.0, 4.0)]) == {"x": "A"}
 
 
+# ------------------------------------------------------------ pinned results
+
+def _pinned_case(rng, collar_s):
+    """Reference turns that may overlap or leave gaps, a hypothesis (sometimes
+    empty, sometimes self-overlapping), and 1-4 SAD regions that may overlap;
+    times on a 0.5 ms grid."""
+    length = int(rng.integers(10_000, 60_000))  # 0.5 ms steps
+
+    def turns(prefix, n_names, empty_prob):
+        if rng.random() < empty_prob:
+            return []
+        t, out = int(rng.integers(0, 2_000)), []
+        while t < length:
+            end = min(t + int(rng.integers(200, 8_000)), length)
+            if end <= t:
+                break
+            out.append(TimelineEntry("c", t / 2000, end / 2000,
+                                     f"{prefix}{int(rng.integers(0, n_names))}"))
+            roll = rng.random()
+            if roll < 0.3:    # next turn starts before this one ends
+                t = max(t + 1, end - int(rng.integers(1, 2_000)))
+            elif roll < 0.6:  # silence before the next turn
+                t = end + int(rng.integers(1, 3_000))
+            else:
+                t = end
+        return out
+
+    ref = turns("S", int(rng.integers(1, 5)), 0.0)
+    hyp = turns("h", int(rng.integers(1, 5)), 0.1)
+    sad = []
+    for _ in range(int(rng.integers(1, 5))):
+        a, b = sorted(int(x) for x in rng.integers(0, length + 1, size=2))
+        sad.append(SadMark("c", a / 2000, (b + 1) / 2000))
+    return ref, hyp, sad, collar_s
+
+
+def _pinned_line(ref, hyp, sad, collar_s):
+    try:
+        r = compute_der(ref, hyp, sad, collar_s=collar_s)
+    except InvalidInputError as exc:
+        return f"raise {exc}"
+    return " ".join(float(v).hex() for v in (r.scored_time_s, r.speaker_error_time_s,
+                                             r.missed_time_s, r.false_alarm_time_s, r.der))
+
+
+# SHA-256 of the per-case result lines over 240 seeded cases, 60 per collar;
+# pins every DerResult field (as float.hex) and every error message
+DER_RESULTS_SHA256 = "6aba7a5488aada61e5b1601037c95d6fbb680597a2aee1bb574340614e8a31bb"
+
+
+def test_der_results_are_pinned():
+    rng = np.random.default_rng(2105)
+    lines = [_pinned_line(*_pinned_case(rng, (0.0, 0.1, 0.25, 0.5)[i % 4])) for i in range(240)]
+    assert sum(l.startswith("raise") for l in lines) < 40
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == DER_RESULTS_SHA256
+
+
+# ------------------------------------------------------- raster DER oracle
+
+def _raster_der(ref, hyp, sad, collar_s, frames):
+    """Score on a 10 ms raster, one frame at a time, with nothing shared with
+    the scorer: drop SAD silence, frames within collar_s of a point where the
+    reference changes from one non-empty speaker set to another, and frames
+    with two or more reference speakers. Returns scored, miss, false-alarm and
+    speaker-error frame counts; speaker error assumes a non-overlapping
+    hypothesis and takes the best one-to-one label mapping by permutation
+    search."""
+    def raster(entries):
+        grid = {}
+        for e in entries:
+            row = grid.setdefault(e.speaker, np.zeros(frames, dtype=bool))
+            row[int(round(e.start_s * 100)):int(round(e.end_s * 100))] = True
+        return grid
+
+    ref_grid, hyp_grid = raster(ref), raster(hyp)
+    sad_grid = raster([TimelineEntry("c", m.start_s, m.end_s, "") for m in sad])[""]
+    ref_sets = [frozenset(s for s, row in ref_grid.items() if row[i]) for i in range(frames)]
+    hyp_sets = [frozenset(s for s, row in hyp_grid.items() if row[i]) for i in range(frames)]
+    assert all(len(h) <= 1 for h in hyp_sets)
+
+    scored = sad_grid.copy()
+    c = int(round(collar_s * 100))
+    for p in range(1, frames):
+        if ref_sets[p - 1] and ref_sets[p] and ref_sets[p - 1] != ref_sets[p]:
+            scored[max(0, p - c):p + c] = False
+    for i in range(frames):
+        if len(ref_sets[i]) >= 2:
+            scored[i] = False
+
+    refs, hyps = sorted(ref_grid), sorted(hyp_grid)
+    overlap = np.zeros((len(refs), len(hyps)), dtype=int)
+    n_scored = miss = fa = both = 0
+    for i in np.flatnonzero(scored):
+        r, h = ref_sets[i], hyp_sets[i]
+        n_scored += bool(r)
+        miss += bool(r and not h)
+        fa += bool(h and not r)
+        if r and h:
+            both += 1
+            overlap[refs.index(next(iter(r))), hyps.index(next(iter(h)))] += 1
+    padded = list(range(len(refs))) + [None] * len(hyps)
+    best = max(sum(overlap[ri, j] for j, ri in enumerate(assign) if ri is not None)
+               for assign in itertools.permutations(padded, len(hyps)))
+    return n_scored, miss, fa, both - best
+
+
+def _raster_case(rng):
+    """10 ms-grid reference with overlapping speakers and gaps, a
+    non-overlapping hypothesis with gaps, and 1-3 SAD regions."""
+    frames = int(rng.integers(300, 1500))
+    ref = []
+    for s in range(int(rng.integers(2, 5))):
+        t = int(rng.integers(0, 200))
+        while t < frames - 10:
+            end = min(t + int(rng.integers(20, 300)), frames)
+            ref.append(TimelineEntry("c", t / 100, end / 100, f"S{s}"))
+            t = end + int(rng.integers(10, 500))
+    hyp, t = [], int(rng.integers(0, 100))
+    while t < frames - 10:
+        end = min(t + int(rng.integers(20, 300)), frames)
+        hyp.append(TimelineEntry("c", t / 100, end / 100, f"h{int(rng.integers(0, 4))}"))
+        t = end + int(rng.integers(0, 60))
+    cuts = sorted(int(x) for x in rng.choice(frames + 1, size=2 * int(rng.integers(1, 4)),
+                                             replace=False))
+    sad = [SadMark("c", a / 100, b / 100) for a, b in zip(cuts[::2], cuts[1::2])]
+    return ref, hyp, sad, frames
+
+
+def test_der_components_match_raster_oracle():
+    rng = np.random.default_rng(34)
+    scored_cases = 0
+    for i in range(120):
+        ref, hyp, sad, frames = _raster_case(rng)
+        collar_s = (0.0, 0.1, 0.25, 0.5)[i % 4]
+        n_scored, miss, fa, err = _raster_der(ref, hyp, sad, collar_s, frames)
+        if n_scored == 0:
+            with pytest.raises(InvalidInputError):
+                compute_der(ref, hyp, sad, collar_s=collar_s)
+            continue
+        scored_cases += 1
+        r = compute_der(ref, hyp, sad, collar_s=collar_s)
+        # one 10 ms frame is 100 units of the scorer's 0.1 ms grid
+        assert r.scored_time_s == n_scored * 100 / 10000
+        assert r.missed_time_s == miss * 100 / 10000
+        assert r.false_alarm_time_s == fa * 100 / 10000
+        assert r.speaker_error_time_s == err * 100 / 10000
+    assert scored_cases >= 100
+
+
+# --------------------------------------------------------------- long input
+
+def _hour_long_timeline(rng, hours=1.0, n_speakers=4):
+    """Turns of 1-6 s from n_speakers speakers, some overlapping the previous
+    turn and some after a pause; the hypothesis moves every boundary by up to
+    0.3 s and relabels a tenth of the turns at random."""
+    def jitter(t):
+        return round(t + float(rng.uniform(-0.3, 0.3)), 3)
+
+    total, t = 3600.0 * hours, 0.0
+    ref, hyp, spk = [], [], -1
+    while t < total:
+        spk = int(rng.choice([s for s in range(n_speakers) if s != spk]))
+        end = round(t + float(rng.uniform(1.0, 6.0)), 3)
+        ref.append(TimelineEntry("c", t, end, f"S{spk}"))
+        lab = spk if rng.random() > 0.1 else int(rng.integers(0, n_speakers))
+        a = max(0.0, jitter(t))
+        hyp.append(TimelineEntry("c", a, max(a + 0.1, jitter(end)), f"h{lab}"))
+        roll = rng.random()
+        if roll < 0.2:
+            t = round(end - 0.5, 3)
+        elif roll < 0.4:
+            t = round(end + float(rng.uniform(0.5, 2.0)), 3)
+        else:
+            t = end
+    return ref, hyp, [SadMark("c", e.start_s, e.end_s) for e in ref]
+
+
+def test_hour_long_conversation_scores_quickly():
+    ref, hyp, sad = _hour_long_timeline(np.random.default_rng(35))
+    assert len(ref) > 800
+    start = time.perf_counter()
+    r = compute_der(ref, hyp, sad)
+    elapsed = time.perf_counter() - start
+    assert 2000.0 < r.scored_time_s < 3600.0 and 0.0 < r.der < 0.5
+    assert elapsed < 1.0, f"scoring a 60 min conversation took {elapsed:.2f} s"
+
+
 # ------------------------------------------------------------------ validation
 
 def test_der_input_validation():
@@ -280,6 +471,16 @@ def test_rttm_errors_carry_line_numbers(tmp_path):
         read_rttm(path)
     path.write_text("SPEAKER c 1 zero 1.000 <NA> <NA> A <NA> <NA>\n")
     with pytest.raises(FormatError, match=":1:"):
+        read_rttm(path)
+
+
+@pytest.mark.parametrize("tbeg,tdur", [("0.0", "inf"), ("nan", "1.0"), ("0.0", "nan"),
+                                       ("inf", "1.0"), ("-inf", "inf"), ("1e308", "1e308")])
+def test_rttm_rejects_non_finite_times(tmp_path, tbeg, tdur):
+    path = tmp_path / "x.rttm"
+    path.write_text("SPEAKER c 1 0.000 1.000 <NA> <NA> A <NA> <NA>\n"
+                    f"SPEAKER c 1 {tbeg} {tdur} <NA> <NA> B <NA> <NA>\n")
+    with pytest.raises(FormatError, match=":2: time fields must be finite"):
         read_rttm(path)
 
 

@@ -256,3 +256,11 @@ class TestSadIo:
         path.write_text("conv1 5.0 1.0\n")
         with pytest.raises(FormatError, match=":1"):
             features.read_sad(path)
+
+    @pytest.mark.parametrize("start,end", [("0.0", "inf"), ("nan", "1.0"), ("0.0", "nan"),
+                                           ("inf", "inf")])
+    def test_rejects_non_finite_times(self, tmp_path, start, end):
+        path = tmp_path / "sad.txt"
+        path.write_text(f"conv1 0.0 1.0\nconv1 {start} {end}\n")
+        with pytest.raises(FormatError, match="sad.txt:2: bad SAD mark"):
+            features.read_sad(path)
