@@ -314,7 +314,8 @@ def read_speaker_counts(path) -> dict[str, int]:
             fields = line.split()
             if not fields:
                 continue
-            if len(fields) != 2 or not fields[1].isdigit() or int(fields[1]) < 1:
+            digits = len(fields) == 2 and fields[1].isascii() and fields[1].isdigit()
+            if not digits or int(fields[1]) < 1:
                 raise FormatError(f"{path}:{ln}: expected 'conversation count'")
             if fields[0] in out:
                 raise FormatError(f"{path}:{ln}: duplicate conversation {fields[0]!r}")

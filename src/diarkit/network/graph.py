@@ -12,6 +12,14 @@ batch-norm buffers, frame span, spec checks, forward and backward pass.
 Initialization, validation, evaluation, model files and training read the
 table instead of branching on a kind's name; the one kind named outside it is
 the graph rule that the embedding and output layers are dense.
+
+The training tape keeps one entry per layer for the backward pass. It holds
+each frame-level activation once: the layer input is the forward value itself
+(or, after a skip connection, the combined input), and an entry adds only
+what no value holds, such as batch-norm moments, a dropout mask, or a
+factorized layer's inner activation. Spliced copies and batch norm's
+normalized input are recomputed on the way back, by the same operations in
+the same order, so gradients are the same bits as if they had been kept.
 """
 
 from __future__ import annotations
@@ -138,6 +146,17 @@ def _check_lengths(name: str, lengths: tuple[int, ...], span: int) -> None:
         )
 
 
+def _output_batch(ls: LayerSpec, x: FrameBatch, span: int) -> FrameBatch:
+    """A convolution's output, uninitialized, one block of rows per sequence."""
+    lengths = tuple(n - span for n in x.lengths)
+    return FrameBatch(np.empty((sum(lengths), ls.out_dim)), lengths, x.span + span)
+
+
+def _split_rows(g: np.ndarray, x: FrameBatch, span: int) -> list[np.ndarray]:
+    """A convolution's output gradient, split into its sequences."""
+    return FrameBatch(g, tuple(n - span for n in x.lengths)).split()
+
+
 class LayerKind:
     """One layer kind; the base has a single input, no parameters, no span.
 
@@ -148,6 +167,12 @@ class LayerKind:
     the inputs' (dim, level) and returns the output level. forward(ls, params,
     inputs, run) -> (output, tape entry); backward(ls, params, grad, tape
     entry) -> (parameter gradients, one gradient per input).
+
+    The graph adds the layer input to the entry as in_value. What forward
+    puts in the entry must be something backward cannot get from in_value or
+    the parameters: statistics per column, a dropout mask, an intermediate
+    activation. A copy or rearrangement of the input (a spliced matrix, a
+    normalized one) is recomputed in backward instead.
     """
 
     fills: dict[str, float] = {}
@@ -189,38 +214,30 @@ class _Tdnn(LayerKind):
 
     def forward(self, ls, p, xs, run):
         x = xs[0]
-        span = context_span(ls.context)
+        span = self.span(ls)
         _check_lengths(ls.name, x.lengths, span)
         wt = p["W"].T
-        spliced = [splice(seq, ls.context) for seq in x.split()]
-        return self._output(p, x, [s @ wt for s in spliced], span), {"spliced": spliced}
-
-    @staticmethod
-    def _output(p, x: FrameBatch, outs: list[np.ndarray], span: int) -> FrameBatch:
-        data = np.vstack(outs) if len(outs) > 1 else outs[0]
-        data += p["b"]
-        return FrameBatch(data, tuple(n - span for n in x.lengths), x.span + span)
+        out = _output_batch(ls, x, span)
+        for seq, rows in zip(x.split(), out.split()):
+            np.matmul(splice(seq, ls.context), wt, out=rows)
+        out.data += p["b"]
+        return out, {}
 
     def backward(self, ls, p, g, cache):
         x = cache["in_value"]
-        span = context_span(ls.context)
         gW = np.zeros_like(p["W"])
         gb = g.sum(axis=0)
-        gx = np.zeros_like(x.data)
-        pos_out, pos_in = 0, 0
-        for spliced, len_in in zip(cache["spliced"], x.lengths):
-            len_out = len_in - span
-            gs = g[pos_out : pos_out + len_out]
-            gW += gs.T @ spliced
-            gx[pos_in : pos_in + len_in] = unsplice(gs @ p["W"], ls.context, len_in, ls.in_dim)
-            pos_out += len_out
-            pos_in += len_in
-        return {"W": gW, "b": gb}, [gx]
+        gx = _like(x, np.zeros_like(x.data))
+        for seq, gs, gseq in zip(x.split(), _split_rows(g, x, self.span(ls)), gx.split()):
+            gW += gs.T @ splice(seq, ls.context)
+            unsplice(gs @ p["W"], ls.context, gseq)
+        return {"W": gW, "b": gb}, [gx.data]
 
 
 class _FactorizedTdnn(_Tdnn):
     """Two chained spliced maps, M over the first factor context and F over
-    the second; M is the factor held semi-orthogonal."""
+    the second; M is the factor held semi-orthogonal. The tape keeps the
+    inner activation h of each sequence, unspliced."""
 
     semi_orthogonal = ("M",)
 
@@ -245,39 +262,32 @@ class _FactorizedTdnn(_Tdnn):
     def forward(self, ls, p, xs, run):
         x = xs[0]
         c1, c2 = factor_contexts(ls.context)
-        span = context_span(c1) + context_span(c2)
+        span = self.span(ls)
         _check_lengths(ls.name, x.lengths, span)
         mt, ft = p["M"].T, p["F"].T
-        spliced_x, spliced_h, outs = [], [], []
-        for seq in x.split():
-            sx = splice(seq, c1)
-            sh = splice(sx @ mt, c2)
-            spliced_x.append(sx)
-            spliced_h.append(sh)
-            outs.append(sh @ ft)
-        cache = {"spliced_x": spliced_x, "spliced_h": spliced_h, "contexts": (c1, c2)}
-        return self._output(p, x, outs, span), cache
+        out = _output_batch(ls, x, span)
+        hs = []
+        for seq, rows in zip(x.split(), out.split()):
+            h = splice(seq, c1) @ mt
+            np.matmul(splice(h, c2), ft, out=rows)
+            hs.append(h)
+        out.data += p["b"]
+        return out, {"h": hs}
 
     def backward(self, ls, p, g, cache):
         x = cache["in_value"]
-        c1, c2 = cache["contexts"]
-        span1, span2 = context_span(c1), context_span(c2)
+        c1, c2 = factor_contexts(ls.context)
         gM = np.zeros_like(p["M"])
         gF = np.zeros_like(p["F"])
         gb = g.sum(axis=0)
-        gx = np.zeros_like(x.data)
-        pos_out, pos_in = 0, 0
-        for spliced_x, spliced_h, len_in in zip(cache["spliced_x"], cache["spliced_h"], x.lengths):
-            len_h = len_in - span1
-            len_out = len_h - span2
-            gs = g[pos_out : pos_out + len_out]
-            gF += gs.T @ spliced_h
-            gh = unsplice(gs @ p["F"], c2, len_h, ls.inner_dim)
-            gM += gh.T @ spliced_x
-            gx[pos_in : pos_in + len_in] = unsplice(gh @ p["M"], c1, len_in, ls.in_dim)
-            pos_out += len_out
-            pos_in += len_in
-        return {"M": gM, "F": gF, "b": gb}, [gx]
+        gx = _like(x, np.zeros_like(x.data))
+        gs_split = _split_rows(g, x, self.span(ls))
+        for seq, h, gs, gseq in zip(x.split(), cache["h"], gs_split, gx.split()):
+            gF += gs.T @ splice(h, c2)
+            gh = unsplice(gs @ p["F"], c2, np.zeros_like(h))
+            gM += gh.T @ splice(seq, c1)
+            unsplice(gh @ p["M"], c1, gseq)
+        return {"M": gM, "F": gF, "b": gb}, [gx.data]
 
 
 class _Dense(LayerKind):
@@ -287,15 +297,23 @@ class _Dense(LayerKind):
         return {"W": (ls.out_dim, ls.in_dim), "b": (ls.out_dim,)}
 
     def forward(self, ls, p, xs, run):
-        xd = _data(xs[0])
-        return _like(xs[0], xd @ p["W"].T + p["b"]), {"x_data": xd}
+        return _like(xs[0], _data(xs[0]) @ p["W"].T + p["b"]), {}
 
     def backward(self, ls, p, g, cache):
-        return {"W": g.T @ cache["x_data"], "b": g.sum(axis=0)}, [g @ p["W"]]
+        return {"W": g.T @ _data(cache["in_value"]), "b": g.sum(axis=0)}, [g @ p["W"]]
 
 
 class _ReluBatchNorm(LayerKind):
-    """ReLU, then batch norm over the rows; optional inverted dropout after."""
+    """ReLU, then batch norm over the rows; optional inverted dropout after.
+
+    The forward pass works in place in its one output array: ReLU, subtract
+    the mean, scale by the inverse std, then gamma, beta and the dropout mask.
+    The tape keeps only the mean, the inverse std and the mask; the backward
+    pass recomputes x-hat from the pre-activation input, which the graph
+    already holds, by the same operations in the same order, and does its
+    arithmetic in two buffers it reuses (and the masked gradient, with
+    dropout).
+    """
 
     fills = {"gamma": 1.0, "beta": 0.0}
     buffers = {"running_mean": 0.0, "running_var": 1.0}
@@ -310,13 +328,12 @@ class _ReluBatchNorm(LayerKind):
         return level
 
     def forward(self, ls, p, xs, run):
-        xd = _data(xs[0])
-        relu = np.maximum(xd, 0.0)
+        y = np.maximum(_data(xs[0]), 0.0)
         buf = run.buffers[ls.name]
         if run.training:
-            mu = relu.mean(axis=0)
-            centered = relu - mu
-            var = np.einsum("ij,ij->j", centered, centered) / relu.shape[0]
+            mu = y.mean(axis=0)
+            y -= mu
+            var = np.einsum("ij,ij->j", y, y) / y.shape[0]
             if run.update_buffers:
                 buf["running_mean"] *= BN_MOMENTUM
                 buf["running_mean"] += (1.0 - BN_MOMENTUM) * mu
@@ -324,24 +341,43 @@ class _ReluBatchNorm(LayerKind):
                 buf["running_var"] += (1.0 - BN_MOMENTUM) * var
         else:
             mu, var = buf["running_mean"], buf["running_var"]
-            centered = relu - mu
+            y -= mu
         istd = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = centered * istd
-        yd = p["gamma"] * xhat + p["beta"]
+        y *= istd
+        y *= p["gamma"]
+        y += p["beta"]
         mask = None
         if run.dropout_prob > 0.0:
-            mask = (run.rng.random(yd.shape) >= run.dropout_prob) / (1.0 - run.dropout_prob)
-            yd = yd * mask
-        return _like(xs[0], yd), {"x_data": xd, "xhat": xhat, "istd": istd, "mask": mask}
+            mask = (run.rng.random(y.shape) >= run.dropout_prob) / (1.0 - run.dropout_prob)
+            y *= mask
+        return _like(xs[0], y), {"mu": mu, "istd": istd, "mask": mask}
+
+    @staticmethod
+    def _xhat(x: np.ndarray, cache: dict, out=None) -> np.ndarray:
+        xhat = np.maximum(x, 0.0, out=out)
+        xhat -= cache["mu"]
+        xhat *= cache["istd"]
+        return xhat
 
     def backward(self, ls, p, g, cache):
         if cache["mask"] is not None:
             g = g * cache["mask"]
-        xhat, istd = cache["xhat"], cache["istd"]
-        grads = {"gamma": (g * xhat).sum(axis=0), "beta": g.sum(axis=0)}
-        dxhat = g * p["gamma"]
-        dr = istd * (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0))
-        return grads, [dr * (cache["x_data"] > 0.0)]
+        x = _data(cache["in_value"])
+        xhat = self._xhat(x, cache)
+        dxhat = g * xhat  # g * xhat, for the gamma gradient, before dxhat
+        grads = {"gamma": dxhat.sum(axis=0), "beta": g.sum(axis=0)}
+        np.multiply(g, p["gamma"], out=dxhat)
+        mean_dxhat = dxhat.mean(axis=0)
+        xhat *= dxhat
+        mean_dxhat_xhat = xhat.mean(axis=0)
+        # dx = istd * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) where x > 0
+        dxhat -= mean_dxhat
+        xhat = self._xhat(x, cache, out=xhat)  # again, not a third array
+        xhat *= mean_dxhat_xhat
+        dxhat -= xhat
+        dxhat *= cache["istd"]
+        dxhat *= x > 0.0
+        return grads, [dxhat]
 
 
 class _StatsPool(LayerKind):
@@ -532,23 +568,24 @@ def _skip_crop(ls: LayerSpec, main_span: int, skip_span: int) -> int:
     return diff // 2
 
 
-def _combine_skip(ls: LayerSpec, params: dict, main: FrameBatch, skip: FrameBatch):
-    """Join the skip source onto the layer input, center-cropped per sequence.
-
-    Sum mode adds the two; concat mode stacks them and projects back to the
-    input width through the layer's P matrix. Returns the combined batch, the
-    per-sequence crop offset, and the stacked matrix concat mode needs again
-    on the way back (None for sum mode).
-    """
+def _skip_rows(ls: LayerSpec, main: FrameBatch, skip: FrameBatch) -> np.ndarray:
+    """The skip source's rows, center-cropped per sequence onto main's. In
+    concat mode they come stacked to the right of main's rows."""
     left = _skip_crop(ls, main.span, skip.span)
     cropped = []
     for seq_main, seq_skip in zip(main.split(), skip.split()):
         cropped.append(seq_skip[left : left + seq_main.shape[0]])
     cropped = np.vstack(cropped)
-    if ls.skip_mode == "sum":
-        return FrameBatch(main.data + cropped, main.lengths, main.span), left, None
-    stacked = np.hstack([main.data, cropped])
-    return FrameBatch(stacked @ params["P"].T, main.lengths, main.span), left, stacked
+    return cropped if ls.skip_mode == "sum" else np.hstack([main.data, cropped])
+
+
+def _combine_skip(ls: LayerSpec, params: dict, main: FrameBatch, skip: FrameBatch) -> FrameBatch:
+    """Join the skip source onto the layer input. Sum mode adds the two;
+    concat mode stacks them and projects back to the input width through the
+    layer's P matrix."""
+    rows = _skip_rows(ls, main, skip)
+    data = main.data + rows if ls.skip_mode == "sum" else rows @ params["P"].T
+    return FrameBatch(data, main.lengths, main.span)
 
 
 def forward_batch(
@@ -635,12 +672,11 @@ def _apply_layers(
     for ls in net.spec.layers[start:]:
         p = net.params[ls.name]
         xs = [values[n] for n in ls.inputs]
-        crop_left, skip_stack = None, None
         if ls.skip_from:
-            xs[0], crop_left, skip_stack = _combine_skip(ls, p, xs[0], values[ls.skip_from])
+            xs[0] = _combine_skip(ls, p, xs[0], values[ls.skip_from])
         out, cache = LAYER_KINDS[ls.kind].forward(ls, p, xs, run)
         if want_tape:
-            cache.update(in_value=xs[0], crop_left=crop_left, skip_stack=skip_stack)
+            cache["in_value"] = xs[0]
             caches[ls.name] = cache
         values[ls.name] = out
 
@@ -667,26 +703,21 @@ def backward_batch(net: Network, result: ForwardResult, logits_grad: np.ndarray)
         else:
             grads[name] = g
 
-    def push_through_skip(ls: LayerSpec, cache: dict, gx: np.ndarray):
+    def push_through_skip(ls: LayerSpec, gx: np.ndarray):
         """Route the gradient at a skip-combined layer input to both sources."""
-        x = cache["in_value"]
+        main, skip = values[ls.inputs[0]], values[ls.skip_from]
         if ls.skip_mode == "concat":
-            stacked = cache["skip_stack"]
-            param_grads.setdefault(ls.name, {})["P"] = gx.T @ stacked
+            param_grads.setdefault(ls.name, {})["P"] = gx.T @ _skip_rows(ls, main, skip)
             gz = gx @ net.params[ls.name]["P"]
             gmain, gcrop = gz[:, : ls.in_dim], gz[:, ls.in_dim :]
         else:
             gmain, gcrop = gx, gx
         push(ls.inputs[0], gmain)
-        skip_val = values[ls.skip_from]
-        left = cache["crop_left"]
-        gskip = np.zeros_like(skip_val.data)
-        pos_in, pos_skip = 0, 0
-        for len_in, len_skip in zip(x.lengths, skip_val.lengths):
-            gskip[pos_skip + left : pos_skip + left + len_in] = gcrop[pos_in : pos_in + len_in]
-            pos_in += len_in
-            pos_skip += len_skip
-        push(ls.skip_from, gskip)
+        left = _skip_crop(ls, main.span, skip.span)
+        gskip = _like(skip, np.zeros_like(skip.data))
+        for gseq, gc in zip(gskip.split(), _like(main, gcrop).split()):
+            gseq[left : left + gc.shape[0]] = gc
+        push(ls.skip_from, gskip.data)
 
     for ls in reversed(net.spec.layers):
         g = grads.pop(ls.name, None)
@@ -697,7 +728,7 @@ def backward_batch(net: Network, result: ForwardResult, logits_grad: np.ndarray)
         if layer_grads:
             param_grads[ls.name] = layer_grads
         if ls.skip_from:
-            push_through_skip(ls, cache, input_grads[0])
+            push_through_skip(ls, input_grads[0])
         else:
             for src, gx in zip(ls.inputs, input_grads):
                 push(src, gx)

@@ -41,14 +41,15 @@ def splice(x: np.ndarray, context) -> np.ndarray:
     return np.concatenate([x[o - base : o - base + out_len] for o in context], axis=1)
 
 
-def unsplice(grad_spliced: np.ndarray, context, total: int, dim: int) -> np.ndarray:
-    """Scatter a gradient w.r.t. spliced rows back onto the input rows."""
+def unsplice(grad_spliced: np.ndarray, context, out: np.ndarray) -> np.ndarray:
+    """Scatter a gradient w.r.t. spliced rows back onto the input rows: add it
+    into out, the (T, D) gradient w.r.t. the input, and return out."""
     base = context[0]
-    out_len = total - context_span(context)
-    grad = np.zeros((total, dim))
+    out_len = out.shape[0] - context_span(context)
+    dim = out.shape[1]
     for i, o in enumerate(context):
-        grad[o - base : o - base + out_len] += grad_spliced[:, i * dim : (i + 1) * dim]
-    return grad
+        out[o - base : o - base + out_len] += grad_spliced[:, i * dim : (i + 1) * dim]
+    return out
 
 
 def factor_contexts(context) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -93,6 +93,18 @@ def test_non_finite_time_is_exit_3(tmp_path, capsys, ref_line, sad_line):
     assert ":1:" in capsys.readouterr().err
 
 
+def test_non_ascii_speaker_count_is_exit_3(work, tmp_path, capsys):
+    counts = tmp_path / "k.txt"
+    counts.write_text("".join(f"conv{i:03d} 2\n" for i in range(2)) + "conv002 \u00b2\n",
+                      encoding="utf-8")
+    assert main(["diarize", "--model", str(work["model"]), "--backend", str(work["backend"]),
+                 "--features", str(work["corpus"] / "eval/feats"),
+                 "--sad", str(work["corpus"] / "eval/sad.lab"),
+                 "--oracle-k", str(counts), "--out", str(tmp_path / "x.rttm")]) == 3
+    assert ":3: expected 'conversation count'" in capsys.readouterr().err
+    assert not (tmp_path / "x.rttm").exists()
+
+
 def test_invalid_input_is_exit_4(work, tmp_path, capsys):
     # hypothesis names a conversation the reference does not have
     stray = tmp_path / "stray.rttm"

@@ -18,6 +18,7 @@ from diarkit.der import (
     der_report,
     optimal_speaker_mapping,
     read_rttm,
+    read_speaker_counts,
     speaker_counts,
     write_rttm,
 )
@@ -482,6 +483,16 @@ def test_rttm_rejects_non_finite_times(tmp_path, tbeg, tdur):
                     f"SPEAKER c 1 {tbeg} {tdur} <NA> <NA> B <NA> <NA>\n")
     with pytest.raises(FormatError, match=":2: time fields must be finite"):
         read_rttm(path)
+
+
+@pytest.mark.parametrize("count", ["\u00b2", "\u0663", "0", "-1", "+2", "2.0", "two"])
+def test_speaker_counts_accept_ascii_digits_only(tmp_path, count):
+    path = tmp_path / "k.txt"
+    path.write_text(f"a 2\nb {count}\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=":2: expected 'conversation count'"):
+        read_speaker_counts(path)
+    path.write_text("a 2\nb 12\n", encoding="utf-8")
+    assert read_speaker_counts(path) == {"a": 2, "b": 12}
 
 
 def test_rttm_write_is_deterministic(tmp_path):

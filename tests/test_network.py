@@ -36,6 +36,7 @@ from diarkit.network import (
     unsplice,
     validate_spec,
 )
+from diarkit.training import TrainConfig, init_velocity, train_step
 from embedding_reference import extract_embedding
 
 TOL_GRAD = 1e-4
@@ -109,8 +110,16 @@ def test_unsplice_is_splice_adjoint():
         x = rng.normal(size=(t, d))
         g = rng.normal(size=(t - context_span(ctx), d * len(ctx)))
         lhs = float((splice(x, ctx) * g).sum())
-        rhs = float((x * unsplice(g, ctx, t, d)).sum())
+        rhs = float((x * unsplice(g, ctx, np.zeros((t, d)))).sum())
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
+        # it adds into the rows it is given, which may be a slice of a larger array
+        base = rng.normal(size=(t + 3, d))
+        out = base.copy()
+        rows = out[2 : 2 + t]
+        assert unsplice(g, ctx, rows) is rows
+        assert np.allclose(rows, base[2 : 2 + t] + unsplice(g, ctx, np.zeros((t, d))),
+                           rtol=0.0, atol=1e-12)
+        assert np.array_equal(out[:2], base[:2]) and np.array_equal(out[2 + t :], base[2 + t :])
 
 
 def test_tdnn_hand_values():
@@ -747,3 +756,94 @@ def test_initialization_bounds_and_determinism():
     assert np.array_equal(a.params["frame1"]["b"], np.zeros(REDUCED.width))
     # factor bottlenecks start on the constraint manifold
     assert ortho_residual(a.params["frame2"]["M"]) < 1e-10
+
+
+def _trained_case(arch, skip_mode, dropout):
+    """Three seeded training steps on a ragged batch (the last re-projects the
+    factors), then inference embeddings of rows that share sequences."""
+    spec = build_architecture(arch, 4, dims=REDUCED, skip_mode=skip_mode)
+    net = initialize_network(spec, seed=0)
+    rng = np.random.default_rng(21)
+    seqs = [rng.normal(0.1 * i, 1.0 + 0.1 * i, size=(n, 23))
+            for i, n in enumerate((96, 81, 110, 88))]
+    cfg = TrainConfig(dropout_prob=dropout, window_frames=50, window_shift=25,
+                      min_window_frames=40)
+    velocity = init_velocity(net)
+    for step in range(3):
+        train_step(net, velocity, seqs, np.arange(4), 0.05, cfg, rng=rng, project=step == 2)
+    rows = [(0, [(0, 60)]), (0, [(20, 80), (40, 96)]), (2, [(0, 110)]),
+            (1, [(10, 81)]), (2, [(30, 90)])]
+    return net, extract_embeddings(net, seqs[:3], windows=rows)
+
+
+# Pin every bit of training and inference: the model after three steps and
+# the embeddings it gives. Hashes taken before the training tape stopped
+# holding copies of activations; the LAPACK caveat above applies.
+TRAINED_SHA256 = {
+    ("tdnn", "sum", 0.0): (
+        "9540993cd3d1d7ddac8faed888a979626efdf33fc4a5df9d1ccb3dfb33e3dd8f",
+        "0d7ae9de30055d1c9e89be7dee0533910b6ea56f12d661a250110c6e7784f7aa",
+    ),
+    ("etdnn", "sum", 0.0): (
+        "165e552628ec2d315e84f8fb4ccc79ee10ead61149576eb118b18dc58d7e0825",
+        "cf49126a8ef45ae02a24df746aed63481f44e3a467936c33e1b2975b467dc6fe",
+    ),
+    ("ftdnn", "sum", 0.0): (
+        "1461e1dfcc9bb723ff921f8653945c569e29b534ca322055df48cc826c374220",
+        "111112183bbb5fda143dd738a980d0d92f6b436bf0291f9acbc3cc54176e547c",
+    ),
+    ("ftdnn_msa", "sum", 0.0): (
+        "0ce1e6207f4f77c92c31139ea5451967a95acc7738e69cf57ade88045be08336",
+        "da080b30f665c7877c143b4d0a2bb987c5c895395e62f004abc678e3d4b7624e",
+    ),
+    ("ftdnn", "concat", 0.0): (
+        "a587f5b80c7b37a07b6de4c9bd69273b13e6116a6b86ccb848987d40cd6d25a5",
+        "f1fa711d2d0999a0895e66f789da7d3dd2947c0c5bbf0d6d908db71e4ac87a6b",
+    ),
+    ("ftdnn_msa", "sum", 0.2): (
+        "5f6c23153cee1e75eb2af7ff4e00e91649bbc2bfd4445f69cedaaf7d9204b7e0",
+        "56fa315e1bdcd9f00a5030dd7950a7f3b5f86f718dc43806460b73d04eefe3bb",
+    ),
+}
+
+
+@pytest.mark.parametrize("arch,skip_mode,dropout", sorted(TRAINED_SHA256))
+def test_trained_model_and_embeddings_are_pinned(tmp_path, arch, skip_mode, dropout):
+    net, emb = _trained_case(arch, skip_mode, dropout)
+    path = tmp_path / "trained.xvec"
+    save_network(net, path)
+    got = (hashlib.sha256(path.read_bytes()).hexdigest(),
+           hashlib.sha256(np.ascontiguousarray(emb).tobytes()).hexdigest())
+    assert got == TRAINED_SHA256[arch, skip_mode, dropout]
+
+
+def _arrays(obj):
+    """Every ndarray reachable from a tape entry, each once."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from _arrays(v)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from _arrays(v)
+    elif hasattr(obj, "data"):  # a FrameBatch
+        yield from _arrays(obj.data)
+
+
+@pytest.mark.parametrize("arch", ["tdnn", "etdnn", "ftdnn", "ftdnn_msa"])
+def test_training_tape_holds_few_activation_copies(arch):
+    """The tape reads activations from the forward values; what it holds of
+    its own (combined skip inputs, factor bottlenecks) stays small."""
+    net = initialize_network(build_architecture(arch, 4, dims=REDUCED), seed=0)
+    rng = np.random.default_rng(22)
+    seqs = [rng.normal(size=(n, 23)) for n in (96, 81, 110)]
+    res = forward_batch(net, seqs, mode="training", want_tape=True)
+    held = [getattr(v, "data", v) for v in res.values.values()]
+    seen, own = set(), 0
+    for arr in _arrays(res.tape.caches):
+        if arr.ndim == 2 and id(arr) not in seen:
+            seen.add(id(arr))
+            if not any(np.shares_memory(arr, h) for h in held):
+                own += arr.nbytes
+    assert own < 0.5 * sum(h.nbytes for h in held)
