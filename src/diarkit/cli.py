@@ -16,8 +16,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
 from . import synthdata
 from .backend import (
     CONV_PCA_FRACTION,
@@ -62,6 +60,7 @@ from .pipeline import (
     conversation_scores,
     diarize_conversation,
     fit_backend,
+    speech_span,
     utterance_embeddings,
     windowed_utterance_embeddings,
 )
@@ -196,7 +195,8 @@ _COMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
         ),
     ),
     "diarize": (
-        "cluster each conversation's segments and write an RTTM hypothesis",
+        "cluster each conversation's segments and write an RTTM hypothesis; a conversation "
+        "with no segment long enough to embed is one speaker over its speech",
         (
             _Opt("--model", required=True),
             _Opt("--backend", required=True),
@@ -204,7 +204,8 @@ _COMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
             _Opt("--sad", required=True),
             _Opt("--out", required=True, help="output RTTM"),
             _Opt("--threshold", float, help="stop merging below this score"),
-            _Opt("--oracle-k", help="file of 'conversation num_speakers' lines"),
+            _Opt("--oracle-k", help="file of 'conversation num_speakers' lines; a count "
+                                    "above a conversation's segments is capped at that count"),
             _Opt("--pca-fraction", float, CONV_PCA_FRACTION,
                  help="retained fraction for conversation-level PCA"),
             _JOBS,
@@ -221,7 +222,8 @@ _COMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
         ),
     ),
     "calibrate": (
-        "pick clustering thresholds by cross-validated DER and write held-out labels",
+        "pick clustering thresholds by cross-validated DER and write held-out labels; a "
+        "conversation with no segment long enough to embed is one speaker over its speech",
         (
             _Opt("--model", required=True),
             _Opt("--backend", required=True),
@@ -345,10 +347,7 @@ def _sad_by_conversation(path) -> dict[str, list]:
     marks = read_sad(path)
     if not marks:
         raise InvalidInputError(f"{path}: no speech regions")
-    by_conv: dict[str, list] = {}
-    for m in marks:
-        by_conv.setdefault(m.conversation_id, []).append(m)
-    return {cid: by_conv[cid] for cid in sorted(by_conv)}
+    return by_conversation(marks)
 
 
 def _run_jobs(jobs: int, fn, tasks, initializer=None, initargs=()):
@@ -362,23 +361,53 @@ def _run_jobs(jobs: int, fn, tasks, initializer=None, initargs=()):
         return list(pool.map(fn, tasks))
 
 
+# ------------------------------------------------------ per-conversation work
+
+_WORKER: dict = {}
+
+
+def _worker_init(model_path, backend_path=None, pca_fraction=CONV_PCA_FRACTION):
+    """Load the network, plus the back-end when one is given, once per worker."""
+    _WORKER["net"] = load_network(model_path)
+    _WORKER["backend"] = (None if backend_path is None
+                          else (*load_backend(backend_path), pca_fraction))
+
+
+def _conversation_tasks(sad_path, directory, ext="fea", what="features") -> list[tuple]:
+    """(conversation, input path, SAD marks) per conversation of the SAD file,
+    in id order; every {directory}/{conversation}.{ext} must exist."""
+    tasks = []
+    for conv, marks in _sad_by_conversation(sad_path).items():
+        path = os.path.join(directory, f"{conv}.{ext}")
+        _require_file(path, f"{what} for {conv}")
+        tasks.append((conv, path, marks))
+    return tasks
+
+
+def _embedded(task):
+    _, feats_path, marks = task
+    return conversation_embeddings(_WORKER["net"], read_features(feats_path), marks)
+
+
+def _scored(task):
+    """(segments, pair scores) of one conversation. One with no segment long
+    enough to embed gets its speech span as its one segment."""
+    segments, vecs = _embedded(task)
+    return segments or [speech_span(task[2])], conversation_scores(vecs, *_WORKER["backend"])
+
+
 # ------------------------------------------------------------------ features
 
-def _features_one(task):
-    conv, wav_path, out_path, cmn_window, marks = task
+def _features_one(job):
+    (conv, wav_path, marks), out_dir, cmn_window = job
     feats = sliding_cmn(compute_mfcc(read_wav(wav_path)), cmn_window)
-    _atomic(out_path, lambda p: write_features(p, feats))
+    _atomic(os.path.join(out_dir, f"{conv}.fea"), lambda p: write_features(p, feats))
     return f"{conv} {feats.num_frames} frames, {len(segment_speech(marks))} segments"
 
 
 def _cmd_features(ns) -> int:
-    by_conv = _sad_by_conversation(ns.sad)
-    tasks = []
-    for conv, marks in by_conv.items():
-        wav_path = os.path.join(ns.wav_dir, f"{conv}.wav")
-        _require_file(wav_path, f"waveform for {conv}")
-        tasks.append((conv, wav_path, os.path.join(ns.out, f"{conv}.fea"),
-                      ns.cmn_window, marks))
+    tasks = [(task, ns.out, ns.cmn_window)
+             for task in _conversation_tasks(ns.sad, ns.wav_dir, "wav", "waveform")]
     if ns.dry_run:
         print(f"dry run: {len(tasks)} conversations validated")
         return 0
@@ -448,17 +477,9 @@ def _cmd_train(ns) -> int:
 
 # --------------------------------------------------------------------- embed
 
-_EMBED_STATE: dict = {}
-
-
-def _embed_init(model_path):
-    _EMBED_STATE["net"] = load_network(model_path)
-
-
 def _embed_one(task):
-    conv, feats_path, marks = task
-    segments, vecs = conversation_embeddings(_EMBED_STATE["net"], read_features(feats_path), marks)
-    return [EmbeddingRecord(conv, s.start_s, s.end_s, "", v)
+    segments, vecs = _embedded(task)
+    return [EmbeddingRecord(task[0], s.start_s, s.end_s, "", v)
             for s, v in zip(segments, vecs)]
 
 
@@ -480,19 +501,13 @@ def _cmd_embed(ns) -> int:
     else:
         if ns.window:
             raise _UsageError("diarkit embed: --window only applies to --manifest mode")
-        by_conv = _sad_by_conversation(ns.sad)
-        tasks = []
-        for conv, marks in by_conv.items():
-            feats_path = os.path.join(ns.features, f"{conv}.fea")
-            _require_file(feats_path, f"features for {conv}")
-            tasks.append((conv, feats_path, marks))
+        tasks = _conversation_tasks(ns.sad, ns.features)
         if ns.dry_run:
             print(f"dry run: {len(tasks)} conversations validated")
             return 0
-        records = []
-        for batch in _run_jobs(ns.jobs, _embed_one, tasks,
-                               initializer=_embed_init, initargs=(ns.model,)):
-            records.extend(batch)
+        batches = _run_jobs(ns.jobs, _embed_one, tasks,
+                            initializer=_worker_init, initargs=(ns.model,))
+        records = [r for batch in batches for r in batch]
     _atomic(ns.out, lambda p: write_embeddings(p, records))
     print(f"{len(records)} embeddings {ns.out}")
     return 0
@@ -515,21 +530,10 @@ def _cmd_backend_fit(ns) -> int:
 
 # ------------------------------------------------------------------- diarize
 
-_DIARIZE_STATE: dict = {}
-
-
-def _diarize_init(model_path, backend_path):
-    _DIARIZE_STATE["net"] = load_network(model_path)
-    _DIARIZE_STATE["whitener"], _DIARIZE_STATE["plda"] = load_backend(backend_path)
-
-
-def _diarize_one(task):
-    conv, feats_path, marks, threshold, oracle_k, pca_fraction = task
-    segments, vecs = conversation_embeddings(
-        _DIARIZE_STATE["net"], read_features(feats_path), marks)
-    return diarize_conversation(
-        segments, vecs, _DIARIZE_STATE["whitener"], _DIARIZE_STATE["plda"],
-        threshold=threshold, oracle_k=oracle_k, pca_fraction=pca_fraction)
+def _diarize_one(job):
+    task, threshold, oracle_k = job
+    segments, scores = _scored(task)
+    return diarize_conversation(segments, scores, threshold=threshold, oracle_k=oracle_k)
 
 
 def _cmd_diarize(ns) -> int:
@@ -541,27 +545,19 @@ def _cmd_diarize(ns) -> int:
     if ns.oracle_k is not None:
         _require_file(ns.oracle_k, "oracle speaker counts")
         counts = read_speaker_counts(ns.oracle_k)
-    by_conv = _sad_by_conversation(ns.sad)
-    tasks = []
-    for conv, marks in by_conv.items():
-        feats_path = os.path.join(ns.features, f"{conv}.fea")
-        _require_file(feats_path, f"features for {conv}")
-        k = None
-        if counts is not None:
-            if conv not in counts:
-                raise InvalidInputError(f"{ns.oracle_k}: no speaker count for {conv}")
-            k = counts[conv]
-        tasks.append((conv, feats_path, marks, ns.threshold, k, ns.pca_fraction))
+    jobs = []
+    for task in _conversation_tasks(ns.sad, ns.features):
+        if counts is not None and task[0] not in counts:
+            raise InvalidInputError(f"{ns.oracle_k}: no speaker count for {task[0]}")
+        jobs.append((task, ns.threshold, None if counts is None else counts[task[0]]))
     if ns.dry_run:
-        print(f"dry run: {len(tasks)} conversations validated")
+        print(f"dry run: {len(jobs)} conversations validated")
         return 0
-    entries = []
-    for conv_entries in _run_jobs(ns.jobs, _diarize_one, tasks,
-                                  initializer=_diarize_init,
-                                  initargs=(ns.model, ns.backend)):
-        entries.extend(conv_entries)
+    per_conv = _run_jobs(ns.jobs, _diarize_one, jobs, initializer=_worker_init,
+                         initargs=(ns.model, ns.backend, ns.pca_fraction))
+    entries = [e for conv_entries in per_conv for e in conv_entries]
     _atomic(ns.out, lambda p: write_rttm(entries, p))
-    print(f"{len(by_conv)} conversations {ns.out}")
+    print(f"{len(jobs)} conversations {ns.out}")
     return 0
 
 
@@ -604,41 +600,31 @@ def _cmd_calibrate(ns) -> int:
     for path, what in ((ns.model, "model"), (ns.backend, "backend"),
                        (ns.ref, "reference RTTM"), (ns.sad, "SAD file")):
         _require_file(path, what)
-    by_conv = _sad_by_conversation(ns.sad)
-    for conv in by_conv:
-        _require_file(os.path.join(ns.features, f"{conv}.fea"), f"features for {conv}")
+    tasks = _conversation_tasks(ns.sad, ns.features)
     if ns.dry_run:
-        print(f"dry run: {len(by_conv)} conversations validated")
+        print(f"dry run: {len(tasks)} conversations validated")
         return 0
 
-    net = load_network(ns.model)
-    whitener, plda = load_backend(ns.backend)
+    marks_by = {conv: marks for conv, _, marks in tasks}
     ref_by = by_conversation(read_rttm(ns.ref))
-    missing = sorted(set(by_conv) - set(ref_by))
+    missing = sorted(set(marks_by) - set(ref_by))
     if missing:
         raise InvalidInputError(f"reference lacks conversations: {', '.join(missing)}")
+    scored = dict(zip(marks_by, _run_jobs(1, _scored, tasks, initializer=_worker_init,
+                                          initargs=(ns.model, ns.backend, ns.pca_fraction))))
 
-    segments_by: dict[str, list] = {}
-    scores_by: dict[str, np.ndarray] = {}
-    for conv, marks in by_conv.items():
-        segments, vecs = conversation_embeddings(
-            net, read_features(os.path.join(ns.features, f"{conv}.fea")), marks)
-        segments_by[conv] = segments
-        scores_by[conv] = (conversation_scores(vecs, whitener, plda, ns.pca_fraction)
-                           if len(segments) > 1 else np.zeros((1, 1)))
+    def der_fn(conv: str, labels) -> float:
+        hyp = build_hypothesis(scored[conv][0], labels.tolist())
+        return compute_der(ref_by[conv], hyp, marks_by[conv], collar_s=ns.collar).der
 
-    def der_fn(conv: str, labels: np.ndarray) -> float:
-        hyp = build_hypothesis(segments_by[conv], labels.tolist())
-        return compute_der(ref_by[conv], hyp, by_conv[conv], collar_s=ns.collar).der
-
-    labels_by, reports = calibrate_threshold(scores_by, der_fn, folds=ns.folds,
-                                             grid_size=ns.grid_size)
+    labels_by, reports = calibrate_threshold({c: s for c, (_, s) in scored.items()}, der_fn,
+                                             folds=ns.folds, grid_size=ns.grid_size)
     print("fold threshold dev_der eval_der")
     for r in reports:
         print(f"{r.fold} {r.threshold:.6f} {r.dev_der:.4f} {r.eval_der:.4f}")
     entries = []
     for conv in sorted(labels_by):
-        entries.extend(build_hypothesis(segments_by[conv], labels_by[conv].tolist()))
+        entries.extend(build_hypothesis(scored[conv][0], labels_by[conv].tolist()))
     _atomic(ns.out, lambda p: write_rttm(entries, p))
     print(f"{len(labels_by)} conversations {ns.out}")
     return 0

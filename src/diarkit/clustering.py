@@ -39,7 +39,8 @@ def _check_scores(scores) -> np.ndarray:
 
 
 def merge_sequence(scores) -> list[MergeStep]:
-    """Greedy merge order down to one cluster.
+    """Greedy merge order down to one cluster; the one place a score matrix
+    is checked (square, finite, symmetric) before clustering.
 
     Ties on the average score resolve toward the lexicographically smallest
     (first, second) id pair. Cluster pair sums update incrementally, so the
@@ -107,20 +108,18 @@ def ahc(scores, threshold: float | None = None, oracle_k: int | None = None) -> 
     Exactly one stopping rule applies: merge while the best pair scores at
     least `threshold`, or merge until `oracle_k` clusters remain.
     """
-    s = _check_scores(scores)
-    n = s.shape[0]
     if (threshold is None) == (oracle_k is None):
         raise InvalidInputError("need exactly one of threshold and oracle_k")
-    if oracle_k is not None:
-        if oracle_k < 1:
-            raise InvalidInputError(f"oracle speaker count must be positive, got {oracle_k}")
-        if oracle_k > n:
-            raise InvalidInputError(
-                f"oracle speaker count {oracle_k} exceeds the {n} segments available")
-    steps = merge_sequence(s)
-    if oracle_k is not None:
-        return _labels_after(n, steps, n - oracle_k)
-    return cut_at_threshold(n, steps, threshold)
+    if oracle_k is not None and oracle_k < 1:
+        raise InvalidInputError(f"oracle speaker count must be positive, got {oracle_k}")
+    steps = merge_sequence(scores)
+    n = np.shape(scores)[0]
+    if oracle_k is None:
+        return cut_at_threshold(n, steps, threshold)
+    if oracle_k > n:
+        raise InvalidInputError(
+            f"oracle speaker count {oracle_k} exceeds the {n} segments available")
+    return _labels_after(n, steps, n - oracle_k)
 
 
 # ----------------------------------------------------------------- calibration
@@ -161,10 +160,8 @@ def calibrate_threshold(
         raise InvalidInputError("calibration needs at least two folds")
     if len(ids) < folds:
         raise InvalidInputError(f"need at least {folds} conversations for {folds} folds")
-    traces = {}
-    for cid in ids:
-        s = _check_scores(scores_by_conv[cid])
-        traces[cid] = (s.shape[0], merge_sequence(s))
+    traces = {cid: (np.shape(scores_by_conv[cid])[0], merge_sequence(scores_by_conv[cid]))
+              for cid in ids}
 
     def labels_at(cid: str, t: float) -> np.ndarray:
         n, steps = traces[cid]
@@ -175,8 +172,8 @@ def calibrate_threshold(
     for f in range(folds):
         dev = [cid for i, cid in enumerate(ids) if i % folds != f]
         held = [cid for i, cid in enumerate(ids) if i % folds == f]
-        pooled = [scores_by_conv[cid][np.triu_indices(traces[cid][0], k=1)] for cid in dev]
-        pooled = np.concatenate([p for p in pooled if p.size]) if pooled else np.empty(0)
+        pooled = np.concatenate([np.empty(0)] + [
+            scores_by_conv[cid][np.triu_indices(traces[cid][0], k=1)] for cid in dev])
         grid = threshold_grid(pooled, grid_size)
         best_t, best_der = None, math.inf
         for t in grid:

@@ -256,8 +256,9 @@ def speaker_counts(entries: Sequence[TimelineEntry]) -> dict[str, int]:
     return {c: len(s) for c, s in sorted(out.items())}
 
 
-def by_conversation(entries: Sequence[TimelineEntry]) -> dict[str, list[TimelineEntry]]:
-    out: dict[str, list[TimelineEntry]] = {}
+def by_conversation(entries: Sequence) -> dict[str, list]:
+    """Timeline entries, or SAD marks, grouped per conversation in id order."""
+    out: dict[str, list] = {}
     for e in entries:
         out.setdefault(e.conversation_id, []).append(e)
     return dict(sorted(out.items()))

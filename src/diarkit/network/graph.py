@@ -308,11 +308,11 @@ class _ReluBatchNorm(LayerKind):
 
     The forward pass works in place in its one output array: ReLU, subtract
     the mean, scale by the inverse std, then gamma, beta and the dropout mask.
-    The tape keeps only the mean, the inverse std and the mask; the backward
-    pass recomputes x-hat from the pre-activation input, which the graph
-    already holds, by the same operations in the same order, and does its
-    arithmetic in two buffers it reuses (and the masked gradient, with
-    dropout).
+    The tape keeps only the mean, the inverse std and the boolean keep-mask
+    (its scale 1 / (1 - p) is a scalar); the backward pass recomputes x-hat
+    from the pre-activation input, which the graph already holds, by the same
+    operations in the same order, and does its arithmetic in two buffers it
+    reuses (and the masked gradient, with dropout).
     """
 
     fills = {"gamma": 1.0, "beta": 0.0}
@@ -346,11 +346,13 @@ class _ReluBatchNorm(LayerKind):
         y *= istd
         y *= p["gamma"]
         y += p["beta"]
-        mask = None
+        keep = scale = None
         if run.dropout_prob > 0.0:
-            mask = (run.rng.random(y.shape) >= run.dropout_prob) / (1.0 - run.dropout_prob)
-            y *= mask
-        return _like(xs[0], y), {"mu": mu, "istd": istd, "mask": mask}
+            keep = run.rng.random(y.shape) >= run.dropout_prob
+            scale = 1.0 / np.float64(1.0 - run.dropout_prob)  # p = 1: inf, not ZeroDivisionError
+            y *= keep
+            y *= scale
+        return _like(xs[0], y), {"mu": mu, "istd": istd, "keep": keep, "scale": scale}
 
     @staticmethod
     def _xhat(x: np.ndarray, cache: dict, out=None) -> np.ndarray:
@@ -360,8 +362,9 @@ class _ReluBatchNorm(LayerKind):
         return xhat
 
     def backward(self, ls, p, g, cache):
-        if cache["mask"] is not None:
-            g = g * cache["mask"]
+        if cache["keep"] is not None:
+            g = g * cache["keep"]
+            g *= cache["scale"]
         x = _data(cache["in_value"])
         xhat = self._xhat(x, cache)
         dxhat = g * xhat  # g * xhat, for the gamma gradient, before dxhat

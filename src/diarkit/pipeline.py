@@ -2,6 +2,8 @@
 
 These are the pieces the command line wires together; they stay importable so
 experiments can drive the same code without shelling out.
+A conversation with no segment long enough to embed is one speaker over its
+speech span; an oracle speaker count above a conversation's segments is capped.
 """
 
 from __future__ import annotations
@@ -52,13 +54,13 @@ def windowed_utterance_embeddings(net: Network, manifest_path) -> list[Embedding
     whole-utterance embeddings are far tighter and miscalibrate the PLDA.
     """
     entries, feats = load_manifest_features(manifest_path)
-    span = receptive_span(net.spec)
     out = []
     for e, f in zip(entries, feats):
-        fm = FeatureMatrix(f)
         marks = [SadMark(e.utterance_id, 0.0, f.shape[0] * FRAME_SHIFT_S)]
-        segments = conversation_segments(fm, marks, min_frames=span + 2)
-        vecs = _segment_embeddings(net, fm.values, segments)
+        segments, vecs = conversation_embeddings(net, FeatureMatrix(f), marks)
+        if not segments:
+            raise InvalidInputError(
+                f"{e.utterance_id}: no usable segments within the features")
         out.extend(EmbeddingRecord(e.utterance_id, s.start_s, s.end_s, e.speaker_id, v)
                    for s, v in zip(segments, vecs))
     return out
@@ -70,7 +72,7 @@ def conversation_segments(feats: FeatureMatrix, marks: list[SadMark],
 
     SAD times can slightly outrun the features (the MFCC window eats a few
     trailing frames in audio mode); anything that no longer spans min_frames
-    after clipping is dropped.
+    after clipping is dropped, so a near-empty conversation has none.
     """
     out = []
     for seg in segment_speech(marks):
@@ -78,17 +80,24 @@ def conversation_segments(feats: FeatureMatrix, marks: list[SadMark],
         b = min(b, feats.num_frames)
         if b - a >= min_frames:
             out.append(Segment(seg.conversation_id, seg.start_s, seg.end_s, (a, b)))
-    if not out:
-        raise InvalidInputError(
-            f"{marks[0].conversation_id}: no usable segments within the features")
     return out
 
 
 def conversation_embeddings(net: Network, feats: FeatureMatrix,
                             marks: list[SadMark]) -> tuple[list[Segment], np.ndarray]:
-    span = receptive_span(net.spec)
-    segments = conversation_segments(feats, marks, min_frames=span + 2)
+    """Segments of one conversation and an embedding for each; no rows, and
+    no network pass, when no segment is long enough to embed."""
+    segments = conversation_segments(feats, marks, min_frames=receptive_span(net.spec) + 2)
+    if not segments:
+        return segments, np.empty((0, net.params[net.spec.embedding_layer]["W"].shape[0]))
     return segments, _segment_embeddings(net, feats.values, segments)
+
+
+def speech_span(marks: list[SadMark]) -> Segment:
+    """One segment from a conversation's first speech to its last. It stands
+    in for a conversation with no segment long enough to embed."""
+    return Segment(marks[0].conversation_id, min(m.start_s for m in marks),
+                   max(m.end_s for m in marks))
 
 
 def _segment_embeddings(net: Network, values: np.ndarray,
@@ -131,26 +140,24 @@ def conversation_scores(vectors: np.ndarray, whitener: Whitener, plda: Plda,
                         pca_fraction: float = CONV_PCA_FRACTION) -> np.ndarray:
     """Pair score matrix for one conversation's segment embeddings:
     length-normalize, whiten, denoise in the conversation subspace, project
-    through the PLDA diagonalizer, score all pairs."""
+    through the PLDA diagonalizer, score all pairs. Fewer than two vectors
+    (one segment, or a `speech_span`) leave no pair: a 1 x 1 zero matrix."""
+    if len(vectors) < 2:
+        return np.zeros((1, 1))
     x = apply_whitener(whitener, length_normalize(vectors))
     x, _ = conversation_pca(x, pca_fraction)
     return score_matrix(plda, project_plda(plda, x))
 
 
-def diarize_conversation(
-    segments: list[Segment],
-    vectors: np.ndarray,
-    whitener: Whitener,
-    plda: Plda,
-    threshold: float | None = None,
-    oracle_k: int | None = None,
-    pca_fraction: float = CONV_PCA_FRACTION,
-) -> list[TimelineEntry]:
-    if len(segments) != len(vectors):
-        raise InvalidInputError(f"{len(segments)} segments but {len(vectors)} embeddings")
-    if len(segments) == 1:  # nothing to cluster
-        labels = np.zeros(1, dtype=np.int64)
-    else:
-        scores = conversation_scores(vectors, whitener, plda, pca_fraction)
-        labels = ahc(scores, threshold=threshold, oracle_k=oracle_k)
+def diarize_conversation(segments: list[Segment], scores: np.ndarray,
+                         threshold: float | None = None,
+                         oracle_k: int | None = None) -> list[TimelineEntry]:
+    """Cluster one conversation's pair scores (one stopping rule, as in `ahc`)
+    and build its timeline. An oracle count above the segment count is capped
+    at it, so a one-segment conversation is always spk0."""
+    if len(segments) != len(scores):
+        raise InvalidInputError(f"{len(segments)} segments but {len(scores)} score rows")
+    if oracle_k is not None:
+        oracle_k = min(oracle_k, len(segments))
+    labels = ahc(scores, threshold=threshold, oracle_k=oracle_k)
     return build_hypothesis(segments, labels.tolist())

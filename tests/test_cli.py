@@ -4,13 +4,16 @@ The fixtures run the real subcommands in-process on a miniature corpus, so
 these tests double as an end-to-end check of the wiring.
 """
 
+import hashlib
 import os
+import shutil
 import subprocess
 import sys
 
 import pytest
 
 import diarkit
+from diarkit.backend import read_embeddings
 from diarkit.cli import main
 from diarkit.der import read_rttm
 from diarkit.errors import TrainingDivergedError
@@ -151,8 +154,6 @@ def test_embed_mode_selection(work):
 
 
 def test_embed_window_mode(work, tmp_path):
-    from diarkit.backend import read_embeddings
-
     out = tmp_path / "win.bin"
     assert main(["embed", "--model", str(work["model"]), "--manifest",
                  str(work["corpus"] / "train/manifest.txt"), "--window",
@@ -310,3 +311,114 @@ def test_console_entry_point():
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0
     assert "corpus spec valid" in proc.stdout
+
+
+# ------------------------------------------------- per-conversation outputs
+
+def _conv_args(work, sad=None, feats=None):
+    return ["--model", str(work["model"]),
+            "--features", str(feats or work["corpus"] / "eval/feats"),
+            "--sad", str(sad or work["corpus"] / "eval/sad.lab")]
+
+
+def _calibrate(work, out, sad=None, feats=None, ref=None):
+    return main(["calibrate", *_conv_args(work, sad, feats), "--backend", str(work["backend"]),
+                 "--ref", str(ref or work["corpus"] / "eval/ref.rttm"), "--out", str(out)])
+
+
+# Pin every byte diarize, calibrate and segment-mode embed write on the work
+# corpus. The model and the back-end pass through LAPACK, so another build may
+# move their last bits and these hashes.
+WORK_OUTPUT_SHA256 = {
+    "diarize-oracle-k": "70ff4cc211eeb6aced388a9a83dd9a9a6686a22deb92ec15717aec0efc246445",
+    "diarize-threshold": "c2c6df154389dbe37492576794a821c2e49a6a228d80af2b4efe1bcc1cb1844a",
+    "calibrate": "302371276f3f05c5a2a2a378cc90c427b4f4b760422f0521f304383b623765af",
+    "embed": "3a995615704381f51d2e93740908aa23aad29aa0d5632d45815c80a24b34f1a4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORK_OUTPUT_SHA256))
+def test_work_outputs_are_pinned(work, tmp_path, capsys, name):
+    out = tmp_path / "out"
+    backend = ["--backend", str(work["backend"])]
+    if name == "diarize-oracle-k":
+        assert main(["diarize", *_conv_args(work), *backend, "--out", str(out),
+                     "--oracle-k", str(work["corpus"] / "eval/oracle_k.txt")]) == 0
+    elif name == "diarize-threshold":
+        assert main(["diarize", *_conv_args(work), *backend, "--out", str(out),
+                     "--threshold", "0.0"]) == 0
+    elif name == "calibrate":
+        capsys.readouterr()
+        assert _calibrate(work, out) == 0
+    else:
+        assert main(["embed", *_conv_args(work), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.replace(str(out), "OUT") if name == "calibrate" else ""
+    digest = hashlib.sha256(printed.encode() + out.read_bytes()).hexdigest()
+    assert digest == WORK_OUTPUT_SHA256[name]
+
+
+NEAR_EMPTY = "conv001-short"
+
+
+@pytest.fixture(scope="module")
+def near_empty(work, tmp_path_factory):
+    """The work corpus's eval set plus one conversation whose every speech
+    region is too short to embed: 0.4 s, 0.3 s, and 0.7 s that the features
+    (20 s) clip to 0.1 s. Its id sorts between two others."""
+    root = tmp_path_factory.mktemp("nearempty")
+    ev = work["corpus"] / "eval"
+    shutil.copytree(ev / "feats", root / "feats")
+    shutil.copy(root / "feats/conv001.fea", root / f"feats/{NEAR_EMPTY}.fea")
+    regions = ((1.0, 1.4), (5.0, 5.3), (19.9, 20.6))
+    paths = {"sad": root / "sad.lab", "ref": root / "ref.rttm", "counts": root / "k.txt"}
+    paths["sad"].write_text((ev / "sad.lab").read_text()
+                            + "".join(f"{NEAR_EMPTY} {a} {b}\n" for a, b in regions))
+    paths["ref"].write_text((ev / "ref.rttm").read_text()
+                            + f"SPEAKER {NEAR_EMPTY} 1 0.000 21.000 <NA> <NA> A <NA> <NA>\n")
+    paths["counts"].write_text((ev / "oracle_k.txt").read_text() + f"{NEAR_EMPTY} 2\n")
+    return {"feats": root / "feats", **paths}
+
+
+def _without_near_empty(path):
+    return [l for l in path.read_text().splitlines() if l.split()[1] != NEAR_EMPTY]
+
+
+def _assert_near_empty_is_one_speaker(path):
+    entries = read_rttm(path)
+    assert {e.conversation_id for e in entries} == {"conv000", "conv001", NEAR_EMPTY, "conv002"}
+    assert [(e.start_s, e.end_s, e.speaker) for e in entries
+            if e.conversation_id == NEAR_EMPTY] == [(1.0, 20.6, "spk0")]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("rule", ["oracle-k", "threshold"])
+def test_near_empty_conversation_diarizes(work, near_empty, tmp_path, jobs, rule):
+    def diarize(out, sad, counts):
+        stop = ["--oracle-k", str(counts)] if rule == "oracle-k" else ["--threshold", "0.0"]
+        return main(["diarize", *_conv_args(work, sad, near_empty["feats"]), *stop,
+                     "--backend", str(work["backend"]), "--out", str(out),
+                     "--jobs", str(jobs)])
+
+    full, base = tmp_path / "full.rttm", tmp_path / "base.rttm"
+    assert diarize(full, near_empty["sad"], near_empty["counts"]) == 0
+    _assert_near_empty_is_one_speaker(full)
+    assert diarize(base, work["corpus"] / "eval/sad.lab",
+                   work["corpus"] / "eval/oracle_k.txt") == 0
+    assert _without_near_empty(full) == base.read_text().splitlines()
+
+
+def test_near_empty_conversation_calibrates(work, near_empty, tmp_path):
+    out = tmp_path / "cal.rttm"
+    assert _calibrate(work, out, near_empty["sad"], near_empty["feats"], near_empty["ref"]) == 0
+    _assert_near_empty_is_one_speaker(out)
+    assert main(["score", "--ref", str(near_empty["ref"]), "--hyp", str(out),
+                 "--sad", str(near_empty["sad"])]) == 0
+
+
+def test_near_empty_conversation_embeds_nothing(work, near_empty, tmp_path):
+    full, base = tmp_path / "full.emb", tmp_path / "base.emb"
+    assert main(["embed", *_conv_args(work, near_empty["sad"], near_empty["feats"]),
+                 "--out", str(full)]) == 0
+    assert main(["embed", *_conv_args(work), "--out", str(base)]) == 0
+    assert NEAR_EMPTY not in {r.conversation_id for r in read_embeddings(full)}
+    assert full.read_bytes() == base.read_bytes()

@@ -150,6 +150,22 @@ def test_score_matrix_validation():
         ahc(nan, threshold=0.0)
 
 
+def test_each_score_matrix_is_checked_once(monkeypatch):
+    import diarkit.clustering as clustering
+
+    checked = []
+    real = clustering._check_scores
+    monkeypatch.setattr(clustering, "_check_scores",
+                        lambda s: checked.append(np.shape(s)) or real(s))
+    rng = np.random.default_rng(28)
+    ahc(_sym(rng, 6), threshold=0.0)
+    ahc(_sym(rng, 5), oracle_k=2)
+    assert checked == [(6, 6), (5, 5)]
+    checked.clear()
+    calibrate_threshold({f"c{i}": _sym(rng, 3 + i) for i in range(4)}, lambda c, l: 0.0)
+    assert checked == [(3, 3), (4, 4), (5, 5), (6, 6)]
+
+
 def test_merge_sequence_scores_and_cut():
     s = np.array([[0.0, 10.0, 2.0],
                   [10.0, 0.0, 3.0],
@@ -239,6 +255,13 @@ def test_calibration_validation():
     with pytest.raises(InvalidInputError):
         calibrate_threshold({"a": _sym(rng, 4), "b": _sym(rng, 4)},
                             lambda c, l: 0.0, folds=1)
+
+
+def test_calibration_fold_without_pairs_is_invalid_input():
+    # the dev fold of "b" holds only a one-segment conversation: no pair scores
+    rng = np.random.default_rng(29)
+    with pytest.raises(InvalidInputError, match="no scores"):
+        calibrate_threshold({"a": np.zeros((1, 1)), "b": _sym(rng, 4)}, lambda c, l: 0.0)
 
 
 def test_threshold_grid_shape():

@@ -831,14 +831,13 @@ def _arrays(obj):
         yield from _arrays(obj.data)
 
 
-@pytest.mark.parametrize("arch", ["tdnn", "etdnn", "ftdnn", "ftdnn_msa"])
-def test_training_tape_holds_few_activation_copies(arch):
-    """The tape reads activations from the forward values; what it holds of
-    its own (combined skip inputs, factor bottlenecks) stays small."""
+def _tape_own_fraction(arch, **dropout):
+    """Bytes of 2-D tape arrays that share no memory with the forward values,
+    as a fraction of the values' bytes."""
     net = initialize_network(build_architecture(arch, 4, dims=REDUCED), seed=0)
     rng = np.random.default_rng(22)
     seqs = [rng.normal(size=(n, 23)) for n in (96, 81, 110)]
-    res = forward_batch(net, seqs, mode="training", want_tape=True)
+    res = forward_batch(net, seqs, mode="training", want_tape=True, **dropout)
     held = [getattr(v, "data", v) for v in res.values.values()]
     seen, own = set(), 0
     for arr in _arrays(res.tape.caches):
@@ -846,4 +845,18 @@ def test_training_tape_holds_few_activation_copies(arch):
             seen.add(id(arr))
             if not any(np.shares_memory(arr, h) for h in held):
                 own += arr.nbytes
-    assert own < 0.5 * sum(h.nbytes for h in held)
+    return own / sum(h.nbytes for h in held)
+
+
+@pytest.mark.parametrize("arch", ["tdnn", "etdnn", "ftdnn", "ftdnn_msa"])
+def test_training_tape_holds_few_activation_copies(arch):
+    """The tape reads activations from the forward values; what it holds of
+    its own (combined skip inputs, factor bottlenecks) stays small."""
+    assert _tape_own_fraction(arch) < 0.5
+
+
+def test_training_tape_dropout_mask_is_boolean():
+    """Dropout adds a one-byte keep-mask per batch-norm layer to the tape,
+    not a float64 mask of 1 / (1 - p) values."""
+    frac = _tape_own_fraction("ftdnn_msa", dropout_prob=0.2, rng=np.random.default_rng(3))
+    assert frac < 0.5

@@ -19,6 +19,7 @@ from diarkit.pipeline import (
     conversation_segments,
     diarize_conversation,
     fit_backend,
+    speech_span,
     utterance_embeddings,
     windowed_utterance_embeddings,
 )
@@ -51,8 +52,22 @@ def test_conversation_segments_drops_short_tail():
 
 def test_conversation_segments_nothing_left():
     feats = FeatureMatrix(np.zeros((10, 6)))
-    with pytest.raises(InvalidInputError):
-        conversation_segments(feats, _marks(3.0), min_frames=16)
+    assert conversation_segments(feats, _marks(3.0), min_frames=16) == []
+
+
+def test_near_empty_conversation_runs_no_network(monkeypatch):
+    def no_pass(*args, **kwargs):
+        raise AssertionError("the network ran")
+
+    net = _toy_net()
+    dim = extract_embeddings(net, [np.zeros((50, 6))]).shape[1]
+    monkeypatch.setattr("diarkit.pipeline.extract_embeddings", no_pass)
+    # two regions under 0.5 s, and 1 s that the features clip to 0.1 s
+    marks = [SadMark("c", 0.0, 0.4), SadMark("c", 1.0, 1.3), SadMark("c", 2.5, 3.5)]
+    segments, vecs = conversation_embeddings(net, FeatureMatrix(np.zeros((260, 6))), marks)
+    assert segments == []
+    assert vecs.shape == (0, dim)
+    assert speech_span(marks) == Segment("c", 0.0, 3.5)
 
 
 # --------------------------------------------------------------- embeddings
@@ -174,6 +189,16 @@ def test_windowed_utterance_embeddings(tmp_path):
     assert np.allclose(recs[1].vector, want, rtol=0, atol=1e-10)
 
 
+def test_windowed_utterance_embeddings_reject_short_utterance(tmp_path):
+    net = _toy_net()
+    write_features(tmp_path / "u0.fea", FeatureMatrix(np.zeros((100, 6))))
+    write_features(tmp_path / "u1.fea", FeatureMatrix(np.zeros((14, 6))))
+    write_manifest(tmp_path / "m.txt", [ManifestEntry("a", "s1", "u0.fea"),
+                                        ManifestEntry("b", "s2", "u1.fea")])
+    with pytest.raises(InvalidInputError, match="^b: no usable segments within the features$"):
+        windowed_utterance_embeddings(net, tmp_path / "m.txt")
+
+
 def test_utterance_embeddings_reject_short_utterance(tmp_path):
     net = _toy_net()
     write_features(tmp_path / "u0.fea", FeatureMatrix(np.zeros((14, 6))))
@@ -237,6 +262,14 @@ def test_conversation_scores_separate_blobs():
     assert min(within) > max(cross)
 
 
+def test_conversation_scores_without_pairs():
+    rng = np.random.default_rng(34)
+    whitener, plda, vecs = _two_blob_setup(rng)
+    for rows in (vecs[:1], vecs[:0]):
+        s = conversation_scores(rows, whitener, plda)
+        assert s.shape == (1, 1) and s[0, 0] == 0.0
+
+
 # ----------------------------------------------------------------- diarize
 
 def _tiled_segments(n, conv="conv0"):
@@ -250,7 +283,8 @@ def _tiled_segments(n, conv="conv0"):
 def test_diarize_conversation_oracle_k():
     rng = np.random.default_rng(5)
     whitener, plda, vecs = _two_blob_setup(rng, n_each=4)
-    entries = diarize_conversation(_tiled_segments(8), vecs, whitener, plda, oracle_k=2)
+    scores = conversation_scores(vecs, whitener, plda)
+    entries = diarize_conversation(_tiled_segments(8), scores, oracle_k=2)
     assert [(e.speaker, e.start_s, e.end_s) for e in entries] == [
         ("spk0", 0.0, 3.375),  # midpoint of the label change
         ("spk1", 3.375, 6.75),
@@ -259,16 +293,25 @@ def test_diarize_conversation_oracle_k():
 
 
 def test_diarize_single_segment():
-    rng = np.random.default_rng(6)
-    whitener, plda, _ = _two_blob_setup(rng)
     seg = Segment("c", 0.0, 1.5, (0, 150))
-    entries = diarize_conversation([seg], np.ones((1, 16)), whitener, plda, oracle_k=1)
-    assert len(entries) == 1
-    assert (entries[0].start_s, entries[0].end_s, entries[0].speaker) == (0.0, 1.5, "spk0")
+    for rule in ({"oracle_k": 1}, {"threshold": 5.0}):
+        entries = diarize_conversation([seg], np.zeros((1, 1)), **rule)
+        assert len(entries) == 1
+        assert (entries[0].start_s, entries[0].end_s, entries[0].speaker) == (0.0, 1.5, "spk0")
+
+
+@pytest.mark.parametrize("n,k,speakers", [(1, 2, ["spk0"]), (2, 3, ["spk0", "spk1"])])
+def test_diarize_oracle_count_above_segments(n, k, speakers):
+    segs = [Segment("c", 2.0 * i, 2.0 * i + 1.5, (200 * i, 200 * i + 150)) for i in range(n)]
+    scores = np.full((n, n), 3.0)  # even a strong pair stays apart
+    entries = diarize_conversation(segs, scores, oracle_k=k)
+    assert [(e.start_s, e.end_s, e.speaker) for e in entries] == [
+        (s.start_s, s.end_s, spk) for s, spk in zip(segs, speakers)]
 
 
 def test_diarize_length_mismatch():
     rng = np.random.default_rng(7)
     whitener, plda, vecs = _two_blob_setup(rng)
+    scores = conversation_scores(vecs, whitener, plda)
     with pytest.raises(InvalidInputError):
-        diarize_conversation(_tiled_segments(3), vecs, whitener, plda, oracle_k=2)
+        diarize_conversation(_tiled_segments(3), scores, oracle_k=2)
