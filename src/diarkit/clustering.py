@@ -92,14 +92,19 @@ def _labels_after(n: int, steps: list[MergeStep], merges: int) -> np.ndarray:
     return labels
 
 
-def cut_at_threshold(n: int, steps: list[MergeStep], threshold: float) -> np.ndarray:
-    """Stop at the first merge whose average score falls below the threshold."""
+def _merges_above(steps: list[MergeStep], threshold: float) -> int:
+    """Merges made before the first whose average score falls below the threshold."""
     merges = 0
     for st in steps:
         if st.score < threshold:
             break
         merges += 1
-    return _labels_after(n, steps, merges)
+    return merges
+
+
+def cut_at_threshold(n: int, steps: list[MergeStep], threshold: float) -> np.ndarray:
+    """Stop at the first merge whose average score falls below the threshold."""
+    return _labels_after(n, steps, _merges_above(steps, threshold))
 
 
 def ahc(scores, threshold: float | None = None, oracle_k: int | None = None) -> np.ndarray:
@@ -152,8 +157,10 @@ def calibrate_threshold(
     fold's threshold comes from a grid over the other folds' pooled pair
     scores, picking the grid point with the lowest mean per-conversation DER
     (ties go to the lower threshold). der_fn(conv_id, labels) supplies the
-    error of a candidate labeling. Returns the labels each conversation got
-    from the fold that held it out, plus one report per fold.
+    error of a candidate labeling; it is called once per distinct
+    (conversation, labeling), since thresholds between the same two merge
+    scores cut the same labels. Returns the labels each conversation got from
+    the fold that held it out, plus one report per fold.
     """
     ids = sorted(scores_by_conv)
     if folds < 2:
@@ -163,9 +170,14 @@ def calibrate_threshold(
     traces = {cid: (np.shape(scores_by_conv[cid])[0], merge_sequence(scores_by_conv[cid]))
               for cid in ids}
 
-    def labels_at(cid: str, t: float) -> np.ndarray:
+    ders: dict[tuple[str, int], float] = {}
+
+    def der_at(cid: str, t: float) -> float:
         n, steps = traces[cid]
-        return cut_at_threshold(n, steps, t)
+        key = (cid, _merges_above(steps, t))
+        if key not in ders:
+            ders[key] = der_fn(cid, _labels_after(n, steps, key[1]))
+        return ders[key]
 
     labels_out: dict[str, np.ndarray] = {}
     reports: list[FoldReport] = []
@@ -177,13 +189,12 @@ def calibrate_threshold(
         grid = threshold_grid(pooled, grid_size)
         best_t, best_der = None, math.inf
         for t in grid:
-            d = float(np.mean([der_fn(cid, labels_at(cid, t)) for cid in dev]))
+            d = float(np.mean([der_at(cid, t) for cid in dev]))
             if d < best_der:
                 best_t, best_der = float(t), d
         evals = []
         for cid in held:
-            lab = labels_at(cid, best_t)
-            labels_out[cid] = lab
-            evals.append(der_fn(cid, lab))
+            labels_out[cid] = cut_at_threshold(*traces[cid], best_t)
+            evals.append(der_at(cid, best_t))
         reports.append(FoldReport(f, best_t, best_der, float(np.mean(evals))))
     return labels_out, reports

@@ -161,7 +161,10 @@ def compute_der(
     always excluded). Over the scored runs, miss is reference time with no
     hypothesis, false alarm is hypothesis time outside reference speech, and
     speaker error is time where the optimally mapped labels disagree. The
-    denominator is the scored reference speech time.
+    denominator is the scored reference speech time. When nothing is scored
+    (no reference speech and no hypothesis in the scored regions, say SAD
+    lying wholly inside collars) every field is zero, der included; false
+    alarm with no scored reference speech has no DER and is invalid input.
     """
     conv = _validate_entries(ref, "reference")
     if hyp:
@@ -188,9 +191,6 @@ def compute_der(
 
     elements, mapping = _scored_runs(per_ref, _by_speaker(hyp), scored)
     scored_time = sum(n for n, r, _ in elements if r)
-    if scored_time == 0:
-        raise InvalidInputError(f"{conv}: no scorable reference speech")
-
     miss = fa = err = 0
     for n, r, h in elements:
         if r and not h:
@@ -199,6 +199,10 @@ def compute_der(
             fa += n
         elif r and h and not any(mapping.get(lab) in r for lab in h):
             err += n
+    if scored_time == 0:
+        if fa:
+            raise InvalidInputError(f"{conv}: no scorable reference speech")
+        return DerResult(0.0, 0.0, 0.0, 0.0, 0.0)
     u = UNITS_PER_S
     # der is the ratio of the reported second-valued components, so the
     # identity der * scored == miss + fa + err survives the unit conversion
@@ -329,9 +333,15 @@ def read_speaker_counts(path) -> dict[str, int]:
 def der_report(results: Mapping[str, DerResult],
                counts: Mapping[str, int] | None = None) -> str:
     """Plain-text per-conversation table, a time-weighted total, and (when
-    speaker counts are given) a breakdown over 2, 3, and 4-or-more speakers."""
+    speaker counts are given) a breakdown over 2, 3, and 4-or-more speakers.
+
+    A conversation with no scored time weighs nothing in the total and its
+    group; a group with none is left out, and so is the report when no
+    conversation has any."""
     if not results:
         raise InvalidInputError("no results to report")
+    if not any(r.scored_time_s > 0 for r in results.values()):
+        raise InvalidInputError("no conversation has scored time")
 
     def weighted(rs: list[DerResult]) -> DerResult:
         scored = sum(r.scored_time_s for r in rs)
@@ -359,6 +369,6 @@ def der_report(results: Mapping[str, DerResult],
             elif k in (2, 3):
                 groups[f"{k}spk"].append(results[conv])
         for name, rs in groups.items():
-            if rs:
+            if any(r.scored_time_s > 0 for r in rs):
                 lines.append(fmt(f"GROUP-{name}", weighted(rs)))
     return "\n".join(lines) + "\n"

@@ -166,7 +166,8 @@ class LayerKind:
     moments with their start values. check(ls, sources) validates against
     the inputs' (dim, level) and returns the output level. forward(ls, params,
     inputs, run) -> (output, tape entry); backward(ls, params, grad, tape
-    entry) -> (parameter gradients, one gradient per input).
+    entry) -> (parameter gradients, one gradient per input, which may be None
+    for the network input: backward_batch discards its gradient).
 
     The graph adds the layer input to the entry as in_value. What forward
     puts in the entry must be something backward cannot get from in_value or
@@ -223,15 +224,26 @@ class _Tdnn(LayerKind):
         out.data += p["b"]
         return out, {}
 
+    @staticmethod
+    def _input_grad(ls, x: FrameBatch):
+        """The zeroed input gradient and its per-sequence slices. A layer
+        reading only the network input, which backward_batch gives no
+        gradient, gets None and a None per sequence instead."""
+        if ls.inputs == (INPUT_NAME,) and not ls.skip_from:
+            return None, [None] * x.batch_size
+        gx = _like(x, np.zeros_like(x.data))
+        return gx, gx.split()
+
     def backward(self, ls, p, g, cache):
         x = cache["in_value"]
         gW = np.zeros_like(p["W"])
         gb = g.sum(axis=0)
-        gx = _like(x, np.zeros_like(x.data))
-        for seq, gs, gseq in zip(x.split(), _split_rows(g, x, self.span(ls)), gx.split()):
+        gx, gx_split = self._input_grad(ls, x)
+        for seq, gs, gseq in zip(x.split(), _split_rows(g, x, self.span(ls)), gx_split):
             gW += gs.T @ splice(seq, ls.context)
-            unsplice(gs @ p["W"], ls.context, gseq)
-        return {"W": gW, "b": gb}, [gx.data]
+            if gx is not None:
+                unsplice(gs @ p["W"], ls.context, gseq)
+        return {"W": gW, "b": gb}, [_data(gx)]
 
 
 class _FactorizedTdnn(_Tdnn):
@@ -280,14 +292,15 @@ class _FactorizedTdnn(_Tdnn):
         gM = np.zeros_like(p["M"])
         gF = np.zeros_like(p["F"])
         gb = g.sum(axis=0)
-        gx = _like(x, np.zeros_like(x.data))
+        gx, gx_split = self._input_grad(ls, x)
         gs_split = _split_rows(g, x, self.span(ls))
-        for seq, h, gs, gseq in zip(x.split(), cache["h"], gs_split, gx.split()):
+        for seq, h, gs, gseq in zip(x.split(), cache["h"], gs_split, gx_split):
             gF += gs.T @ splice(h, c2)
             gh = unsplice(gs @ p["F"], c2, np.zeros_like(h))
             gM += gh.T @ splice(seq, c1)
-            unsplice(gh @ p["M"], c1, gseq)
-        return {"M": gM, "F": gF, "b": gb}, [gx.data]
+            if gx is not None:
+                unsplice(gh @ p["M"], c1, gseq)
+        return {"M": gM, "F": gF, "b": gb}, [_data(gx)]
 
 
 class _Dense(LayerKind):
@@ -600,6 +613,7 @@ def forward_batch(
     rng: Optional[np.random.Generator] = None,
     want_tape: bool = False,
     update_buffers: bool = True,
+    keep=None,
 ) -> ForwardResult:
     """Run the graph over a list of (T_i, D) sequences.
 
@@ -614,6 +628,11 @@ def forward_batch(
     update_buffers=False keeps training mode from touching the running
     batch-norm moments; gradient checks use it so repeated evaluations leave
     the network bit-identical.
+
+    keep, when given, names the layers whose values the result holds besides
+    the output layer; every other value is dropped once its last reader has
+    run, so its memory serves the layers after it. By default the result
+    holds every value, as the tape and backward_batch need.
     """
     if mode not in ("training", "inference"):
         raise InvalidInputError(f"unknown mode {mode!r}")
@@ -622,6 +641,8 @@ def forward_batch(
         dropout_prob = 0.0
     if dropout_prob and rng is None:
         raise InvalidInputError("dropout needs a random generator")
+    if keep is not None and want_tape:
+        raise InvalidInputError("a forward tape needs every value")
     seqs = [np.asarray(s, dtype=np.float64) for s in sequences]
     if not seqs:
         raise InvalidInputError("empty batch")
@@ -634,7 +655,8 @@ def forward_batch(
         INPUT_NAME: FrameBatch(np.vstack(seqs), tuple(s.shape[0] for s in seqs), 0)
     }
     caches: dict[str, dict] = {}
-    _apply_layers(net, values, caches, windows, training, dropout_prob, rng, want_tape, update_buffers)
+    _apply_layers(net, values, caches, windows, training, dropout_prob, rng, want_tape,
+                  update_buffers, keep=keep)
 
     logits = values[net.spec.output_layer]
     tape = Tape(caches) if want_tape else None
@@ -663,16 +685,30 @@ def _apply_layers(
     want_tape: bool,
     update_buffers: bool,
     start: int = 0,
+    keep=None,
 ) -> None:
     """Evaluate the layer stack in place, from layer index start onward.
 
     values must already hold the outputs of everything before start (at least
     the input batch). Splitting this out of forward_batch lets gradient
     checking rerun only the part of the graph a perturbed parameter can reach.
+    keep is forward_batch's.
     """
     rows = _pooling_rows(windows, values[INPUT_NAME].lengths)
     run = _Pass(net.buffers, rows, training, dropout_prob, rng, update_buffers)
-    for ls in net.spec.layers[start:]:
+    layers = net.spec.layers[start:]
+    drop_after: list[list[str]] = [[] for _ in layers]
+    if keep is not None:
+        kept = set(keep) | {net.spec.output_layer}
+        last_use: dict[str, int] = {}
+        for i, ls in enumerate(layers):
+            reads = ls.inputs + ((ls.skip_from,) if ls.skip_from else ())
+            for name in (ls.name,) + reads:
+                if name not in kept:
+                    last_use[name] = i
+        for name, i in last_use.items():
+            drop_after[i].append(name)
+    for ls, drop in zip(layers, drop_after):
         p = net.params[ls.name]
         xs = [values[n] for n in ls.inputs]
         if ls.skip_from:
@@ -682,6 +718,9 @@ def _apply_layers(
             cache["in_value"] = xs[0]
             caches[ls.name] = cache
         values[ls.name] = out
+        xs = out = cache = None  # so a dropped value's memory is free at once
+        for name in drop:
+            del values[name]
 
 
 def backward_batch(net: Network, result: ForwardResult, logits_grad: np.ndarray):
@@ -743,5 +782,6 @@ def extract_embeddings(net: Network, sequences, windows=None) -> np.ndarray:
     one row per whole sequence): the designated layer's pre-activation output,
     computed in inference mode (running batch-norm moments, no dropout)."""
     arrays = [getattr(f, "values", f) for f in sequences]
-    result = forward_batch(net, arrays, mode="inference", windows=windows)
-    return np.array(result.values[net.spec.embedding_layer])
+    layer = net.spec.embedding_layer
+    result = forward_batch(net, arrays, mode="inference", windows=windows, keep=(layer,))
+    return np.array(result.values[layer])

@@ -4,8 +4,10 @@ The fixtures run the real subcommands in-process on a miniature corpus, so
 these tests double as an end-to-end check of the wiring.
 """
 
+import ctypes
 import hashlib
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -13,6 +15,7 @@ import sys
 import pytest
 
 import diarkit
+from diarkit import cli
 from diarkit.backend import read_embeddings
 from diarkit.cli import main
 from diarkit.der import read_rttm
@@ -183,6 +186,32 @@ def test_score_breakdown_groups(work, capsys):
     assert "GROUP-2spk" in capsys.readouterr().out
 
 
+def test_score_gives_a_wholly_collared_conversation_no_weight(tmp_path, capsys):
+    # conv001's only speech, 4.2-4.5 s, lies inside the 0.25 s collar of its
+    # reference change at 4.31 s, so none of it is scored
+    ref, hyp, sad = tmp_path / "ref.rttm", tmp_path / "hyp.rttm", tmp_path / "sad.lab"
+
+    def score(convs):
+        for path, lines in ((ref, {"conv000": ["0.000 5.000 A", "5.000 5.000 B"],
+                                   "conv001": ["0.000 4.310 A", "4.310 5.690 B"]}),
+                            (hyp, {"conv000": ["0.000 7.000 spk0", "7.000 3.000 spk1"],
+                                   "conv001": ["4.200 0.300 spk0"]})):
+            path.write_text("".join(
+                f"SPEAKER {c} 1 {t0} {dur} <NA> <NA> {who} <NA> <NA>\n"
+                for c in convs for t0, dur, who in (l.split() for l in lines[c])))
+        sad.write_text("".join({"conv000": "conv000 0.0 10.0\n",
+                                "conv001": "conv001 4.2 4.5\n"}[c] for c in convs))
+        assert main(["score", "--ref", str(ref), "--hyp", str(hyp), "--sad", str(sad),
+                     "--collar", "0.25"]) == 0
+        return capsys.readouterr().out.splitlines()
+
+    both, alone = score(["conv000", "conv001"]), score(["conv000"])
+    assert "conv001 0.000 0.000 0.000 0.000 0.0000" in both
+    total = [l for l in both if l.startswith("TOTAL ")]
+    assert total == [l for l in alone if l.startswith("TOTAL ")]
+    assert total[0].split()[-1] != "0.0000"
+
+
 def test_diarize_oracle_k_one_spans_sad(work, tmp_path):
     counts = tmp_path / "k1.txt"
     counts.write_text("".join(f"conv{i:03d} 1\n" for i in range(3)))
@@ -302,6 +331,60 @@ def test_calibrate_reports_and_writes(work, tmp_path, capsys):
     fold_rows = [l for l in lines[1:] if len(l.split()) == 4]
     assert [r.split()[0] for r in fold_rows] == ["0", "1"]
     assert {e.conversation_id for e in read_rttm(out)} == {f"conv{i:03d}" for i in range(3)}
+
+
+# ------------------------------------------------------------- memory policy
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_allocator_settings_are_accepted():
+    assert cli._reuse_freed_memory() is True
+
+
+@pytest.mark.parametrize("error", [OSError, AttributeError])
+def test_commands_run_without_mallopt(monkeypatch, tmp_path, capsys, error):
+    def no_libc(*args, **kwargs):
+        raise error("no libc here")
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", no_libc)
+    assert cli._reuse_freed_memory() is False
+    assert main(["synth", "--out", str(tmp_path / "c"), "--speakers", "2",
+                 "--train-utts", "1", "--train-utt-s", "1", "--convs", "1",
+                 "--conv-s", "5", "--seed", "3"]) == 0
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_outputs_do_not_depend_on_recycled_memory(work, tmp_path, monkeypatch):
+    """Under the reuse policy np.empty hands out recycled, non-zero memory;
+    under glibc's default 128 KiB thresholds every larger block is a fresh,
+    zeroed mapping. A stage that read an array before writing it would write
+    other bytes under the two, or in a second run in the same process."""
+    libc = ctypes.CDLL(None)
+
+    def glibc_defaults():
+        for param in (cli._M_MMAP_THRESHOLD, cli._M_TRIM_THRESHOLD):
+            libc.mallopt(param, 128 * 1024)
+        return True
+
+    corpus = work["corpus"]
+    outs = {}
+    for run in ("fresh", "reused", "reused-again"):
+        model = tmp_path / f"model-{run}.bin"
+        hyp, cal = tmp_path / f"hyp-{run}.rttm", tmp_path / f"cal-{run}.rttm"
+        with monkeypatch.context() as patch:
+            if run == "fresh":
+                patch.setattr(cli, "_reuse_freed_memory", glibc_defaults)
+            assert main(["train", "--manifest", str(corpus / "train/manifest.txt"),
+                         "--out", str(model), "--arch", "ftdnn-msa", "--feat-dim", "23",
+                         "--width", "16", "--factor-width", "16", "--inner-dim", "8",
+                         "--pool-width", "12", "--branch-dim", "8", "--embed-dim", "8",
+                         "--epochs", "1", "--batch-size", "4", "--dropout", "0.1",
+                         "--seed", "5"]) == 0
+            assert main(["diarize", *_conv_args(work), "--backend", str(work["backend"]),
+                         "--out", str(hyp), "--threshold", "0.0"]) == 0
+            assert _calibrate(work, cal) == 0
+        outs[run] = [p.read_bytes() for p in (model, hyp, cal)]
+    assert cli._reuse_freed_memory() is True
+    assert outs["fresh"] == outs["reused"] == outs["reused-again"]
 
 
 def test_console_entry_point():

@@ -248,6 +248,38 @@ def test_calibration_deterministic():
         assert l1[cid].tolist() == l2[cid].tolist()
 
 
+def test_calibration_scores_each_distinct_cut_once():
+    """der_fn runs once per (conversation, labeling); the result is that of
+    scoring every grid point afresh, recomputed here without a cache."""
+    rng = np.random.default_rng(28)
+    scores = {f"c{i}": _sym(rng, n) for i, n in enumerate((3, 6, 8, 5, 7))}
+    weights = {cid: rng.uniform(0.5, 2.0) for cid in scores}
+
+    def der(cid, lab):
+        return weights[cid] * abs(len(set(lab.tolist())) - 3)
+
+    calls = []
+    labels, reports = calibrate_threshold(
+        scores, lambda cid, lab: calls.append((cid, tuple(lab.tolist()))) or der(cid, lab))
+    assert len(calls) == len(set(calls))
+
+    ids = sorted(scores)
+    steps = {cid: merge_sequence(scores[cid]) for cid in ids}
+    cut = {cid: (lambda t, cid=cid: cut_at_threshold(len(scores[cid]), steps[cid], t))
+           for cid in ids}
+    for rep in reports:
+        dev = [cid for i, cid in enumerate(ids) if i % 2 != rep.fold]
+        held = [cid for i, cid in enumerate(ids) if i % 2 == rep.fold]
+        pooled = np.concatenate([scores[c][np.triu_indices(len(scores[c]), k=1)] for c in dev])
+        dev_ders = [float(np.mean([der(c, cut[c](t)) for c in dev])) for t in threshold_grid(pooled)]
+        best = int(np.argmin(dev_ders))
+        assert rep.threshold == float(threshold_grid(pooled)[best])
+        assert rep.dev_der == dev_ders[best]
+        assert rep.eval_der == float(np.mean([der(c, cut[c](rep.threshold)) for c in held]))
+        for c in held:
+            assert labels[c].tolist() == cut[c](rep.threshold).tolist()
+
+
 def test_calibration_validation():
     rng = np.random.default_rng(27)
     with pytest.raises(InvalidInputError):

@@ -85,6 +85,22 @@ def test_der_hypothesis_outside_sad_is_not_scored():
     assert compute_der(ref, hyp, sad).der == 0.0
 
 
+@pytest.mark.parametrize("hyp", [[], _tl("c", (4.2, 4.5, "x")), _tl("c", (0.0, 9.0, "x"))])
+def test_der_is_zero_when_nothing_is_scored(hyp):
+    # the only speech lies inside the collar of the A -> B change at 4.31 s
+    ref = _tl("c", (0.0, 4.31, "A"), (4.31, 9.0, "B"))
+    r = compute_der(ref, hyp, [SadMark("c", 4.2, 4.5)])
+    assert r == DerResult(0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def test_der_false_alarm_without_scored_reference_is_invalid():
+    ref = _tl("c", (0.0, 1.0, "A"))
+    hyp = _tl("c", (2.0, 3.0, "x"))
+    with pytest.raises(InvalidInputError, match="no scorable reference speech"):
+        compute_der(ref, hyp, [SadMark("c", 2.0, 3.0)])
+    assert compute_der(ref, [], [SadMark("c", 2.0, 3.0)]).der == 0.0
+
+
 def test_der_extra_label_inside_reference_speech_is_not_false_alarm():
     # false alarm is hypothesis time with no reference speaker at all
     ref = _tl("c", (0.0, 4.0, "A"))
@@ -326,9 +342,12 @@ def test_der_components_match_raster_oracle():
         ref, hyp, sad, frames = _raster_case(rng)
         collar_s = (0.0, 0.1, 0.25, 0.5)[i % 4]
         n_scored, miss, fa, err = _raster_der(ref, hyp, sad, collar_s, frames)
-        if n_scored == 0:
+        if n_scored == 0 and fa:
             with pytest.raises(InvalidInputError):
                 compute_der(ref, hyp, sad, collar_s=collar_s)
+            continue
+        if n_scored == 0:  # nothing scored at all: every field zero
+            assert compute_der(ref, hyp, sad, collar_s=collar_s) == DerResult(0, 0, 0, 0, 0)
             continue
         scored_cases += 1
         r = compute_der(ref, hyp, sad, collar_s=collar_s)
@@ -522,6 +541,20 @@ def test_report_layout_and_totals():
     assert any(l.startswith("GROUP-2spk ") for l in lines)
     assert any(l.startswith("GROUP-4+spk ") for l in lines)
     assert not any(l.startswith("GROUP-3spk") for l in lines)
+
+
+def test_report_gives_unscored_conversations_no_weight():
+    scored = {"conv1": DerResult(10.0, 1.0, 0.5, 0.5, 0.2),
+              "conv3": DerResult(30.0, 3.0, 0.0, 0.0, 0.1)}
+    empty = DerResult(0.0, 0.0, 0.0, 0.0, 0.0)
+    with_empty = der_report({**scored, "conv2": empty}, {"conv1": 2, "conv2": 3, "conv3": 2})
+    lines = with_empty.splitlines()
+    assert "conv2 0.000 0.000 0.000 0.000 0.0000" in lines
+    assert not any(l.startswith("GROUP-3spk") for l in lines)
+    base = der_report(scored, {"conv1": 2, "conv3": 2}).splitlines()
+    assert [l for l in lines if not l.startswith("conv2 ")] == base
+    with pytest.raises(InvalidInputError, match="no conversation has scored time"):
+        der_report({"conv2": empty, "conv4": empty})
 
 
 def test_speaker_counts_and_grouping_helpers():

@@ -2,12 +2,14 @@
 
 import hashlib
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from diarkit.errors import FormatError, InvalidInputError
+from diarkit.network import graph
 from diarkit.network import (
     DEFAULT_MSA_TAPS,
     VARIANCE_FLOOR,
@@ -378,6 +380,67 @@ def test_embedding_is_preactivation():
     assert stacked.shape == (2, REDUCED.embed_dim)
     # batching changes matmul blocking, so equality only holds to rounding
     assert np.allclose(stacked[0], emb, rtol=1e-9, atol=1e-15)
+
+
+def _sources(ls):
+    return ls.inputs + ((ls.skip_from,) if ls.skip_from else ())
+
+
+def test_inference_frees_each_value_after_its_last_reader(monkeypatch):
+    """extract_embeddings holds a layer's output only until the last layer
+    reading it (as input or skip source) has run; the embedding and output
+    layers stay. Checked by weak references taken as each layer runs."""
+    net = _reduced_msa_net()
+    layers = net.spec.layers
+    assert any(ls.skip_from for ls in layers) and net.spec.msa_taps
+    last = {src: i for i, ls in enumerate(layers) for src in _sources(ls)}
+    kept = {net.spec.embedding_layer, net.spec.output_layer}
+    order = {ls.name: i for i, ls in enumerate(layers)}
+    made, alive = {}, []
+    for kind in {ls.kind for ls in layers}:
+        orig = graph.LAYER_KINDS[kind].forward
+
+        def forward(ls, p, xs, run, orig=orig):
+            alive.append((ls.name, {n for n, ref in made.items() if ref() is not None}))
+            out, cache = orig(ls, p, xs, run)
+            made[ls.name] = weakref.ref(graph._data(out))
+            return out, cache
+
+        monkeypatch.setattr(graph.LAYER_KINDS[kind], "forward", forward)
+    rng = np.random.default_rng(9)
+    seqs = [rng.normal(size=(n, 23)) for n in (70, 64)]
+    emb = extract_embeddings(net, seqs)
+    for name, names in alive:
+        i = order[name]
+        assert names == {ls.name for ls in layers[:i] if ls.name in kept or last[ls.name] >= i}
+    monkeypatch.undo()
+    full = forward_batch(net, seqs)
+    assert np.array_equal(emb, full.values[net.spec.embedding_layer])
+    assert len(full.values) == len(layers) + 1  # the default keeps every value
+    lean = forward_batch(net, seqs, keep=())
+    assert set(lean.values) == {net.spec.output_layer}
+    assert np.array_equal(lean.logits, full.logits)
+    with pytest.raises(InvalidInputError, match="tape"):
+        forward_batch(net, seqs, mode="training", want_tape=True, keep=())
+
+
+@pytest.mark.parametrize("arch", ["tdnn", "ftdnn"])
+def test_backward_skips_the_network_input_gradient(arch):
+    """A layer reading only the network input returns None for its input
+    gradient, which backward_batch would discard; the others return arrays."""
+    net = initialize_network(build_architecture(arch, 4, dims=REDUCED), seed=0)
+    x = np.random.default_rng(10).normal(size=(80, 23))
+    res = forward_batch(net, [x], mode="training", want_tape=True)
+    for ls in net.spec.layers:
+        if ls.kind not in ("tdnn", "factorized_tdnn"):
+            continue
+        g = np.ones_like(res.values[ls.name].data)
+        _, (gx,) = graph.LAYER_KINDS[ls.kind].backward(ls, net.params[ls.name], g,
+                                                        res.tape.caches[ls.name])
+        if _sources(ls) == (graph.INPUT_NAME,):
+            assert gx is None
+        else:
+            assert gx.shape == res.tape.caches[ls.name]["in_value"].data.shape
 
 
 def test_concat_is_ordered_hstack():
