@@ -256,7 +256,9 @@ _COMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
     ),
     "calibrate": (
         "pick clustering thresholds by cross-validated DER and write held-out labels; a "
-        "conversation with no segment long enough to embed is one speaker over its speech",
+        "conversation with no segment long enough to embed is one speaker over its speech, "
+        "and a fold whose dev conversations have no segment pair gets threshold -inf "
+        "(each held-out conversation is one speaker)",
         (
             _Opt("--model", required=True),
             _Opt("--backend", required=True),

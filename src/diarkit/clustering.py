@@ -156,15 +156,22 @@ def calibrate_threshold(
     Conversations are dealt into folds round-robin in sorted id order. Each
     fold's threshold comes from a grid over the other folds' pooled pair
     scores, picking the grid point with the lowest mean per-conversation DER
-    (ties go to the lower threshold). der_fn(conv_id, labels) supplies the
-    error of a candidate labeling; it is called once per distinct
-    (conversation, labeling), since thresholds between the same two merge
-    scores cut the same labels. Returns the labels each conversation got from
-    the fold that held it out, plus one report per fold.
+    (ties go to the lower threshold). A fold whose dev conversations hold no
+    pair score (none has two segments) gets the same dev DER at every
+    threshold, so the tie rule gives it threshold -inf: every merge is made,
+    and each of its held-out conversations is one speaker.
+
+    der_fn(conv_id, labels) supplies the error of a candidate labeling; it is
+    called once per distinct (conversation, labeling), since thresholds
+    between the same two merge scores cut the same labels. Returns the labels
+    each conversation got from the fold that held it out, plus one report
+    per fold.
     """
     ids = sorted(scores_by_conv)
     if folds < 2:
         raise InvalidInputError("calibration needs at least two folds")
+    if grid_size < 1:
+        raise InvalidInputError(f"threshold grid needs at least one point, got {grid_size}")
     if len(ids) < folds:
         raise InvalidInputError(f"need at least {folds} conversations for {folds} folds")
     traces = {cid: (np.shape(scores_by_conv[cid])[0], merge_sequence(scores_by_conv[cid]))
@@ -186,7 +193,7 @@ def calibrate_threshold(
         held = [cid for i, cid in enumerate(ids) if i % folds == f]
         pooled = np.concatenate([np.empty(0)] + [
             scores_by_conv[cid][np.triu_indices(traces[cid][0], k=1)] for cid in dev])
-        grid = threshold_grid(pooled, grid_size)
+        grid = threshold_grid(pooled, grid_size) if pooled.size else [-math.inf]
         best_t, best_der = None, math.inf
         for t in grid:
             d = float(np.mean([der_at(cid, t) for cid in dev]))

@@ -1,7 +1,6 @@
 """Embedding networks: layer primitives, graph assembly, forward/backward."""
 
 from .architectures import DEFAULT_MSA_TAPS, DimOverrides, build_architecture
-from .gradcheck import check_gradients, condition_for_fd, fd_gradients, relative_errors
 from .graph import (
     LayerSpec,
     Network,
@@ -21,7 +20,6 @@ from .layers import (
     ortho_residual,
     semi_orthogonalize,
     splice,
-    stats_pool,
     unsplice,
 )
 from .model_io import load_network, save_network
@@ -35,23 +33,18 @@ __all__ = [
     "VARIANCE_FLOOR",
     "backward_batch",
     "build_architecture",
-    "check_gradients",
-    "condition_for_fd",
     "context_span",
     "extract_embeddings",
     "factor_contexts",
-    "fd_gradients",
     "forward_batch",
     "initialize_network",
     "load_network",
     "ortho_residual",
     "param_shapes",
     "receptive_span",
-    "relative_errors",
     "save_network",
     "semi_orthogonalize",
     "splice",
-    "stats_pool",
     "unsplice",
     "validate_spec",
 ]

@@ -126,7 +126,6 @@ class _Pass(NamedTuple):
     training: bool
     dropout_prob: float
     rng: Optional[np.random.Generator]
-    update_buffers: bool
 
 
 def _data(value) -> np.ndarray:
@@ -347,11 +346,10 @@ class _ReluBatchNorm(LayerKind):
             mu = y.mean(axis=0)
             y -= mu
             var = np.einsum("ij,ij->j", y, y) / y.shape[0]
-            if run.update_buffers:
-                buf["running_mean"] *= BN_MOMENTUM
-                buf["running_mean"] += (1.0 - BN_MOMENTUM) * mu
-                buf["running_var"] *= BN_MOMENTUM
-                buf["running_var"] += (1.0 - BN_MOMENTUM) * var
+            buf["running_mean"] *= BN_MOMENTUM
+            buf["running_mean"] += (1.0 - BN_MOMENTUM) * mu
+            buf["running_var"] *= BN_MOMENTUM
+            buf["running_var"] += (1.0 - BN_MOMENTUM) * var
         else:
             mu, var = buf["running_mean"], buf["running_var"]
             y -= mu
@@ -564,15 +562,10 @@ def initialize_network(spec: NetworkSpec, seed: int = 0) -> Network:
 
 
 @dataclass
-class Tape:
-    caches: dict[str, dict]
-
-
-@dataclass
 class ForwardResult:
     logits: np.ndarray
     values: dict[str, object]
-    tape: Optional[Tape]
+    tape: Optional[dict[str, dict]]  # layer name -> tape entry; None in inference
 
 
 def _skip_crop(ls: LayerSpec, main_span: int, skip_span: int) -> int:
@@ -611,8 +604,6 @@ def forward_batch(
     windows=None,
     dropout_prob: float = 0.0,
     rng: Optional[np.random.Generator] = None,
-    want_tape: bool = False,
-    update_buffers: bool = True,
     keep=None,
 ) -> ForwardResult:
     """Run the graph over a list of (T_i, D) sequences.
@@ -625,14 +616,16 @@ def forward_batch(
     segments share one frame-level pass over their region. The default is one
     row per sequence with one window spanning it.
 
-    update_buffers=False keeps training mode from touching the running
-    batch-norm moments; gradient checks use it so repeated evaluations leave
-    the network bit-identical.
+    A training pass normalizes by batch statistics, updates the running
+    batch-norm moments, and records the tape backward_batch reads; its output
+    never depends on the running moments. An inference pass uses the running
+    moments, applies no dropout and records no tape.
 
     keep, when given, names the layers whose values the result holds besides
     the output layer; every other value is dropped once its last reader has
     run, so its memory serves the layers after it. By default the result
-    holds every value, as the tape and backward_batch need.
+    holds every value, as the tape and backward_batch need, so keep is
+    inference-only.
     """
     if mode not in ("training", "inference"):
         raise InvalidInputError(f"unknown mode {mode!r}")
@@ -641,7 +634,7 @@ def forward_batch(
         dropout_prob = 0.0
     if dropout_prob and rng is None:
         raise InvalidInputError("dropout needs a random generator")
-    if keep is not None and want_tape:
+    if keep is not None and training:
         raise InvalidInputError("a forward tape needs every value")
     seqs = [np.asarray(s, dtype=np.float64) for s in sequences]
     if not seqs:
@@ -654,13 +647,8 @@ def forward_batch(
     values: dict[str, object] = {
         INPUT_NAME: FrameBatch(np.vstack(seqs), tuple(s.shape[0] for s in seqs), 0)
     }
-    caches: dict[str, dict] = {}
-    _apply_layers(net, values, caches, windows, training, dropout_prob, rng, want_tape,
-                  update_buffers, keep=keep)
-
-    logits = values[net.spec.output_layer]
-    tape = Tape(caches) if want_tape else None
-    return ForwardResult(logits, values, tape)
+    tape = _apply_layers(net, values, windows, training, dropout_prob, rng, keep=keep)
+    return ForwardResult(values[net.spec.output_layer], values, tape)
 
 
 def _pooling_rows(windows, lengths: tuple[int, ...]) -> list:
@@ -677,17 +665,15 @@ def _pooling_rows(windows, lengths: tuple[int, ...]) -> list:
 def _apply_layers(
     net: Network,
     values: dict,
-    caches: dict,
     windows,
     training: bool,
     dropout_prob: float,
     rng,
-    want_tape: bool,
-    update_buffers: bool,
     start: int = 0,
     keep=None,
-) -> None:
-    """Evaluate the layer stack in place, from layer index start onward.
+) -> Optional[dict[str, dict]]:
+    """Evaluate the layer stack in place, from layer index start onward, and
+    return the tape of a training pass (None in inference).
 
     values must already hold the outputs of everything before start (at least
     the input batch). Splitting this out of forward_batch lets gradient
@@ -695,7 +681,8 @@ def _apply_layers(
     keep is forward_batch's.
     """
     rows = _pooling_rows(windows, values[INPUT_NAME].lengths)
-    run = _Pass(net.buffers, rows, training, dropout_prob, rng, update_buffers)
+    run = _Pass(net.buffers, rows, training, dropout_prob, rng)
+    tape: Optional[dict[str, dict]] = {} if training else None
     layers = net.spec.layers[start:]
     drop_after: list[list[str]] = [[] for _ in layers]
     if keep is not None:
@@ -714,25 +701,25 @@ def _apply_layers(
         if ls.skip_from:
             xs[0] = _combine_skip(ls, p, xs[0], values[ls.skip_from])
         out, cache = LAYER_KINDS[ls.kind].forward(ls, p, xs, run)
-        if want_tape:
+        if training:
             cache["in_value"] = xs[0]
-            caches[ls.name] = cache
+            tape[ls.name] = cache
         values[ls.name] = out
         xs = out = cache = None  # so a dropped value's memory is free at once
         for name in drop:
             del values[name]
+    return tape
 
 
 def backward_batch(net: Network, result: ForwardResult, logits_grad: np.ndarray):
     """Exact gradients of a scalar loss w.r.t. every parameter.
 
-    result must come from forward_batch(..., want_tape=True) in training mode;
-    batch-norm gradients use the batch statistics recorded on the tape.
+    result must come from forward_batch in training mode; batch-norm
+    gradients use the batch statistics recorded on its tape.
     Returns {layer: {param: grad}}.
     """
     if result.tape is None:
         raise InvalidInputError("backward needs a forward tape")
-    caches = result.tape.caches
     values = result.values
     grads: dict[str, np.ndarray] = {net.spec.output_layer: np.asarray(logits_grad, dtype=np.float64)}
     param_grads: dict[str, dict[str, np.ndarray]] = {}
@@ -765,8 +752,8 @@ def backward_batch(net: Network, result: ForwardResult, logits_grad: np.ndarray)
         g = grads.pop(ls.name, None)
         if g is None:
             continue
-        cache = caches[ls.name]
-        layer_grads, input_grads = LAYER_KINDS[ls.kind].backward(ls, net.params[ls.name], g, cache)
+        layer_grads, input_grads = LAYER_KINDS[ls.kind].backward(ls, net.params[ls.name], g,
+                                                                 result.tape[ls.name])
         if layer_grads:
             param_grads[ls.name] = layer_grads
         if ls.skip_from:
@@ -781,7 +768,6 @@ def extract_embeddings(net: Network, sequences, windows=None) -> np.ndarray:
     """One embedding per pooling row (windows as in forward_batch; by default
     one row per whole sequence): the designated layer's pre-activation output,
     computed in inference mode (running batch-norm moments, no dropout)."""
-    arrays = [getattr(f, "values", f) for f in sequences]
     layer = net.spec.embedding_layer
-    result = forward_batch(net, arrays, mode="inference", windows=windows, keep=(layer,))
+    result = forward_batch(net, sequences, mode="inference", windows=windows, keep=(layer,))
     return np.array(result.values[layer])

@@ -1,5 +1,5 @@
 """Layer primitives: frame splicing and its adjoint, the factor contexts of a
-factorized convolution, statistics pooling, and the semi-orthogonal
+factorized convolution, statistics-pooling moments, and the semi-orthogonal
 projection applied to factor matrices."""
 
 from __future__ import annotations
@@ -93,12 +93,3 @@ def pool_moments(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     centered = frames - mean
     var = np.einsum("ij,ij->j", centered, centered) / frames.shape[0]
     return mean, var, np.sqrt(np.maximum(var, VARIANCE_FLOOR))
-
-
-def stats_pool(frames: np.ndarray) -> np.ndarray:
-    """Statistics pooling of one (T, D) matrix: mean and std stacked."""
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[0] < 1:
-        raise InvalidInputError("statistics pooling needs a non-empty (T, D) matrix")
-    mean, _, std = pool_moments(frames)
-    return np.concatenate([mean, std])

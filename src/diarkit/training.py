@@ -199,7 +199,7 @@ def train_step(
     if cfg.pooling == "windowed":
         windows = [(i, pool_windows(s.shape[0], cfg)) for i, s in enumerate(seqs)]
     res = forward_batch(net, seqs, mode="training", windows=windows,
-                        dropout_prob=cfg.dropout_prob, rng=rng, want_tape=True)
+                        dropout_prob=cfg.dropout_prob, rng=rng)
     loss, logit_grad = softmax_cross_entropy(res.logits, labels)
     if not math.isfinite(loss):
         raise TrainingDivergedError(f"loss is not finite: {loss}")

@@ -1,4 +1,4 @@
-"""Finite-difference verification of the backward pass.
+"""Finite-difference oracle for the backward pass.
 
 Central differences on a relu/batch-norm stack are only trustworthy at a
 carefully chosen operating point. At a random initialization two things go
@@ -22,14 +22,18 @@ under the tolerance.
 
 The sweep itself perturbs every coordinate of every parameter. Evaluations
 restart the graph at the perturbed layer and reuse the untouched prefix, which
-is exact (buffers are frozen during the check) and roughly halves the cost.
+is exact (a training pass reads batch statistics only, never the running
+moments) and roughly halves the cost. Every training pass updates the running
+batch-norm moments, so each function here puts them back before it returns:
+the network's buffers end bit-identical to how they started.
 """
 
-from __future__ import annotations
+from contextlib import contextmanager
 
 import numpy as np
 
-from .graph import INPUT_NAME, FrameBatch, Network, _apply_layers, backward_batch, forward_batch
+from diarkit.network import backward_batch, forward_batch
+from diarkit.network.graph import INPUT_NAME, FrameBatch, _apply_layers
 
 DEFAULT_STEP = 1e-3
 NORM_FLOOR = 1e-6
@@ -38,81 +42,75 @@ NORM_FLOOR = 1e-6
 _ROW_PARAM = {"tdnn": "W", "dense": "W", "factorized_tdnn": "F"}
 
 
-def fd_gradients(
-    net: Network,
-    sequences,
-    grad_out: np.ndarray,
-    windows=None,
-    step: float = DEFAULT_STEP,
-    dropout_prob: float = 0.0,
-    rng_factory=None,
-) -> dict[str, dict[str, np.ndarray]]:
+@contextmanager
+def _buffers_restored(net):
+    """Put the running batch-norm moments back as they were on entry."""
+    saved = [(v, v.copy()) for layer in net.buffers.values() for v in layer.values()]
+    try:
+        yield
+    finally:
+        for v, old in saved:
+            v[...] = old
+
+
+def fd_gradients(net, sequences, grad_out, windows=None, step=DEFAULT_STEP,
+                 dropout_prob=0.0, rng_factory=None):
     """Central-difference gradient of sum(grad_out * logits) for every parameter.
 
-    Runs in training mode with frozen batch-norm buffers. With dropout active
-    pass an rng_factory returning identically seeded generators; mask draws
-    consume the stream layer by layer, so those sweeps evaluate the full stack
-    instead of restarting mid-graph.
+    Runs in training mode. With dropout active pass an rng_factory returning
+    identically seeded generators; mask draws consume the stream layer by
+    layer, so those sweeps evaluate the full stack instead of restarting
+    mid-graph.
     """
     seqs = [np.ascontiguousarray(np.asarray(s, dtype=np.float64)) for s in sequences]
     grad_out = np.asarray(grad_out, dtype=np.float64)
     reuse = dropout_prob == 0.0
 
-    base: dict[str, object] = {
-        INPUT_NAME: FrameBatch(np.vstack(seqs), tuple(s.shape[0] for s in seqs), 0)
-    }
-    _apply_layers(
-        net, base, {}, windows, True, dropout_prob,
-        rng_factory() if rng_factory is not None else None, False, False,
-    )
+    def rng():
+        return rng_factory() if rng_factory is not None else None
 
-    layers = net.spec.layers
-    out: dict[str, dict[str, np.ndarray]] = {}
-    for li, ls in enumerate(layers):
-        params = net.params[ls.name]
-        if not params:
-            continue
-        start = li if reuse else 0
-        prefix = {INPUT_NAME: base[INPUT_NAME]}
-        for prev in layers[:start]:
-            prefix[prev.name] = base[prev.name]
-        grads: dict[str, np.ndarray] = {}
-        for pname, arr in params.items():
-            flat = arr.ravel()
-            gn = np.empty(flat.size)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + step
-                hi = _functional(net, prefix, start, windows, dropout_prob, rng_factory, grad_out)
-                flat[i] = orig - step
-                lo = _functional(net, prefix, start, windows, dropout_prob, rng_factory, grad_out)
-                flat[i] = orig
-                gn[i] = (hi - lo) / (2.0 * step)
-            grads[pname] = gn.reshape(arr.shape)
-        out[ls.name] = grads
+    def functional(prefix, start):
+        values = dict(prefix)
+        _apply_layers(net, values, windows, True, dropout_prob, rng(), start)
+        return float((grad_out * values[net.spec.output_layer]).sum())
+
+    with _buffers_restored(net):
+        base = {INPUT_NAME: FrameBatch(np.vstack(seqs), tuple(s.shape[0] for s in seqs), 0)}
+        _apply_layers(net, base, windows, True, dropout_prob, rng())
+        layers = net.spec.layers
+        out = {}
+        for li, ls in enumerate(layers):
+            params = net.params[ls.name]
+            if not params:
+                continue
+            start = li if reuse else 0
+            prefix = {INPUT_NAME: base[INPUT_NAME]}
+            for prev in layers[:start]:
+                prefix[prev.name] = base[prev.name]
+            grads = {}
+            for pname, arr in params.items():
+                flat = arr.ravel()
+                gn = np.empty(flat.size)
+                for i in range(flat.size):
+                    orig = flat[i]
+                    flat[i] = orig + step
+                    hi = functional(prefix, start)
+                    flat[i] = orig - step
+                    lo = functional(prefix, start)
+                    flat[i] = orig
+                    gn[i] = (hi - lo) / (2.0 * step)
+                grads[pname] = gn.reshape(arr.shape)
+            out[ls.name] = grads
     return out
 
 
-def _functional(net, prefix, start, windows, dropout_prob, rng_factory, grad_out):
-    values = dict(prefix)
-    _apply_layers(
-        net, values, {}, windows, True, dropout_prob,
-        rng_factory() if rng_factory is not None else None, False, False, start,
-    )
-    return float((grad_out * values[net.spec.output_layer]).sum())
-
-
-def relative_errors(
-    analytic: dict[str, dict[str, np.ndarray]],
-    numeric: dict[str, dict[str, np.ndarray]],
-    floor: float = NORM_FLOOR,
-) -> dict[str, float]:
+def relative_errors(analytic, numeric, floor=NORM_FLOOR):
     """Per-tensor relative error ||ga - gn|| / max(floor, ||ga|| + ||gn||).
 
     Keys are "layer.param". A layer absent from the analytic dict received no
     gradient from the loss, so its exact gradient is zero.
     """
-    rels: dict[str, float] = {}
+    rels = {}
     for lname, tensors in numeric.items():
         for pname, gn in tensors.items():
             ga = analytic.get(lname, {}).get(pname)
@@ -124,23 +122,14 @@ def relative_errors(
     return rels
 
 
-def check_gradients(
-    net: Network,
-    sequences,
-    grad_out: np.ndarray,
-    windows=None,
-    step: float = DEFAULT_STEP,
-    floor: float = NORM_FLOOR,
-    dropout_prob: float = 0.0,
-    rng_factory=None,
-) -> dict[str, float]:
+def check_gradients(net, sequences, grad_out, windows=None, step=DEFAULT_STEP,
+                    floor=NORM_FLOOR, dropout_prob=0.0, rng_factory=None):
     """Analytic vs central-difference sweep; returns per-tensor relative errors."""
-    result = forward_batch(
-        net, sequences, mode="training", windows=windows,
-        dropout_prob=dropout_prob,
-        rng=rng_factory() if rng_factory is not None else None,
-        want_tape=True, update_buffers=False,
-    )
+    with _buffers_restored(net):
+        result = forward_batch(
+            net, sequences, mode="training", windows=windows, dropout_prob=dropout_prob,
+            rng=rng_factory() if rng_factory is not None else None,
+        )
     analytic = backward_batch(net, result, np.asarray(grad_out, dtype=np.float64))
     numeric = fd_gradients(
         net, sequences, grad_out, windows=windows, step=step,
@@ -149,15 +138,8 @@ def check_gradients(
     return relative_errors(analytic, numeric, floor=floor)
 
 
-def condition_for_fd(
-    net: Network,
-    sequences,
-    windows=None,
-    target_std: float = 18.0,
-    bn_scale: float = 2.1,
-    factor_scale: float = 2.8,
-    margin: float = 0.04,
-) -> Network:
+def condition_for_fd(net, sequences, windows=None, target_std=18.0, bn_scale=2.1,
+                     factor_scale=2.8, margin=0.04):
     """Rescale and re-bias net in place so finite differences are informative.
 
     Walks the stack once. Every batch-norm gamma is set to bn_scale. Every
@@ -169,7 +151,8 @@ def condition_for_fd(
     gap worth the name and are pushed firmly all-live instead. Factorized
     layers get their inner projection prescaled by factor_scale, trading inner
     for outer magnitude to balance the two truncation terms. The output layer
-    is left alone; it feeds the loss directly and has no relu after it.
+    is left alone; it feeds the loss directly and has no relu after it. The
+    running batch-norm moments end as they started.
 
     Assumes skips run in sum mode: a concat skip reprojects the bias through
     its learned matrix, so the per-channel placement would not land where it
@@ -179,38 +162,36 @@ def condition_for_fd(
 
     def realized(name):
         """The layer's output values and whether they are frame-level."""
-        res = forward_batch(
-            net, sequences, mode="training", windows=windows, update_buffers=False
-        )
-        val = res.values[name]
+        val = forward_batch(net, sequences, mode="training", windows=windows).values[name]
         return (val.data, True) if isinstance(val, FrameBatch) else (val, False)
 
-    for ls in spec.layers:
-        if ls.kind == "relu_batchnorm":
-            net.params[ls.name]["gamma"][:] = bn_scale
-        elif ls.kind in _ROW_PARAM and ls.name != spec.output_layer:
-            row = _ROW_PARAM[ls.kind]
-            if ls.kind == "factorized_tdnn":
-                net.params[ls.name]["M"] *= factor_scale
-            z, _ = realized(ls.name)
-            scale = target_std / np.maximum(z.std(axis=0), 1e-6)
-            net.params[ls.name][row] *= scale[:, None]
-            z, frame_level = realized(ls.name)
-            b = net.params[ls.name]["b"]
-            if frame_level:
-                quota = max(1, z.shape[0] // 6)
-                for j in range(z.shape[1]):
-                    b[j] += _gap_bias(z[:, j], margin * target_std, quota)
-            else:
-                floor = target_std * bn_scale
-                for j in range(z.shape[1]):
-                    lo = z[:, j].min()
-                    if lo < floor:
-                        b[j] += floor - lo
+    with _buffers_restored(net):
+        for ls in spec.layers:
+            if ls.kind == "relu_batchnorm":
+                net.params[ls.name]["gamma"][:] = bn_scale
+            elif ls.kind in _ROW_PARAM and ls.name != spec.output_layer:
+                row = _ROW_PARAM[ls.kind]
+                if ls.kind == "factorized_tdnn":
+                    net.params[ls.name]["M"] *= factor_scale
+                z, _ = realized(ls.name)
+                scale = target_std / np.maximum(z.std(axis=0), 1e-6)
+                net.params[ls.name][row] *= scale[:, None]
+                z, frame_level = realized(ls.name)
+                b = net.params[ls.name]["b"]
+                if frame_level:
+                    quota = max(1, z.shape[0] // 6)
+                    for j in range(z.shape[1]):
+                        b[j] += _gap_bias(z[:, j], margin * target_std, quota)
+                else:
+                    floor = target_std * bn_scale
+                    for j in range(z.shape[1]):
+                        lo = z[:, j].min()
+                        if lo < floor:
+                            b[j] += floor - lo
     return net
 
 
-def _gap_bias(col: np.ndarray, min_margin: float, quota: int) -> float:
+def _gap_bias(col, min_margin, quota):
     """Bias shift placing zero inside the widest interior gap of col.
 
     Only gaps leaving at least quota values on each side qualify; among those

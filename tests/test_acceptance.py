@@ -30,14 +30,13 @@ from diarkit.network import (
     DimOverrides,
     VARIANCE_FLOOR,
     build_architecture,
-    check_gradients,
-    condition_for_fd,
     initialize_network,
     param_shapes,
 )
 from diarkit.network.graph import LAYER_KINDS
-from diarkit.network.layers import stats_pool
 from diarkit.training import ManifestEntry, TrainConfig, build_train_set, train
+from embedding_reference import stats_pool
+from gradcheck_reference import check_gradients, condition_for_fd
 from plda_reference import plda_score
 
 

@@ -505,3 +505,21 @@ def test_near_empty_conversation_embeds_nothing(work, near_empty, tmp_path):
     assert main(["embed", *_conv_args(work), "--out", str(base)]) == 0
     assert NEAR_EMPTY not in {r.conversation_id for r in read_embeddings(full)}
     assert full.read_bytes() == base.read_bytes()
+
+
+def test_calibrate_fold_without_segment_pairs(work, tmp_path, capsys):
+    """Fold 0's only dev conversation is too short to embed, so it has no pair
+    score to build a grid from: the fold takes threshold -inf, and conv000,
+    which it holds out, is one speaker."""
+    sad, out = tmp_path / "sad.lab", tmp_path / "cal.rttm"
+    sad.write_text("conv000 0.0 20.0\nconv001 1.0 1.4\n")
+    capsys.readouterr()
+    assert main(["calibrate", *_conv_args(work, sad), "--backend", str(work["backend"]),
+                 "--ref", str(work["corpus"] / "eval/ref.rttm"), "--out", str(out),
+                 "--folds", "2"]) == 0
+    rows = [r.split() for r in capsys.readouterr().out.splitlines()[1:3]]
+    assert rows[0][:2] == ["0", "-inf"]
+    assert rows[1][0] == "1" and float(rows[1][1]) > -float("inf")
+    entries = read_rttm(out)
+    assert {e.conversation_id for e in entries} == {"conv000", "conv001"}
+    assert {e.speaker for e in entries if e.conversation_id == "conv000"} == {"spk0"}

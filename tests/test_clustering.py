@@ -1,6 +1,8 @@
 """Clustering tests, anchored by an exhaustive greedy reference that rescans
 the original score matrix at every step."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,40 @@ def test_each_score_matrix_is_checked_once(monkeypatch):
     assert checked == [(3, 3), (4, 4), (5, 5), (6, 6)]
 
 
+def _merge_digest(matrices):
+    """SHA-256 over every merge's exact score and id pair, in merge order."""
+    h = hashlib.sha256()
+    for s in matrices:
+        for st in merge_sequence(s):
+            h.update(f"{float(st.score).hex()} {st.first} {st.second}\n".encode())
+    return h.hexdigest()
+
+
+def _tie_heavy_matrices():
+    rng = np.random.default_rng(40)
+    return [_sym(rng, n, integer=True) for _ in range(5) for n in range(2, 40)]
+
+
+def _gram_matrices():
+    rng = np.random.default_rng(41)
+    return [x @ x.T for x in (rng.normal(size=(200, 16)) for _ in range(2))]
+
+
+# Pins every MergeStep bit for bit, tie order included; the greedy reference
+# above compares labels only, at n <= 6. The Gram matrices pass through BLAS,
+# so another build may move their last bits and that hash.
+MERGE_SHA256 = {
+    "tie-heavy": "73b248865f5aaa59b1d95a2c95898a2f3227edc50ed766369fb89fa8b5b950e1",
+    "gram-200": "de24f9975adbd3cea46131ac718cb8d575860dbbdea76fd6aa2768e6909a1ecb",
+}
+
+
+@pytest.mark.parametrize("name,matrices", [("tie-heavy", _tie_heavy_matrices),
+                                           ("gram-200", _gram_matrices)])
+def test_merge_sequence_is_pinned(name, matrices):
+    assert _merge_digest(matrices()) == MERGE_SHA256[name]
+
+
 def test_merge_sequence_scores_and_cut():
     s = np.array([[0.0, 10.0, 2.0],
                   [10.0, 0.0, 3.0],
@@ -287,13 +323,23 @@ def test_calibration_validation():
     with pytest.raises(InvalidInputError):
         calibrate_threshold({"a": _sym(rng, 4), "b": _sym(rng, 4)},
                             lambda c, l: 0.0, folds=1)
+    for grid_size in (0, -3):
+        with pytest.raises(InvalidInputError, match="grid"):
+            calibrate_threshold({"a": _sym(rng, 4), "b": _sym(rng, 4)},
+                                lambda c, l: 0.0, grid_size=grid_size)
 
 
-def test_calibration_fold_without_pairs_is_invalid_input():
-    # the dev fold of "b" holds only a one-segment conversation: no pair scores
+def test_calibration_fold_without_pairs_merges_everything():
+    """The fold holding "b" out has only "a", one segment, as its dev set: no
+    pair scores, so every threshold gives the same dev DER and the tie rule
+    picks -inf, which makes every merge of "b"."""
     rng = np.random.default_rng(29)
-    with pytest.raises(InvalidInputError, match="no scores"):
-        calibrate_threshold({"a": np.zeros((1, 1)), "b": _sym(rng, 4)}, lambda c, l: 0.0)
+    scores = {"a": np.zeros((1, 1)), "b": _sym(rng, 4)}
+    labels, reports = calibrate_threshold(scores, lambda c, l: float(len(set(l.tolist()))))
+    assert reports[1] == FoldReport(1, -np.inf, 1.0, 1.0)
+    assert labels["b"].tolist() == [0, 0, 0, 0]
+    assert labels["a"].tolist() == [0]
+    assert reports[0].threshold == threshold_grid(scores["b"][np.triu_indices(4, k=1)])[0]
 
 
 def test_threshold_grid_shape():

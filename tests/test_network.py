@@ -19,27 +19,23 @@ from diarkit.network import (
     NetworkSpec,
     backward_batch,
     build_architecture,
-    check_gradients,
-    condition_for_fd,
     context_span,
     extract_embeddings,
     factor_contexts,
-    fd_gradients,
     forward_batch,
     initialize_network,
     load_network,
     ortho_residual,
     receptive_span,
-    relative_errors,
     save_network,
     semi_orthogonalize,
     splice,
-    stats_pool,
     unsplice,
     validate_spec,
 )
 from diarkit.training import TrainConfig, init_velocity, train_step
-from embedding_reference import extract_embedding
+from embedding_reference import extract_embedding, stats_pool
+from gradcheck_reference import check_gradients, condition_for_fd, fd_gradients, relative_errors
 
 TOL_GRAD = 1e-4
 REDUCED = DimOverrides(width=32, factor_width=32, inner_dim=16,
@@ -421,7 +417,7 @@ def test_inference_frees_each_value_after_its_last_reader(monkeypatch):
     assert set(lean.values) == {net.spec.output_layer}
     assert np.array_equal(lean.logits, full.logits)
     with pytest.raises(InvalidInputError, match="tape"):
-        forward_batch(net, seqs, mode="training", want_tape=True, keep=())
+        forward_batch(net, seqs, mode="training", keep=())
 
 
 @pytest.mark.parametrize("arch", ["tdnn", "ftdnn"])
@@ -430,17 +426,17 @@ def test_backward_skips_the_network_input_gradient(arch):
     gradient, which backward_batch would discard; the others return arrays."""
     net = initialize_network(build_architecture(arch, 4, dims=REDUCED), seed=0)
     x = np.random.default_rng(10).normal(size=(80, 23))
-    res = forward_batch(net, [x], mode="training", want_tape=True)
+    res = forward_batch(net, [x], mode="training")
     for ls in net.spec.layers:
         if ls.kind not in ("tdnn", "factorized_tdnn"):
             continue
         g = np.ones_like(res.values[ls.name].data)
         _, (gx,) = graph.LAYER_KINDS[ls.kind].backward(ls, net.params[ls.name], g,
-                                                        res.tape.caches[ls.name])
+                                                        res.tape[ls.name])
         if _sources(ls) == (graph.INPUT_NAME,):
             assert gx is None
         else:
-            assert gx.shape == res.tape.caches[ls.name]["in_value"].data.shape
+            assert gx.shape == res.tape[ls.name]["in_value"].data.shape
 
 
 def test_concat_is_ordered_hstack():
@@ -509,9 +505,6 @@ def test_training_mode_buffer_switch():
     rng = np.random.default_rng(12)
     seqs = [rng.normal(size=(60, 23)), rng.normal(0.5, 1.2, size=(55, 23))]
     before = {n: {k: v.copy() for k, v in d.items()} for n, d in net.buffers.items()}
-    forward_batch(net, seqs, mode="training", update_buffers=False)
-    assert all(np.array_equal(v, before[n][k])
-               for n, d in net.buffers.items() for k, v in d.items())
     forward_batch(net, seqs, mode="training")
     moved = sum(not np.array_equal(v, before[n][k])
                 for n, d in net.buffers.items() for k, v in d.items())
@@ -521,10 +514,8 @@ def test_training_mode_buffer_switch():
 def test_repeated_window_equals_single():
     net = _reduced_msa_net()
     x = np.random.default_rng(13).normal(size=(70, 23))
-    one = forward_batch(net, [x], mode="training", windows=[(0, [(0, 70)])],
-                        update_buffers=False)
-    two = forward_batch(net, [x], mode="training", windows=[(0, [(0, 70), (0, 70)])],
-                        update_buffers=False)
+    one = forward_batch(net, [x], mode="training", windows=[(0, [(0, 70)])])
+    two = forward_batch(net, [x], mode="training", windows=[(0, [(0, 70), (0, 70)])])
     assert np.allclose(one.logits, two.logits, atol=1e-12)
 
 
@@ -535,7 +526,7 @@ def test_window_average_matches_pool_oracle():
     rng = np.random.default_rng(14)
     seqs = [rng.normal(size=(70, 23)), rng.normal(size=(50, 23))]
     rows = [(1, [(0, 50)]), (0, [(0, 50), (15, 70)]), (0, [(0, 45)])]
-    res = forward_batch(net, seqs, mode="training", windows=rows, update_buffers=False)
+    res = forward_batch(net, seqs, mode="training", windows=rows)
     frames = res.values["pre_stats_frame8_post"]
     for r, (i, wins) in enumerate(rows):
         per_window = [stats_pool(frames.split()[i][a:b - frames.span]) for a, b in wins]
@@ -710,7 +701,7 @@ def test_fd_prefix_reuse_matches_full_evaluation():
         vals = []
         for signed in (orig + step, orig - step):
             flat[i] = signed
-            res = forward_batch(net, seqs, mode="training", update_buffers=False)
+            res = forward_batch(net, seqs, mode="training")
             vals.append(float((grad_out * res.logits).sum()))
         flat[i] = orig
         assert numeric[name][pname].ravel()[i] == (vals[0] - vals[1]) / (2 * step)
@@ -721,7 +712,7 @@ def test_conditioning_leaves_margins():
     rng = np.random.default_rng(1007)
     seqs = [rng.normal(-1.2, 0.7, size=(35, 23)), rng.normal(0.9, 1.3, size=(35, 23))]
     condition_for_fd(net, seqs)
-    res = forward_batch(net, seqs, mode="training", update_buffers=False)
+    res = forward_batch(net, seqs, mode="training")
     linear_hidden = [ls.name for ls in net.spec.layers
                      if ls.kind in ("tdnn", "factorized_tdnn", "dense")
                      and ls.name != "output"]
@@ -737,6 +728,50 @@ def test_conditioning_leaves_margins():
         else:
             assert (z > 0).all(), name  # few-row channels are pushed all-live
     assert diverse / total > 0.9
+
+
+def test_gradient_oracle_leaves_the_network_as_it_was():
+    """Every training pass moves the running moments; the oracle puts them
+    back. Conditioning changes only the parameters it rescales and re-biases,
+    and the sweep changes nothing."""
+    rng = np.random.default_rng(27)
+    layers = [
+        LayerSpec("f1", "tdnn", 5, 6, (-1, 0, 1), 0, ("input",)),
+        LayerSpec("f1_post", "relu_batchnorm", 6, 6, (0,), 0, ("f1",)),
+        LayerSpec("f2", "factorized_tdnn", 6, 6, (-1, 0, 1), 3, ("f1_post",)),
+        LayerSpec("f2_post", "relu_batchnorm", 6, 6, (0,), 0, ("f2",)),
+        LayerSpec("f3", "factorized_tdnn", 6, 6, (0,), 3, ("f2_post",), "f1_post", "sum"),
+        LayerSpec("f3_post", "relu_batchnorm", 6, 6, (0,), 0, ("f3",)),
+        LayerSpec("stats", "stats_pool", 6, 12, (0,), 0, ("f3_post",)),
+        LayerSpec("seg", "dense", 12, 7, (0,), 0, ("stats",)),
+        LayerSpec("seg_post", "relu_batchnorm", 7, 7, (0,), 0, ("seg",)),
+        LayerSpec("output", "dense", 7, 3, (0,), 0, ("seg_post",)),
+    ]
+    net = initialize_network(_spec(layers, "seg"), seed=1)
+    seqs = [rng.normal(size=(14, 5)), rng.normal(-0.3, 0.8, size=(15, 5))]
+    forward_batch(net, seqs, mode="training")  # buffers away from their start values
+
+    def snapshot():
+        buffers = {(n, k): v.copy() for n, d in net.buffers.items() for k, v in d.items()}
+        return buffers, {(n, p): a.copy() for n, p, a in net.parameters()}
+
+    def changed(old, new):
+        return {key for key, v in new.items() if not np.array_equal(old[key], v)}
+
+    buffers0, params0 = snapshot()
+    condition_for_fd(net, seqs)
+    buffers1, params1 = snapshot()
+    assert changed(buffers0, buffers1) == set()
+    assert changed(params0, params1) == {
+        ("f1", "W"), ("f1", "b"), ("f2", "M"), ("f2", "F"), ("f2", "b"),
+        ("f3", "M"), ("f3", "F"), ("f3", "b"), ("seg", "W"), ("seg", "b"),
+        ("f1_post", "gamma"), ("f2_post", "gamma"), ("f3_post", "gamma"),
+        ("seg_post", "gamma"),
+    }
+    check_gradients(net, seqs, np.ones((2, 3)))
+    buffers2, params2 = snapshot()
+    assert changed(buffers1, buffers2) == set()
+    assert changed(params1, params2) == set()
 
 
 def test_relative_errors_floor():
@@ -900,10 +935,10 @@ def _tape_own_fraction(arch, **dropout):
     net = initialize_network(build_architecture(arch, 4, dims=REDUCED), seed=0)
     rng = np.random.default_rng(22)
     seqs = [rng.normal(size=(n, 23)) for n in (96, 81, 110)]
-    res = forward_batch(net, seqs, mode="training", want_tape=True, **dropout)
+    res = forward_batch(net, seqs, mode="training", **dropout)
     held = [getattr(v, "data", v) for v in res.values.values()]
     seen, own = set(), 0
-    for arr in _arrays(res.tape.caches):
+    for arr in _arrays(res.tape):
         if arr.ndim == 2 and id(arr) not in seen:
             seen.add(id(arr))
             if not any(np.shares_memory(arr, h) for h in held):
