@@ -62,7 +62,7 @@ def fit_pca_whitener(vectors: np.ndarray, n_components: int | None = None) -> Wh
     if n_components is not None and not 1 <= n_components <= d:
         raise InvalidInputError(f"n_components must be in [1, {d}], got {n_components}")
     mean = x.mean(axis=0)
-    cov = np.cov(x, rowvar=False, ddof=1)
+    cov = np.atleast_2d(np.cov(x, rowvar=False, ddof=1))  # 0-d for one column
     lam, vecs = np.linalg.eigh(cov)
     if lam[0] <= 0:
         raise InvalidInputError("covariance is not positive definite")

@@ -26,6 +26,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from . import synthdata
 from .backend import (
     CONV_PCA_FRACTION,
@@ -76,6 +78,9 @@ from .pipeline import (
 )
 from .training import TrainConfig, load_train_set, train
 
+# train computes in and stores float32; a model file's own dtype decides how
+# the other commands run it
+_TRAIN_DTYPE = np.float32
 _TRAIN_DEFAULTS = TrainConfig()
 _DIM_DEFAULTS = DimOverrides()
 _SYNTH_DEFAULTS = synthdata.CorpusSpec()
@@ -177,7 +182,8 @@ _COMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
         ),
     ),
     "train": (
-        "train an embedding network on a labeled utterance manifest",
+        "train an embedding network on a labeled utterance manifest; training runs in "
+        "float32 and the model is stored in float32",
         (
             _Opt("--manifest", required=True, help="'utt_id speaker_id feature_path' lines"),
             _Opt("--out", required=True, help="output model file"),
@@ -504,7 +510,7 @@ def _cmd_train(ns) -> int:
               f"{len(ts.features)} utterances")
         return 0
     print(f"training {arch}: {len(ts.features)} utterances, {len(ts.speakers)} speakers")
-    net = initialize_network(spec, seed=cfg.seed)
+    net = initialize_network(spec, seed=cfg.seed).astype(_TRAIN_DTYPE)
     train(net, ts, cfg, log=print)
     _atomic(ns.out, lambda p: save_network(net, p))
     print(f"model {ns.out}")

@@ -20,6 +20,17 @@ what no value holds, such as batch-norm moments, a dropout mask, or a
 factorized layer's inner activation. Spliced copies and batch norm's
 normalized input are recomputed on the way back, by the same operations in
 the same order, so gradients are the same bits as if they had been kept.
+
+The engine computes in the dtype of the network's parameters (Network.dtype):
+forward_batch casts its input sequences to it, every layer output and
+gradient is allocated in it, and backward_batch takes the logits gradient in
+it. A float64 network runs the float64 engine; a float32 one (what
+``diarkit train`` writes) runs in float32 throughout, except where a long sum
+would cancel: batch norm's batch mean and variance and the pooling moments
+(layers.pool_moments) accumulate in float64 and round once to the parameter
+dtype, and semi_orthogonalize and ortho_residual work in float64. Those
+float64 accumulators live only inside the call; the values, the tape and the
+gradients hold the parameter dtype.
 """
 
 from __future__ import annotations
@@ -111,6 +122,17 @@ class Network:
             for pname in param_shapes(ls):
                 yield ls.name, pname, self.params[ls.name][pname]
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The parameter dtype, which the engine computes in."""
+        return next(self.parameters())[2].dtype
+
+    def astype(self, dtype) -> "Network":
+        """A copy with every parameter and buffer cast to dtype."""
+        def cast(group):
+            return {name: {k: v.astype(dtype) for k, v in d.items()} for name, d in group.items()}
+        return Network(self.spec, cast(self.params), cast(self.buffers))
+
     def factor_matrices(self):
         """Yield every parameter matrix that training holds semi-orthogonal."""
         for ls in self.spec.layers:
@@ -145,10 +167,10 @@ def _check_lengths(name: str, lengths: tuple[int, ...], span: int) -> None:
         )
 
 
-def _output_batch(ls: LayerSpec, x: FrameBatch, span: int) -> FrameBatch:
+def _output_batch(ls: LayerSpec, x: FrameBatch, span: int, dtype) -> FrameBatch:
     """A convolution's output, uninitialized, one block of rows per sequence."""
     lengths = tuple(n - span for n in x.lengths)
-    return FrameBatch(np.empty((sum(lengths), ls.out_dim)), lengths, x.span + span)
+    return FrameBatch(np.empty((sum(lengths), ls.out_dim), dtype), lengths, x.span + span)
 
 
 def _split_rows(g: np.ndarray, x: FrameBatch, span: int) -> list[np.ndarray]:
@@ -217,7 +239,7 @@ class _Tdnn(LayerKind):
         span = self.span(ls)
         _check_lengths(ls.name, x.lengths, span)
         wt = p["W"].T
-        out = _output_batch(ls, x, span)
+        out = _output_batch(ls, x, span, p["b"].dtype)
         for seq, rows in zip(x.split(), out.split()):
             np.matmul(splice(seq, ls.context), wt, out=rows)
         out.data += p["b"]
@@ -276,7 +298,7 @@ class _FactorizedTdnn(_Tdnn):
         span = self.span(ls)
         _check_lengths(ls.name, x.lengths, span)
         mt, ft = p["M"].T, p["F"].T
-        out = _output_batch(ls, x, span)
+        out = _output_batch(ls, x, span, p["b"].dtype)
         hs = []
         for seq, rows in zip(x.split(), out.split()):
             h = splice(seq, c1) @ mt
@@ -342,10 +364,11 @@ class _ReluBatchNorm(LayerKind):
     def forward(self, ls, p, xs, run):
         y = np.maximum(_data(xs[0]), 0.0)
         buf = run.buffers[ls.name]
-        if run.training:
-            mu = y.mean(axis=0)
+        if run.training:  # moments summed in float64, rounded once
+            mu = y.mean(axis=0, dtype=np.float64).astype(y.dtype, copy=False)
             y -= mu
-            var = np.einsum("ij,ij->j", y, y) / y.shape[0]
+            var = np.einsum("ij,ij->j", y, y, dtype=np.float64) / y.shape[0]
+            var = var.astype(y.dtype, copy=False)
             buf["running_mean"] *= BN_MOMENTUM
             buf["running_mean"] += (1.0 - BN_MOMENTUM) * mu
             buf["running_var"] *= BN_MOMENTUM
@@ -360,7 +383,8 @@ class _ReluBatchNorm(LayerKind):
         keep = scale = None
         if run.dropout_prob > 0.0:
             keep = run.rng.random(y.shape) >= run.dropout_prob
-            scale = 1.0 / np.float64(1.0 - run.dropout_prob)  # p = 1: inf, not ZeroDivisionError
+            # p = 1: inf, not ZeroDivisionError
+            scale = 1.0 / y.dtype.type(1.0 - run.dropout_prob)
             y *= keep
             y *= scale
         return _like(xs[0], y), {"mu": mu, "istd": istd, "keep": keep, "scale": scale}
@@ -636,7 +660,7 @@ def forward_batch(
         raise InvalidInputError("dropout needs a random generator")
     if keep is not None and training:
         raise InvalidInputError("a forward tape needs every value")
-    seqs = [np.asarray(s, dtype=np.float64) for s in sequences]
+    seqs = [np.asarray(s) for s in sequences]
     if not seqs:
         raise InvalidInputError("empty batch")
     in_dim = net.spec.layers[0].in_dim
@@ -645,7 +669,7 @@ def forward_batch(
             raise InvalidInputError(f"expected (T, {in_dim}) sequences, got {s.shape}")
 
     values: dict[str, object] = {
-        INPUT_NAME: FrameBatch(np.vstack(seqs), tuple(s.shape[0] for s in seqs), 0)
+        INPUT_NAME: FrameBatch(np.vstack(seqs, dtype=net.dtype), tuple(s.shape[0] for s in seqs), 0)
     }
     tape = _apply_layers(net, values, windows, training, dropout_prob, rng, keep=keep)
     return ForwardResult(values[net.spec.output_layer], values, tape)
@@ -721,7 +745,7 @@ def backward_batch(net: Network, result: ForwardResult, logits_grad: np.ndarray)
     if result.tape is None:
         raise InvalidInputError("backward needs a forward tape")
     values = result.values
-    grads: dict[str, np.ndarray] = {net.spec.output_layer: np.asarray(logits_grad, dtype=np.float64)}
+    grads: dict[str, np.ndarray] = {net.spec.output_layer: np.asarray(logits_grad, dtype=net.dtype)}
     param_grads: dict[str, dict[str, np.ndarray]] = {}
 
     def push(name: str, g: np.ndarray):
@@ -767,7 +791,8 @@ def backward_batch(net: Network, result: ForwardResult, logits_grad: np.ndarray)
 def extract_embeddings(net: Network, sequences, windows=None) -> np.ndarray:
     """One embedding per pooling row (windows as in forward_batch; by default
     one row per whole sequence): the designated layer's pre-activation output,
-    computed in inference mode (running batch-norm moments, no dropout)."""
+    computed in inference mode (running batch-norm moments, no dropout), in
+    the network's dtype."""
     layer = net.spec.embedding_layer
     result = forward_batch(net, sequences, mode="inference", windows=windows, keep=(layer,))
     return np.array(result.values[layer])

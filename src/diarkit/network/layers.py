@@ -68,17 +68,23 @@ def factor_contexts(context) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def semi_orthogonalize(m: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
-    """Nearest matrix with orthonormal rows (Frobenius sense): U V^T from the SVD."""
+    """Nearest matrix with orthonormal rows (Frobenius sense): U V^T from the SVD.
+
+    The SVD runs in float64 and the result is rounded once to m's dtype, so
+    rank_tol means the same for a float32 matrix."""
     if m.ndim != 2 or m.shape[0] > m.shape[1]:
         raise InvalidInputError(f"matrix of shape {m.shape} has more rows than columns")
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    u, s, vt = np.linalg.svd(m.astype(np.float64, copy=False), full_matrices=False)
     if s[-1] <= rank_tol * max(1.0, s[0]):
         raise InvalidInputError("rank-deficient matrix has no semi-orthogonal projection")
-    return u @ vt
+    return (u @ vt).astype(m.dtype, copy=False)
 
 
 def ortho_residual(m: np.ndarray) -> float:
-    """Frobenius distance of M M^T from the identity."""
+    """Frobenius distance of M M^T from the identity, with the Gram matrix
+    formed in float64 so it measures the stored matrix, not the rounding of
+    its products."""
+    m = np.asarray(m, dtype=np.float64)
     gram = m @ m.T
     return float(np.linalg.norm(gram - np.eye(gram.shape[0])))
 
@@ -86,10 +92,12 @@ def ortho_residual(m: np.ndarray) -> float:
 def pool_moments(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean, population variance and standard deviation over the frame axis.
 
-    The variance is floored at VARIANCE_FLOOR under the square root so the
-    std gradient stays finite for constant input.
+    The sums run in float64 and each moment is rounded once to the frames'
+    dtype. The variance is floored at VARIANCE_FLOOR under the square root so
+    the std gradient stays finite for constant input.
     """
-    mean = frames.mean(axis=0)
+    mean = frames.mean(axis=0, dtype=np.float64)
     centered = frames - mean
     var = np.einsum("ij,ij->j", centered, centered) / frames.shape[0]
-    return mean, var, np.sqrt(np.maximum(var, VARIANCE_FLOOR))
+    std = np.sqrt(np.maximum(var, VARIANCE_FLOOR))
+    return tuple(a.astype(frames.dtype, copy=False) for a in (mean, var, std))

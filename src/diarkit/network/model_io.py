@@ -1,9 +1,15 @@
 """Binary model files.
 
-Layout: magic ``XVEC``, u32 format version, a u64-length-prefixed canonical
-text block describing the layer graph, then one u64-length-prefixed blob of
-little-endian float64 values per parameter (and per batch-norm running
-moment), in spec order. Shapes are implied by the graph: the layer-kind table
+Layout, format 2: magic ``XVEC``, u32 format version 2, the parameter dtype
+as two ASCII bytes (``f4`` for float32, ``f8`` for float64), a
+u64-length-prefixed canonical text block describing the layer graph, then one
+u64-length-prefixed blob of little-endian values in that dtype per parameter
+(and per batch-norm running moment), in spec order. Format 1 is the same
+without the dtype record; its blobs are float64.
+
+A float64 network is written in format 1, so its file is byte for byte what
+earlier versions wrote; any other network is written in format 2. Both load,
+each in its own dtype. Shapes are implied by the graph: the layer-kind table
 in graph.py (LAYER_KINDS) gives every parameter's shape and every buffer, so
 blobs carry no shape headers; save followed by load is bit-exact.
 """
@@ -14,7 +20,7 @@ import struct
 
 import numpy as np
 
-from ..errors import FormatError
+from ..errors import FormatError, InvalidInputError
 from .graph import (
     LAYER_KINDS,
     LayerSpec,
@@ -25,7 +31,9 @@ from .graph import (
 )
 
 MODEL_MAGIC = b"XVEC"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
+# dtype record -> parameter dtype; format 1 files are implicitly "f8"
+MODEL_DTYPES = {"f4": np.dtype(np.float32), "f8": np.dtype(np.float64)}
 
 
 def _csv(items) -> str:
@@ -99,17 +107,23 @@ def spec_from_text(text: str) -> NetworkSpec:
 
 
 def save_network(net: Network, path) -> None:
+    code = net.dtype.str[1:]  # "<f4" -> "f4"
+    if code not in MODEL_DTYPES:
+        raise InvalidInputError(f"model files hold float32 or float64 parameters, not {net.dtype}")
     text = spec_to_text(net.spec).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<I", MODEL_FORMAT_VERSION))
+        if code == "f8":  # format 1
+            fh.write(struct.pack("<I", 1))
+        else:
+            fh.write(struct.pack("<I", MODEL_FORMAT_VERSION) + code.encode("ascii"))
         fh.write(struct.pack("<Q", len(text)))
         fh.write(text)
         for ls in net.spec.layers:  # params, then buffers, layer by layer
             arrays = [net.params[ls.name][n] for n in param_shapes(ls)]
             arrays += [net.buffers[ls.name][n] for n in LAYER_KINDS[ls.kind].buffers]
             for arr in arrays:
-                blob = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+                blob = np.ascontiguousarray(arr, dtype="<" + code).tobytes()
                 fh.write(struct.pack("<Q", len(blob)))
                 fh.write(blob)
 
@@ -130,8 +144,15 @@ def load_network(path) -> Network:
     if take(4, "magic") != MODEL_MAGIC:
         raise FormatError(f"{path}: not a model file (bad magic)")
     (version,) = struct.unpack("<I", take(4, "version"))
-    if version != MODEL_FORMAT_VERSION:
+    if version == 1:
+        code = "f8"
+    elif version == MODEL_FORMAT_VERSION:
+        code = take(2, "dtype").decode("ascii", errors="replace")
+        if code not in MODEL_DTYPES:
+            raise FormatError(f"{path}: unknown parameter dtype {code!r}")
+    else:
         raise FormatError(f"{path}: unsupported model format version {version}")
+    dtype = MODEL_DTYPES[code]
     (text_len,) = struct.unpack("<Q", take(8, "spec length"))
     try:
         text = take(text_len, "spec block").decode("utf-8")
@@ -149,13 +170,13 @@ def load_network(path) -> Network:
             targets += [(buffers[ls.name], n, (ls.out_dim,)) for n in kind_buffers]
         for store, aname, shape in targets:
             (blob_len,) = struct.unpack("<Q", take(8, f"{ls.name}.{aname} length"))
-            expected = int(np.prod(shape)) * 8
+            expected = int(np.prod(shape)) * dtype.itemsize
             if blob_len != expected:
                 raise FormatError(
                     f"{path}: {ls.name}.{aname} holds {blob_len} bytes, expected {expected}"
                 )
             blob = take(blob_len, f"{ls.name}.{aname}")
-            arr = np.frombuffer(blob, dtype="<f8").reshape(shape).astype(np.float64)
+            arr = np.frombuffer(blob, dtype="<" + code).reshape(shape).astype(dtype)
             if not np.all(np.isfinite(arr)):
                 raise FormatError(f"{path}: {ls.name}.{aname} contains non-finite values")
             store[aname] = arr

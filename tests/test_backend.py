@@ -67,6 +67,17 @@ def test_whitener_identity_covariance():
     assert np.allclose(np.cov(y, rowvar=False, ddof=1), np.eye(8), atol=1e-8)
 
 
+def test_whitener_one_dimension():
+    """One column: np.cov gives a 0-d variance, which the whitener takes as a
+    1 x 1 covariance."""
+    x = np.random.default_rng(5).normal(2.0, 3.0, size=(40, 1))
+    w = fit_pca_whitener(x)
+    assert w.transform.shape == (1, 1)
+    assert w.transform[0, 0] == pytest.approx(1.0 / x[:, 0].std(ddof=1), rel=1e-12)
+    y = apply_whitener(w, x)
+    assert abs(y.mean()) < 1e-12 and y.std(ddof=1) == pytest.approx(1.0, rel=1e-12)
+
+
 def test_whitener_is_mean_shift_plus_matrix():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(30, 4))

@@ -9,9 +9,11 @@ import hashlib
 import os
 import platform
 import shutil
+import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import diarkit
@@ -21,6 +23,14 @@ from diarkit.cli import main
 from diarkit.der import read_rttm
 from diarkit.errors import TrainingDivergedError
 from diarkit.features import read_sad
+from diarkit.network import (
+    DimOverrides,
+    build_architecture,
+    initialize_network,
+    load_network,
+    save_network,
+)
+from diarkit.training import TrainConfig, load_train_set, train
 
 
 @pytest.fixture(scope="module")
@@ -409,22 +419,56 @@ def _calibrate(work, out, sad=None, feats=None, ref=None):
                  "--ref", str(ref or work["corpus"] / "eval/ref.rttm"), "--out", str(out)])
 
 
-# Pin every byte diarize, calibrate and segment-mode embed write on the work
-# corpus. The model and the back-end pass through LAPACK, so another build may
-# move their last bits and these hashes.
+@pytest.fixture(scope="module")
+def work64(work):
+    """The work corpus with a float64 model, made through the library the way
+    `diarkit train` made the work model before training ran in float32, so it
+    is saved in model format 1; and the back-end fit on its embeddings."""
+    root = work["root"] / "float64"
+    manifest = work["corpus"] / "train/manifest.txt"
+    ts = load_train_set(manifest)
+    spec = build_architecture("tdnn", len(ts.speakers),
+                              dims=DimOverrides(feat_dim=23, width=8, pool_width=12))
+    net = initialize_network(spec, seed=2)
+    train(net, ts, TrainConfig(epochs=1, batch_size=4, seed=2))
+    root.mkdir()
+    model = root / "model.bin"
+    save_network(net, model)
+    emb, backend = root / "train_emb.bin", root / "backend.bin"
+    assert main(["embed", "--model", str(model), "--manifest", str(manifest),
+                 "--out", str(emb)]) == 0
+    assert main(["backend-fit", "--embeddings", str(emb), "--out", str(backend)]) == 0
+    return {**work, "model": model, "backend": backend}
+
+
+# Pin every byte train (the model file), segment-mode embed, diarize and
+# calibrate write on the work corpus, for the float32 model `diarkit train`
+# writes and for a float64 model. The float64 hashes were taken before
+# training moved to float32, so they show that a float64 model file still
+# runs the same engine bit for bit. The model and the back-end pass through
+# LAPACK, so another build may move their last bits and these hashes.
 WORK_OUTPUT_SHA256 = {
+    "diarize-oracle-k": "70ff4cc211eeb6aced388a9a83dd9a9a6686a22deb92ec15717aec0efc246445",
+    "diarize-threshold": "c2c6df154389dbe37492576794a821c2e49a6a228d80af2b4efe1bcc1cb1844a",
+    "calibrate": "bf51e230e0b82c460f3e23d47fc6093d95b3b70709ce69b664eb34cc48cadaf6",
+    "embed": "a41afe7229859d582680f9d793306044cd2daf8b56a1ca4f24ac405609473952",
+    "model": "5f5918e5c4ed4f50c41b1cce1b24bfb504f1f8e7fb6150ac948c6d8f75590df4",
+}
+FLOAT64_WORK_OUTPUT_SHA256 = {
     "diarize-oracle-k": "70ff4cc211eeb6aced388a9a83dd9a9a6686a22deb92ec15717aec0efc246445",
     "diarize-threshold": "c2c6df154389dbe37492576794a821c2e49a6a228d80af2b4efe1bcc1cb1844a",
     "calibrate": "302371276f3f05c5a2a2a378cc90c427b4f4b760422f0521f304383b623765af",
     "embed": "3a995615704381f51d2e93740908aa23aad29aa0d5632d45815c80a24b34f1a4",
+    "model": "e54fe9ff90e7b289960244f29f4778d377fc6f3b5a1e58b6341845a7b70e70ed",
 }
 
 
-@pytest.mark.parametrize("name", sorted(WORK_OUTPUT_SHA256))
-def test_work_outputs_are_pinned(work, tmp_path, capsys, name):
+def _output_digest(work, tmp_path, capsys, name):
     out = tmp_path / "out"
     backend = ["--backend", str(work["backend"])]
-    if name == "diarize-oracle-k":
+    if name == "model":
+        out = work["model"]
+    elif name == "diarize-oracle-k":
         assert main(["diarize", *_conv_args(work), *backend, "--out", str(out),
                      "--oracle-k", str(work["corpus"] / "eval/oracle_k.txt")]) == 0
     elif name == "diarize-threshold":
@@ -436,8 +480,43 @@ def test_work_outputs_are_pinned(work, tmp_path, capsys, name):
     else:
         assert main(["embed", *_conv_args(work), "--out", str(out)]) == 0
     printed = capsys.readouterr().out.replace(str(out), "OUT") if name == "calibrate" else ""
-    digest = hashlib.sha256(printed.encode() + out.read_bytes()).hexdigest()
-    assert digest == WORK_OUTPUT_SHA256[name]
+    return hashlib.sha256(printed.encode() + out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(WORK_OUTPUT_SHA256))
+def test_work_outputs_are_pinned(work, tmp_path, capsys, name):
+    assert _output_digest(work, tmp_path, capsys, name) == WORK_OUTPUT_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT64_WORK_OUTPUT_SHA256))
+def test_float64_model_outputs_are_pinned(work64, tmp_path, capsys, name):
+    assert _output_digest(work64, tmp_path, capsys, name) == FLOAT64_WORK_OUTPUT_SHA256[name]
+
+
+def test_train_writes_a_float32_model(work):
+    assert work["model"].read_bytes()[4:10] == struct.pack("<I", 2) + b"f4"
+    assert load_network(work["model"]).dtype == np.float32
+
+
+def test_bad_model_dtype_is_exit_3(work, tmp_path, capsys):
+    raw = work["model"].read_bytes()
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(raw[:8] + b"f2" + raw[10:])
+    assert main(["embed", *_conv_args({**work, "model": bad}),
+                 "--out", str(tmp_path / "x.emb")]) == 3
+    assert "unknown parameter dtype 'f2'" in capsys.readouterr().err
+
+
+def test_one_dimensional_embeddings_fit_a_backend(work, tmp_path):
+    manifest = str(work["corpus"] / "train/manifest.txt")
+    model, emb = tmp_path / "model.bin", tmp_path / "emb.bin"
+    assert main(["train", "--manifest", manifest, "--out", str(model), "--arch", "ftdnn-msa",
+                 "--feat-dim", "23", "--width", "8", "--factor-width", "8", "--inner-dim", "4",
+                 "--pool-width", "12", "--branch-dim", "4", "--embed-dim", "1",
+                 "--epochs", "1", "--batch-size", "4", "--seed", "2"]) == 0
+    assert main(["embed", "--model", str(model), "--manifest", manifest, "--out", str(emb)]) == 0
+    assert {r.vector.shape for r in read_embeddings(emb)} == {(1,)}
+    assert main(["backend-fit", "--embeddings", str(emb), "--out", str(tmp_path / "b.bin")]) == 0
 
 
 NEAR_EMPTY = "conv001-short"

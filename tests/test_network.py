@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+import struct
 import weakref
 from dataclasses import replace
 
@@ -26,6 +27,7 @@ from diarkit.network import (
     initialize_network,
     load_network,
     ortho_residual,
+    param_shapes,
     receptive_span,
     save_network,
     semi_orthogonalize,
@@ -33,6 +35,7 @@ from diarkit.network import (
     unsplice,
     validate_spec,
 )
+from diarkit.network.model_io import spec_to_text
 from diarkit.training import TrainConfig, init_velocity, train_step
 from embedding_reference import extract_embedding, stats_pool
 from gradcheck_reference import check_gradients, condition_for_fd, fd_gradients, relative_errors
@@ -175,6 +178,32 @@ def test_semi_orthogonalize_errors():
 def test_ortho_residual_hand_value():
     m = np.diag([2.0, 1.0])
     assert abs(ortho_residual(m) - 3.0) < 1e-12
+
+
+# Worst residual measured on these matrices: 1.2e-7 (float32 eps is 6e-8)
+F32_ORTHO_BOUND = 5e-7
+
+
+def test_float32_factors_stay_semi_orthogonal():
+    """Float32 factor matrices, projected at initialization and again after
+    float32 training steps: the SVD runs in float64 and rounds once, so each
+    stored matrix is within a few float32 roundings of the manifold, and the
+    float64 Gram matrix measures that rather than its own rounding."""
+    spec = build_architecture("ftdnn_msa", 4, dims=REDUCED)
+    net = initialize_network(spec, seed=0).astype(np.float32)
+    rng = np.random.default_rng(8)
+    seqs = [rng.normal(size=(n, 23)) for n in (96, 81, 110, 88)]
+    cfg = TrainConfig(window_frames=50, window_shift=25, min_window_frames=40)
+    velocity = init_velocity(net)
+    residuals = [ortho_residual(m) for m in net.factor_matrices()]
+    for _ in range(2):
+        train_step(net, velocity, seqs, np.arange(4), 0.05, cfg, project=True)
+        residuals += [ortho_residual(m) for m in net.factor_matrices()]
+    assert all(m.dtype == np.float32 for m in net.factor_matrices())
+    assert max(residuals) < F32_ORTHO_BOUND
+    # an unprojected step leaves the manifold by far more than the bound
+    train_step(net, velocity, seqs, np.arange(4), 0.05, cfg)
+    assert max(ortho_residual(m) for m in net.factor_matrices()) > 100 * F32_ORTHO_BOUND
 
 
 # ------------------------------------------------------ statistics pooling
@@ -786,21 +815,22 @@ def test_relative_errors_floor():
 
 def test_model_roundtrip_bit_exact(tmp_path):
     spec = build_architecture("ftdnn_msa", 5, dims=REDUCED, taps=("frame7", "frame9"))
-    net = initialize_network(spec, seed=6)
-    rng = np.random.default_rng(30)
-    forward_batch(net, [rng.normal(size=(60, 23))], mode="training")  # move buffers
-    path = tmp_path / "model.xvec"
-    save_network(net, path)
-    loaded = load_network(path)
-    assert loaded.spec == net.spec
-    for name, d in net.params.items():
-        for key, v in d.items():
-            assert np.array_equal(loaded.params[name][key], v), (name, key)
-    for name, d in net.buffers.items():
-        for key, v in d.items():
-            assert np.array_equal(loaded.buffers[name][key], v), (name, key)
-    x = rng.normal(size=(50, 23))
-    assert np.array_equal(extract_embedding(net, x), extract_embedding(loaded, x))
+    for dtype in (np.float64, np.float32):
+        net = initialize_network(spec, seed=6).astype(dtype)
+        rng = np.random.default_rng(30)
+        forward_batch(net, [rng.normal(size=(60, 23))], mode="training")  # move buffers
+        path = tmp_path / f"model-{net.dtype}.xvec"
+        save_network(net, path)
+        loaded = load_network(path)
+        assert loaded.spec == net.spec
+        assert loaded.dtype == dtype
+        for group, loaded_group in ((net.params, loaded.params), (net.buffers, loaded.buffers)):
+            for name, d in group.items():
+                for key, v in d.items():
+                    got = loaded_group[name][key]
+                    assert got.dtype == dtype and np.array_equal(got, v), (name, key)
+        x = rng.normal(size=(50, 23))
+        assert np.array_equal(extract_embedding(net, x), extract_embedding(loaded, x))
 
 
 def test_model_file_errors(tmp_path):
@@ -820,6 +850,63 @@ def test_model_file_errors(tmp_path):
     bad.write_bytes(raw + b"\x00" * 8)
     with pytest.raises(FormatError):
         load_network(bad)
+    bad.write_bytes(raw[:4] + struct.pack("<I", 3) + raw[8:])
+    with pytest.raises(FormatError, match="version 3"):
+        load_network(bad)
+
+    save_network(net.astype(np.float32), path)
+    raw = path.read_bytes()
+    assert raw[4:10] == struct.pack("<I", 2) + b"f4"
+    for record in (b"f2", b"i4", b"\xff4"):
+        bad.write_bytes(raw[:8] + record + raw[10:])
+        with pytest.raises(FormatError, match="dtype"):
+            load_network(bad)
+    bad.write_bytes(raw[:8] + b"f8" + raw[10:])  # float32 blobs are half the size
+    with pytest.raises(FormatError, match="expected"):
+        load_network(bad)
+    with pytest.raises(InvalidInputError, match="float16"):
+        save_network(net.astype(np.float16), path)
+
+
+def _format_1_bytes(net):
+    """A model file as format 1 lays it out, built here field by field."""
+    text = spec_to_text(net.spec).encode("utf-8")
+    parts = [b"XVEC", struct.pack("<I", 1), struct.pack("<Q", len(text)), text]
+    for ls in net.spec.layers:
+        arrays = [net.params[ls.name][n] for n in param_shapes(ls)]
+        arrays += [net.buffers[ls.name][n] for n in graph.LAYER_KINDS[ls.kind].buffers]
+        for arr in arrays:
+            blob = arr.astype("<f8").tobytes()
+            parts += [struct.pack("<Q", len(blob)), blob]
+    return b"".join(parts)
+
+
+def test_format_1_file_loads_as_float64(tmp_path):
+    """A float64 model file from before the dtype record loads as float64 and
+    embeds bit for bit as the network it came from; save_network still
+    writes a float64 network in that layout."""
+    spec = build_architecture("ftdnn_msa", 4, dims=REDUCED)
+    net = initialize_network(spec, seed=9)
+    rng = np.random.default_rng(31)
+    seqs = [rng.normal(size=(n, 23)) for n in (70, 90)]
+    forward_batch(net, seqs, mode="training")  # move buffers
+    path = tmp_path / "v1.xvec"
+    path.write_bytes(_format_1_bytes(net))
+    loaded = load_network(path)
+    assert loaded.dtype == np.float64
+    rows = [(0, [(0, 70)]), (1, [(0, 60), (30, 90)]), (1, [(10, 50)])]
+    assert np.array_equal(extract_embeddings(loaded, seqs, windows=rows),
+                          extract_embeddings(net, seqs, windows=rows))
+    save_network(net, tmp_path / "saved.xvec")
+    assert (tmp_path / "saved.xvec").read_bytes() == path.read_bytes()
+
+
+def test_float32_model_file_is_half_the_size(tmp_path):
+    net = initialize_network(build_architecture("ftdnn_msa", 4, dims=REDUCED), seed=0)
+    save_network(net, tmp_path / "f8.xvec")
+    save_network(net.astype(np.float32), tmp_path / "f4.xvec")
+    f8, f4 = ((tmp_path / name).stat().st_size for name in ("f8.xvec", "f4.xvec"))
+    assert 0.5 < f4 / f8 < 0.51  # the spec text and the length prefixes stay
 
 
 # Pin the initial draw order and the file layout. Factor matrices pass through
@@ -916,8 +1003,8 @@ def test_trained_model_and_embeddings_are_pinned(tmp_path, arch, skip_mode, drop
 
 
 def _arrays(obj):
-    """Every ndarray reachable from a tape entry, each once."""
-    if isinstance(obj, np.ndarray):
+    """Every ndarray (and numpy scalar) reachable from a tape entry."""
+    if isinstance(obj, (np.ndarray, np.generic)):
         yield obj
     elif isinstance(obj, dict):
         for v in obj.values():
@@ -958,3 +1045,77 @@ def test_training_tape_dropout_mask_is_boolean():
     not a float64 mask of 1 / (1 - p) values."""
     frac = _tape_own_fraction("ftdnn_msa", dropout_prob=0.2, rng=np.random.default_rng(3))
     assert frac < 0.5
+
+
+# ------------------------------------------------------------ float32 engine
+
+# Relative Frobenius distance of the float32 engine from the float64 one on
+# the same float32 parameters and inputs. Worst measured over these five
+# cases: logits 6.0e-6, embeddings 1.7e-7, gradients 3.6e-5 (float32 eps is
+# 6e-8; batch norm over five segment rows amplifies the rounding of its
+# inputs by 1/std, which the logits and gradients see and inference does not).
+# The bounds leave about ten times that.
+F32_BOUNDS = {"logits": 6e-5, "embeddings": 2e-6, "gradients": 4e-4}
+F32_ROWS = [(0, [(0, 60)]), (0, [(20, 80), (40, 96)]), (2, [(0, 110)]),
+            (1, [(10, 81)]), (2, [(30, 90)])]
+
+
+def _float32_case(arch, skip_mode):
+    """A float32 network whose running moments have moved, the float64
+    network with the same values, and float32-representable ragged input."""
+    spec = build_architecture(arch, 4, dims=REDUCED, skip_mode=skip_mode)
+    rng = np.random.default_rng(0)
+    seqs = [rng.normal(0.1 * i, 1.0 + 0.1 * i, size=(n, 23)).astype(np.float32)
+            for i, n in enumerate((96, 81, 110))]
+    net = initialize_network(spec, seed=0)
+    forward_batch(net, seqs, mode="training")
+    net32 = net.astype(np.float32)
+    return net32, net32.astype(np.float64), seqs
+
+
+def _relative(a, ref):
+    return float(np.linalg.norm(a.astype(np.float64) - ref) / np.linalg.norm(ref))
+
+
+@pytest.mark.parametrize("arch,skip_mode", [("tdnn", "sum"), ("etdnn", "sum"), ("ftdnn", "sum"),
+                                            ("ftdnn", "concat"), ("ftdnn_msa", "sum")])
+def test_float32_engine_matches_float64(arch, skip_mode):
+    """Logits, embeddings and every parameter gradient of the float32 engine
+    against the float64 engine on the same values, with pooling rows that
+    share a sequence."""
+    net32, net64, seqs = _float32_case(arch, skip_mode)
+    res32 = forward_batch(net32, seqs, mode="training", windows=F32_ROWS)
+    res64 = forward_batch(net64, seqs, mode="training", windows=F32_ROWS)
+    grad_out = np.random.default_rng(4).choice([-1.0, 1.0], size=res64.logits.shape)
+    grads32 = backward_batch(net32, res32, grad_out)
+    grads64 = backward_batch(net64, res64, grad_out)
+    assert set(grads32) == set(grads64) == {ls.name for ls in net64.spec.layers if param_shapes(ls)}
+    errors = {
+        "logits": _relative(res32.logits, res64.logits),
+        "embeddings": _relative(extract_embeddings(net32, seqs, windows=F32_ROWS),
+                                extract_embeddings(net64, seqs, windows=F32_ROWS)),
+        "gradients": max(_relative(grads32[layer][p], g)
+                         for layer, d in grads64.items() for p, g in d.items()),
+    }
+    assert all(errors[k] < F32_BOUNDS[k] for k in F32_BOUNDS), errors
+
+
+def test_float32_training_pass_holds_only_float32():
+    """Every value, tape entry and gradient of a float32 training pass, and
+    the parameters, buffers and velocity after an update and a projection,
+    are float32. The float64 moment accumulators (batch norm, pooling) are
+    local to their call: nothing a pass keeps is float64."""
+    spec = build_architecture("ftdnn_msa", 4, dims=REDUCED, skip_mode="concat")
+    net = initialize_network(spec, seed=0).astype(np.float32)
+    rng = np.random.default_rng(12)
+    seqs = [rng.normal(size=(n, 23)) for n in (96, 81, 110)]  # float64 input
+    res = forward_batch(net, seqs, mode="training", windows=F32_ROWS,
+                        dropout_prob=0.2, rng=rng)
+    grads = backward_batch(net, res, np.ones(res.logits.shape))  # float64 logits gradient
+    velocity = init_velocity(net)
+    cfg = TrainConfig(window_frames=50, window_shift=25, min_window_frames=40)
+    train_step(net, velocity, seqs, np.arange(3), 0.05, cfg, project=True)
+    held = [res.values, res.tape, grads, net.params, net.buffers, velocity]
+    dtypes = {a.dtype for a in _arrays(held) if a.dtype.kind in "fc"}
+    assert dtypes == {np.dtype(np.float32)}
+    assert all(e["keep"].dtype == bool for e in res.tape.values() if e.get("keep") is not None)
