@@ -602,3 +602,50 @@ def test_calibrate_fold_without_segment_pairs(work, tmp_path, capsys):
     entries = read_rttm(out)
     assert {e.conversation_id for e in entries} == {"conv000", "conv001"}
     assert {e.speaker for e in entries if e.conversation_id == "conv000"} == {"spk0"}
+
+
+
+# ----------------------------------------------------------- front-end pin
+
+@pytest.fixture(scope="module")
+def audio_corpus(tmp_path_factory):
+    """A small `synth --audio` corpus."""
+    corpus = tmp_path_factory.mktemp("frontend") / "corpus"
+    assert main(["synth", "--out", str(corpus), "--speakers", "3", "--train-utts", "2",
+                 "--train-utt-s", "3", "--convs", "2", "--conv-s", "12",
+                 "--turn-min", "2", "--turn-max", "4", "--audio", "--seed", "5"]) == 0
+    return corpus
+
+
+# Pin every byte of the front end: the wavs and the features `synth --audio`
+# writes, and the features and stdout of `diarkit features` on those wavs.
+# The MFCC runs through numpy's FFT and scipy's DCT, so another build may move
+# the last bits of the derived features and that hash.
+FRONT_END_SHA256 = {
+    "derived-feats": "e1a7f3606707ab33f4fe60c868b8597409b67c0ac4c8acf9c82b8bf9c85725fd",
+    "synth-eval-feats": "23ca96269ceeaa66f318817c1f5dc6cd96d63c95573ae8823f4b07155f8668cf",
+    "synth-train-feats": "83c7c58646d55ed4d4cafb5f78d7dc23ffa5ebbe335c52ddf1d45cb32a2c7578",
+    "wav": "2bd038729874383c3e02b7fbeea36b67fe0090067d8e2baf942cbddf4f5f2e2d",
+}
+
+
+def _tree_digest(directory, printed=""):
+    h = hashlib.sha256(printed.encode())
+    for path in sorted(directory.iterdir()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", ["derived-feats", "synth-eval-feats", "synth-train-feats",
+                                  "wav"])
+def test_front_end_outputs_are_pinned(audio_corpus, tmp_path, capsys, name):
+    if name == "derived-feats":
+        capsys.readouterr()
+        assert main(["features", "--wav-dir", str(audio_corpus / "eval/wav"),
+                     "--sad", str(audio_corpus / "eval/sad.lab"),
+                     "--out", str(tmp_path)]) == 0
+        digest = _tree_digest(tmp_path, capsys.readouterr().out)
+    else:
+        digest = _tree_digest(audio_corpus / {"wav": "eval/wav", "synth-eval-feats": "eval/feats",
+                                              "synth-train-feats": "train/feats"}[name])
+    assert digest == FRONT_END_SHA256[name]
