@@ -444,7 +444,7 @@ def _features_one(job):
     (conv, wav_path, marks), out_dir, cmn_window = job
     feats = sliding_cmn(compute_mfcc(read_wav(wav_path)), cmn_window)
     _atomic(os.path.join(out_dir, f"{conv}.fea"), lambda p: write_features(p, feats))
-    return f"{conv} {feats.num_frames} frames, {len(segment_speech(marks))} segments"
+    return f"{conv} {feats.shape[0]} frames, {len(segment_speech(marks))} segments"
 
 
 def _cmd_features(ns) -> int:

@@ -103,7 +103,11 @@ def _merges_above(steps: list[MergeStep], threshold: float) -> int:
 
 
 def cut_at_threshold(n: int, steps: list[MergeStep], threshold: float) -> np.ndarray:
-    """Stop at the first merge whose average score falls below the threshold."""
+    """Stop at the first merge whose average score falls below the threshold.
+    A NaN threshold orders against no score, so it is rejected; +-inf are
+    valid (no merge, every merge)."""
+    if math.isnan(threshold):
+        raise InvalidInputError("clustering threshold must not be NaN")
     return _labels_after(n, steps, _merges_above(steps, threshold))
 
 

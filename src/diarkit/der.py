@@ -171,8 +171,8 @@ def compute_der(
         hconv = _validate_entries(hyp, "hypothesis")
         if hconv != conv:
             raise InvalidInputError(f"hypothesis is for {hconv!r}, reference for {conv!r}")
-    if collar_s < 0:
-        raise InvalidInputError("collar must be nonnegative")
+    if not 0.0 <= collar_s < np.inf:
+        raise InvalidInputError(f"collar must be finite and nonnegative, got {collar_s}")
     if not sad:
         raise InvalidInputError("no speech activity marks given")
     for m in sad:

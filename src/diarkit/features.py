@@ -1,13 +1,18 @@
-"""Acoustic front-end: MFCC extraction, sliding-window mean normalization,
+"""Acoustic front end: MFCC extraction, sliding-window mean normalization,
 SAD-driven sub-segmentation, and the file formats that carry features and
 speech marks between pipeline stages.
 
-Conventions fixed here and relied on elsewhere:
+The recipe is the fixed x-vector front end, and the module constants below
+are all of it: 16-bit PCM mono audio at 8 kHz (any other layout is rejected);
+23 mel filters and 23 cepstra over 25 ms Hamming windows (200 samples, a
+256-point FFT) at a 10 ms shift, after 0.97 pre-emphasis, with filter
+energies floored at 1e-10; a 300-frame sliding mean (the one value the
+command line can change); and 1.5 s scoring segments at a 0.75 s shift, none
+shorter than 0.5 s. A signal of n samples gives round(n / 80) frames, by
+reflective edge padding, so a 1.5 s window always yields exactly 150 frames.
 
-* telephone-band audio: 16-bit PCM mono at 8 kHz;
-* 23 mel filters / 23 cepstra over 25 ms Hamming windows at a 10 ms shift;
-* frame count T = round(num_samples / shift), realized with reflective edge
-  padding, so a 1.5 s window always yields exactly 150 frames.
+Features are plain float32 (frames, dim) arrays from the .fea file to the
+network, which casts them to its own dtype exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from __future__ import annotations
 import struct
 import wave as _wave
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.fftpack import dct
@@ -24,8 +28,12 @@ from .errors import FormatError, InvalidInputError
 
 SAMPLE_RATE = 8000
 NUM_COEFFS = 23
-FRAME_LENGTH_S = 0.025
 FRAME_SHIFT_S = 0.010
+FRAME_SHIFT = 80  # samples
+FRAME_LENGTH = 200  # samples: 25 ms
+FFT_SIZE = 256  # the least power of two that holds a frame
+PREEMPHASIS = 0.97
+ENERGY_FLOOR = 1e-10
 CMN_WINDOW_FRAMES = 300
 
 SEGMENT_LENGTH_S = 1.5
@@ -33,73 +41,6 @@ SEGMENT_SHIFT_S = 0.75
 SEGMENT_MIN_S = 0.5
 
 FEATURE_MAGIC = b"FEA1"
-
-
-@dataclass(frozen=True)
-class MfccConfig:
-    """Front-end settings; the defaults define the pipeline's feature space."""
-
-    sample_rate: int = SAMPLE_RATE
-    frame_length_s: float = FRAME_LENGTH_S
-    frame_shift_s: float = FRAME_SHIFT_S
-    num_filters: int = NUM_COEFFS
-    num_coeffs: int = NUM_COEFFS
-    preemphasis: float = 0.97
-    energy_floor: float = 1e-10
-
-    @property
-    def frame_length(self) -> int:
-        return int(round(self.sample_rate * self.frame_length_s))
-
-    @property
-    def frame_shift(self) -> int:
-        return int(round(self.sample_rate * self.frame_shift_s))
-
-    @property
-    def fft_size(self) -> int:
-        n = 1
-        while n < self.frame_length:
-            n *= 2
-        return n
-
-
-@dataclass(frozen=True)
-class Waveform:
-    samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
-        if self.samples.ndim != 1:
-            raise InvalidInputError("waveform must be a 1-D sample vector")
-        if self.sample_rate <= 0:
-            raise InvalidInputError("sample rate must be positive")
-
-    @property
-    def duration_s(self) -> float:
-        return self.samples.shape[0] / self.sample_rate
-
-
-@dataclass
-class FeatureMatrix:
-    """Frame-major feature array plus the timing metadata of its frames."""
-
-    values: np.ndarray
-    frame_shift_s: float = FRAME_SHIFT_S
-    frame_length_s: float = FRAME_LENGTH_S
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise InvalidInputError("feature matrix must be 2-D (frames x coefficients)")
-
-    @property
-    def num_frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def num_coeffs(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -152,35 +93,23 @@ def mel_filterbank(num_filters: int, fft_size: int, sample_rate: int) -> np.ndar
     return weights
 
 
-def num_mfcc_frames(num_samples: int, cfg: MfccConfig | None = None) -> int:
-    """Frame count for a signal of the given length: round(num_samples / shift)."""
-    cfg = cfg or MfccConfig()
-    shift = cfg.frame_shift
-    return (num_samples + shift // 2) // shift
-
-
-def compute_mfcc(wave: Waveform, cfg: MfccConfig | None = None) -> FeatureMatrix:
-    """MFCC matrix of a waveform.
+def compute_mfcc(samples: np.ndarray) -> np.ndarray:
+    """MFCC matrix (frames x NUM_COEFFS, float64) of an 8 kHz sample vector.
 
     Frames are centered at t*shift + shift/2 and taken from a reflectively
     padded signal, giving exactly round(num_samples / shift) rows.
     """
-    cfg = cfg or MfccConfig()
-    if wave.sample_rate != cfg.sample_rate:
-        raise InvalidInputError(
-            f"expected {cfg.sample_rate} Hz audio, got {wave.sample_rate} Hz"
-        )
-    if cfg.num_coeffs > cfg.num_filters:
-        raise InvalidInputError("num_coeffs cannot exceed num_filters")
-    x = wave.samples
-    flen, shift = cfg.frame_length, cfg.frame_shift
+    x = np.asarray(samples, dtype=np.float64)
+    if x.ndim != 1:
+        raise InvalidInputError("waveform must be a 1-D sample vector")
+    flen, shift = FRAME_LENGTH, FRAME_SHIFT
     if x.shape[0] < flen:
         raise InvalidInputError(
             f"signal of {x.shape[0]} samples is shorter than one {flen}-sample frame"
         )
 
-    pre = np.concatenate([x[:1], x[1:] - cfg.preemphasis * x[:-1]])
-    num_frames = num_mfcc_frames(x.shape[0], cfg)
+    pre = np.concatenate([x[:1], x[1:] - PREEMPHASIS * x[:-1]])
+    num_frames = (x.shape[0] + shift // 2) // shift
     pad_left = flen // 2 - shift // 2
     last_end = (num_frames - 1) * shift - pad_left + flen
     pad_right = max(0, last_end - x.shape[0])
@@ -189,16 +118,15 @@ def compute_mfcc(wave: Waveform, cfg: MfccConfig | None = None) -> FeatureMatrix
     starts = np.arange(num_frames) * shift
     frames = padded[starts[:, None] + np.arange(flen)[None, :]]
     window = np.hamming(flen)
-    spectrum = np.fft.rfft(frames * window, n=cfg.fft_size, axis=1)
+    spectrum = np.fft.rfft(frames * window, n=FFT_SIZE, axis=1)
     power = spectrum.real**2 + spectrum.imag**2
 
-    fbank = mel_filterbank(cfg.num_filters, cfg.fft_size, cfg.sample_rate)
-    log_energy = np.log(np.maximum(power @ fbank.T, cfg.energy_floor))
-    cepstra = dct(log_energy, type=2, axis=1, norm="ortho")[:, : cfg.num_coeffs]
-    return FeatureMatrix(cepstra, cfg.frame_shift_s, cfg.frame_length_s)
+    fbank = mel_filterbank(NUM_COEFFS, FFT_SIZE, SAMPLE_RATE)
+    log_energy = np.log(np.maximum(power @ fbank.T, ENERGY_FLOOR))
+    return dct(log_energy, type=2, axis=1, norm="ortho")[:, :NUM_COEFFS]
 
 
-def sliding_cmn(feats: FeatureMatrix, window_frames: int = CMN_WINDOW_FRAMES) -> FeatureMatrix:
+def sliding_cmn(x: np.ndarray, window_frames: int = CMN_WINDOW_FRAMES) -> np.ndarray:
     """Subtract from each frame the mean of a centered window around it.
 
     Windows keep their full length by sliding inward at the utterance edges;
@@ -207,7 +135,6 @@ def sliding_cmn(feats: FeatureMatrix, window_frames: int = CMN_WINDOW_FRAMES) ->
     """
     if window_frames < 1:
         raise InvalidInputError("CMN window must be at least one frame")
-    x = feats.values
     total = x.shape[0]
     if total == 0:
         raise InvalidInputError("cannot normalize an empty feature matrix")
@@ -215,7 +142,7 @@ def sliding_cmn(feats: FeatureMatrix, window_frames: int = CMN_WINDOW_FRAMES) ->
     csum = np.vstack([np.zeros((1, x.shape[1])), np.cumsum(x, axis=0)])
     lo = np.clip(np.arange(total) - window_frames // 2, 0, total - w)
     means = (csum[lo + w] - csum[lo]) / w
-    return FeatureMatrix(x - means, feats.frame_shift_s, feats.frame_length_s)
+    return x - means
 
 
 def stride_windows(start, end, length, shift, min_length):
@@ -253,30 +180,25 @@ def merge_sad_marks(marks: list[SadMark]) -> list[SadMark]:
     return merged
 
 
-def segment_speech(
-    marks: list[SadMark],
-    seg_len_s: float = SEGMENT_LENGTH_S,
-    shift_s: float = SEGMENT_SHIFT_S,
-    min_len_s: float = SEGMENT_MIN_S,
-    frame_shift_s: float = FRAME_SHIFT_S,
-) -> list[Segment]:
+def segment_speech(marks: list[SadMark]) -> list[Segment]:
     """Cut SAD regions into overlapping sub-segments.
 
-    Each region is tiled with [s, s+seg_len] windows at the given stride; the
-    final window is truncated at the region end, and windows shorter than
-    min_len_s are dropped. A region shorter than seg_len_s yields the region
-    itself (if long enough).
+    Each region is tiled with SEGMENT_LENGTH_S windows at SEGMENT_SHIFT_S;
+    the final window is truncated at the region end, and windows shorter than
+    SEGMENT_MIN_S are dropped. A region shorter than one segment yields the
+    region itself (if long enough).
     """
     segments = []
     for mark in merge_sad_marks(marks):
-        for a, b in stride_windows(mark.start_s, mark.end_s, seg_len_s, shift_s, min_len_s):
-            frame_range = (int(round(a / frame_shift_s)), int(round(b / frame_shift_s)))
+        for a, b in stride_windows(mark.start_s, mark.end_s, SEGMENT_LENGTH_S,
+                                   SEGMENT_SHIFT_S, SEGMENT_MIN_S):
+            frame_range = (int(round(a / FRAME_SHIFT_S)), int(round(b / FRAME_SHIFT_S)))
             segments.append(Segment(mark.conversation_id, a, b, frame_range))
     return segments
 
 
-def read_wav(path, expected_rate: int = SAMPLE_RATE) -> Waveform:
-    """Read a RIFF PCM 16-bit mono file, rejecting anything else."""
+def read_wav(path) -> np.ndarray:
+    """Samples of a RIFF PCM 16-bit mono 8 kHz file, rejecting anything else."""
     try:
         with _wave.open(str(path), "rb") as w:
             channels = w.getnchannels()
@@ -292,18 +214,17 @@ def read_wav(path, expected_rate: int = SAMPLE_RATE) -> Waveform:
         raise FormatError(f"{path}: expected mono audio, got {channels} channels")
     if width != 2:
         raise FormatError(f"{path}: expected 16-bit samples, got {8 * width}-bit")
-    if rate != expected_rate:
-        raise FormatError(f"{path}: expected {expected_rate} Hz, got {rate} Hz")
-    samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
-    return Waveform(samples, rate)
+    if rate != SAMPLE_RATE:
+        raise FormatError(f"{path}: expected {SAMPLE_RATE} Hz, got {rate} Hz")
+    return np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
 
 
-def write_wav(path, wave: Waveform) -> None:
-    scaled = np.clip(np.round(wave.samples * 32768.0), -32768, 32767).astype("<i2")
+def write_wav(path, samples: np.ndarray) -> None:
+    scaled = np.clip(np.round(samples * 32768.0), -32768, 32767).astype("<i2")
     with _wave.open(str(path), "wb") as w:
         w.setnchannels(1)
         w.setsampwidth(2)
-        w.setframerate(wave.sample_rate)
+        w.setframerate(SAMPLE_RATE)
         w.writeframes(scaled.tobytes())
 
 
@@ -335,16 +256,19 @@ def write_sad(path, marks: list[SadMark]) -> None:
             fh.write(f"{m.conversation_id} {m.start_s:.3f} {m.end_s:.3f}\n")
 
 
-def write_features(path, feats: FeatureMatrix) -> None:
+def write_features(path, feats: np.ndarray) -> None:
     """Binary feature dump: magic, u32 frame count, u32 dim, f32 rows."""
-    values = np.ascontiguousarray(feats.values, dtype="<f4")
+    values = np.ascontiguousarray(feats, dtype="<f4")
+    if values.ndim != 2:
+        raise InvalidInputError("feature matrix must be 2-D (frames x coefficients)")
     with open(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<II", values.shape[0], values.shape[1]))
         fh.write(values.tobytes())
 
 
-def read_features(path) -> FeatureMatrix:
+def read_features(path) -> np.ndarray:
+    """The file's (frames, dim) matrix as a writable native float32 array."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != FEATURE_MAGIC:
@@ -360,4 +284,4 @@ def read_features(path) -> FeatureMatrix:
     values = np.frombuffer(payload, dtype="<f4").reshape(num_frames, dim)
     if not np.isfinite(values).all():
         raise FormatError(f"{path}: non-finite feature values")
-    return FeatureMatrix(values.astype(np.float64))
+    return values.astype(np.float32)

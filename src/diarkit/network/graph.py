@@ -383,7 +383,6 @@ class _ReluBatchNorm(LayerKind):
         keep = scale = None
         if run.dropout_prob > 0.0:
             keep = run.rng.random(y.shape) >= run.dropout_prob
-            # p = 1: inf, not ZeroDivisionError
             scale = 1.0 / y.dtype.type(1.0 - run.dropout_prob)
             y *= keep
             y *= scale
@@ -654,6 +653,8 @@ def forward_batch(
     if mode not in ("training", "inference"):
         raise InvalidInputError(f"unknown mode {mode!r}")
     training = mode == "training"
+    if not 0.0 <= dropout_prob < 1.0:
+        raise InvalidInputError(f"dropout probability must be in [0, 1), got {dropout_prob}")
     if dropout_prob and not training:
         dropout_prob = 0.0
     if dropout_prob and rng is None:

@@ -26,7 +26,7 @@ from .backend import (
 from .clustering import ahc
 from .der import TimelineEntry, build_hypothesis
 from .errors import InvalidInputError
-from .features import FRAME_SHIFT_S, FeatureMatrix, SadMark, Segment, segment_speech
+from .features import FRAME_SHIFT_S, SadMark, Segment, segment_speech
 from .network import Network, extract_embeddings, receptive_span
 from .training import load_manifest_features
 
@@ -57,7 +57,7 @@ def windowed_utterance_embeddings(net: Network, manifest_path) -> list[Embedding
     out = []
     for e, f in zip(entries, feats):
         marks = [SadMark(e.utterance_id, 0.0, f.shape[0] * FRAME_SHIFT_S)]
-        segments, vecs = conversation_embeddings(net, FeatureMatrix(f), marks)
+        segments, vecs = conversation_embeddings(net, f, marks)
         if not segments:
             raise InvalidInputError(
                 f"{e.utterance_id}: no usable segments within the features")
@@ -66,7 +66,7 @@ def windowed_utterance_embeddings(net: Network, manifest_path) -> list[Embedding
     return out
 
 
-def conversation_segments(feats: FeatureMatrix, marks: list[SadMark],
+def conversation_segments(feats: np.ndarray, marks: list[SadMark],
                           min_frames: int) -> list[Segment]:
     """Scoring segments for one conversation, clipped to the feature matrix.
 
@@ -77,20 +77,22 @@ def conversation_segments(feats: FeatureMatrix, marks: list[SadMark],
     out = []
     for seg in segment_speech(marks):
         a, b = seg.frame_range
-        b = min(b, feats.num_frames)
+        b = min(b, feats.shape[0])
         if b - a >= min_frames:
             out.append(Segment(seg.conversation_id, seg.start_s, seg.end_s, (a, b)))
     return out
 
 
-def conversation_embeddings(net: Network, feats: FeatureMatrix,
+def conversation_embeddings(net: Network, feats: np.ndarray,
                             marks: list[SadMark]) -> tuple[list[Segment], np.ndarray]:
-    """Segments of one conversation and an embedding for each; no rows, and
-    no network pass, when no segment is long enough to embed."""
+    """Segments of one conversation and an embedding for each, in the
+    network's dtype; no rows, and no network pass, when no segment is long
+    enough to embed."""
     segments = conversation_segments(feats, marks, min_frames=receptive_span(net.spec) + 2)
     if not segments:
-        return segments, np.empty((0, net.params[net.spec.embedding_layer]["W"].shape[0]))
-    return segments, _segment_embeddings(net, feats.values, segments)
+        return segments, np.empty((0, net.params[net.spec.embedding_layer]["W"].shape[0]),
+                                  dtype=net.dtype)
+    return segments, _segment_embeddings(net, feats, segments)
 
 
 def speech_span(marks: list[SadMark]) -> Segment:

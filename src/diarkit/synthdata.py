@@ -29,9 +29,7 @@ from .features import (
     FRAME_SHIFT_S,
     NUM_COEFFS,
     SAMPLE_RATE,
-    FeatureMatrix,
     SadMark,
-    Waveform,
     write_features,
     write_sad,
     write_wav,
@@ -64,7 +62,7 @@ class SynthConversation:
     conversation_id: str
     turns: list[tuple[str, float]]  # (speaker_id, duration_s)
     reference: list[TimelineEntry]
-    features: FeatureMatrix
+    features: np.ndarray  # (frames, NUM_COEFFS)
     sad: list[SadMark]
 
 
@@ -78,8 +76,8 @@ def generate_speakers(
     """Means drawn uniformly on the sphere of radius `separation`."""
     if n < 2:
         raise InvalidInputError(f"need at least 2 speakers, got {n}")
-    if separation < 0:
-        raise InvalidInputError("separation must be nonnegative")
+    if not 0.0 <= separation < np.inf:
+        raise InvalidInputError(f"separation must be finite and nonnegative, got {separation}")
     rng = np.random.default_rng(seed)
     out = []
     for i in range(n):
@@ -105,12 +103,12 @@ def _ar1_frames(rng: np.random.Generator, speaker: SynthSpeaker, frames: int) ->
     return speaker.mean + dev
 
 
-def generate_utterance(speaker: SynthSpeaker, duration_s: float, seed) -> FeatureMatrix:
+def generate_utterance(speaker: SynthSpeaker, duration_s: float, seed) -> np.ndarray:
     frames = int(round(duration_s * _FPS))
     if frames < 1:
         raise InvalidInputError(f"utterance of {duration_s} s has no frames")
     rng = np.random.default_rng(seed)
-    return FeatureMatrix(_ar1_frames(rng, speaker, frames))
+    return _ar1_frames(rng, speaker, frames)
 
 
 def generate_conversation(
@@ -162,7 +160,7 @@ def generate_conversation(
                                        spk.speaker_id))
         turns.append((spk.speaker_id, dur / _FPS))
         t += dur
-    features = FeatureMatrix(np.vstack(blocks))
+    features = np.vstack(blocks)
     sad = [SadMark(conversation_id, 0.0, total_f / _FPS)]
     return SynthConversation(conversation_id, turns, reference, features, sad)
 
@@ -170,10 +168,10 @@ def generate_conversation(
 # ----------------------------------------------------------------- audio mode
 
 def conversation_audio(conv: SynthConversation, speakers: Sequence[SynthSpeaker],
-                       noise_scale: float = 0.01) -> Waveform:
-    """Render each turn as a small sine mixture keyed to the speaker, plus a
-    touch of noise; enough structure for the MFCC front end to tell speakers
-    apart, no pretense of being speech."""
+                       noise_scale: float = 0.01) -> np.ndarray:
+    """Samples at SAMPLE_RATE rendering each turn as a small sine mixture
+    keyed to the speaker, plus a touch of noise; enough structure for the
+    MFCC front end to tell speakers apart, no pretense of being speech."""
     order = {s.speaker_id: i for i, s in enumerate(speakers)}
     # zlib.crc32 is stable across processes, unlike hash()
     rng = np.random.default_rng(zlib.crc32(conv.conversation_id.encode("utf-8")))
@@ -187,7 +185,7 @@ def conversation_audio(conv: SynthConversation, speakers: Sequence[SynthSpeaker]
                 + 0.25 * np.sin(2 * np.pi * 2.1 * f0 * t)
                 + 0.15 * np.sin(2 * np.pi * 3.3 * f0 * t))
         pieces.append(tone + noise_scale * rng.normal(size=n))
-    return Waveform(np.concatenate(pieces), SAMPLE_RATE)
+    return np.concatenate(pieces)
 
 
 # -------------------------------------------------------------- corpus writer

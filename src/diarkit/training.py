@@ -52,6 +52,8 @@ class TrainConfig:
             raise InvalidInputError("learning rates must be positive")
         if self.pooling not in ("windowed", "whole"):
             raise InvalidInputError(f"unknown pooling mode {self.pooling!r}")
+        if not 0.0 <= self.dropout_prob < 1.0:
+            raise InvalidInputError(f"dropout_prob must be in [0, 1), got {self.dropout_prob}")
         if not 0 < self.min_window_frames <= self.window_frames:
             raise InvalidInputError("need 0 < min_window_frames <= window_frames")
 
@@ -108,7 +110,7 @@ def build_train_set(entries: Sequence[ManifestEntry], features: Sequence[np.ndar
     index = {s: i for i, s in enumerate(speakers)}
     labels = np.array([index[e.speaker_id] for e in entries])
     by_speaker = tuple(tuple(np.flatnonzero(labels == i)) for i in range(len(speakers)))
-    return TrainSet([np.asarray(f, dtype=np.float64) for f in features], labels, speakers, by_speaker)
+    return TrainSet(list(features), labels, speakers, by_speaker)
 
 
 def load_manifest_features(manifest_path) -> tuple[list[ManifestEntry], list[np.ndarray]]:
@@ -116,7 +118,7 @@ def load_manifest_features(manifest_path) -> tuple[list[ManifestEntry], list[np.
     so a generated corpus stays relocatable."""
     entries = read_manifest(manifest_path)
     base = os.path.dirname(os.path.abspath(os.fspath(manifest_path)))
-    feats = [read_features(p if os.path.isabs(p) else os.path.join(base, p)).values
+    feats = [read_features(p if os.path.isabs(p) else os.path.join(base, p))
              for p in (e.path for e in entries)]
     return entries, feats
 

@@ -383,7 +383,7 @@ def _turn_mean_probe_accuracy(corpus):
     ref_by = der.by_conversation(der.read_rttm(corpus / "eval" / "ref.rttm"))
     vecs, names = [], []
     for conv in sorted(ref_by):
-        feats = read_features(corpus / "eval" / "feats" / f"{conv}.fea").values
+        feats = read_features(corpus / "eval" / "feats" / f"{conv}.fea").astype(np.float64)
         for e in ref_by[conv]:
             a = int(round(e.start_s * 100))
             b = min(int(round(e.end_s * 100)), feats.shape[0])

@@ -131,6 +131,31 @@ def test_invalid_input_is_exit_4(work, tmp_path, capsys):
     assert "ghost" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("score", "--collar", "nan"), ("score", "--collar", "inf"), ("calibrate", "--collar", "nan"),
+    ("diarize", "--threshold", "nan"), ("train", "--dropout", "1.0"),
+    ("train", "--dropout", "1.5"), ("train", "--dropout", "-0.5"),
+    ("synth", "--separation", "nan"),
+])
+def test_bad_option_value_is_exit_4(work, tmp_path, capsys, command, flag, value):
+    ev, out = work["corpus"] / "eval", tmp_path / "out"
+    args = {
+        "score": ["--ref", str(ev / "ref.rttm"), "--hyp", str(work["hyp"]),
+                  "--sad", str(ev / "sad.lab")],
+        "calibrate": [*_conv_args(work), "--backend", str(work["backend"]),
+                      "--ref", str(ev / "ref.rttm"), "--out", str(out)],
+        "diarize": [*_conv_args(work), "--backend", str(work["backend"]), "--out", str(out)],
+        "train": ["--manifest", str(work["corpus"] / "train/manifest.txt"), "--out", str(out),
+                  "--arch", "tdnn", "--feat-dim", "23", "--width", "8", "--pool-width", "12",
+                  "--epochs", "1", "--batch-size", "4"],
+        "synth": ["--out", str(out), "--speakers", "3", "--convs", "1"],
+    }[command]
+    assert main([command, *args, flag, value]) == 4
+    assert flag.lstrip("-") in capsys.readouterr().err
+    if command != "synth":
+        assert not out.exists()
+
+
 def test_diverged_training_is_exit_5(work, tmp_path, monkeypatch, capsys):
     def diverge(*args, **kwargs):
         raise TrainingDivergedError("loss is not finite: nan")

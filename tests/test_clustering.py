@@ -75,6 +75,17 @@ def test_threshold_is_inclusive():
     assert ahc(s, threshold=5.0 + 1e-12).tolist() == [0, 1]
 
 
+def test_nan_threshold_is_rejected_and_infinities_are_valid():
+    # every score < nan is false, so a NaN threshold would merge everything
+    s = np.array([[0.0, 5.0], [5.0, 0.0]])
+    with pytest.raises(InvalidInputError, match="NaN"):
+        ahc(s, threshold=float("nan"))
+    with pytest.raises(InvalidInputError, match="NaN"):
+        cut_at_threshold(2, merge_sequence(s), float("nan"))
+    assert ahc(s, threshold=-float("inf")).tolist() == [0, 0]
+    assert ahc(s, threshold=float("inf")).tolist() == [0, 1]
+
+
 def test_matches_greedy_reference():
     rng = np.random.default_rng(20)
     for trial in range(200):

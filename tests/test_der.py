@@ -123,6 +123,13 @@ def test_der_collar_monotone_in_scored_time():
             prev = r.scored_time_s
 
 
+@pytest.mark.parametrize("collar", [-0.1, float("nan"), float("inf")])
+def test_der_rejects_collar_not_finite_and_nonnegative(collar):
+    ref = _tl("c", (0.0, 2.0, "A"), (2.0, 4.0, "B"))
+    with pytest.raises(InvalidInputError, match="collar must be finite and nonnegative"):
+        compute_der(ref, ref, [SadMark("c", 0.0, 4.0)], collar_s=collar)
+
+
 def test_der_identity_components_sum():
     rng = np.random.default_rng(31)
     for _ in range(20):

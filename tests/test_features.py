@@ -34,70 +34,61 @@ def tone(freq=440.0, dur_s=1.0, rate=8000, amp=0.5):
 
 class TestComputeMfcc:
     def test_frame_count_1p5s(self):
-        feats = features.compute_mfcc(features.Waveform(tone(dur_s=1.5)))
-        assert feats.values.shape == (150, 23)
+        feats = features.compute_mfcc(tone(dur_s=1.5))
+        assert feats.shape == (150, 23)
 
     def test_frame_count_is_rounded_sample_ratio(self):
         rng = np.random.default_rng(11)
         for n in [200, 201, 239, 240, 241, 999, 1000, 12041, 12039]:
-            wave = features.Waveform(rng.standard_normal(n) * 0.1)
+            wave = rng.standard_normal(n) * 0.1
             feats = features.compute_mfcc(wave)
-            assert feats.num_frames == int(np.floor(n / 80 + 0.5)), n
+            assert feats.shape[0] == int(np.floor(n / 80 + 0.5)), n
 
     def test_tone_matches_reference_rows(self):
-        feats = features.compute_mfcc(features.Waveform(tone()))
-        np.testing.assert_allclose(feats.values[0], TONE_ROW_0, atol=1e-6)
-        np.testing.assert_allclose(feats.values[50], TONE_ROW_50, atol=1e-6)
+        feats = features.compute_mfcc(tone())
+        np.testing.assert_allclose(feats[0], TONE_ROW_0, atol=1e-6)
+        np.testing.assert_allclose(feats[50], TONE_ROW_50, atol=1e-6)
 
     def test_matches_stepwise_reference_on_random_signal(self):
         rng = np.random.default_rng(7)
         sig = rng.uniform(-0.5, 0.5, size=2521)
-        got = features.compute_mfcc(features.Waveform(sig)).values
+        got = features.compute_mfcc(sig)
         want = reference_mfcc(sig)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
     def test_zero_signal_rows_identical_and_floored(self):
-        feats = features.compute_mfcc(features.Waveform(np.zeros(4000)))
-        assert np.isfinite(feats.values).all()
-        assert np.ptp(feats.values, axis=0).max() == 0.0
+        feats = features.compute_mfcc(np.zeros(4000))
+        assert np.isfinite(feats).all()
+        assert np.ptp(feats, axis=0).max() == 0.0
         # every filter energy sits at the floor; c0 = log(floor) * sqrt(23)
-        assert feats.values[0, 0] == pytest.approx(np.log(1e-10) * np.sqrt(23.0))
+        assert feats[0, 0] == pytest.approx(np.log(1e-10) * np.sqrt(23.0))
 
     def test_deterministic_bytes(self):
         sig = tone(dur_s=0.7)
-        a = features.compute_mfcc(features.Waveform(sig)).values
-        b = features.compute_mfcc(features.Waveform(sig)).values
+        a = features.compute_mfcc(sig)
+        b = features.compute_mfcc(sig)
         assert a.tobytes() == b.tobytes()
 
     def test_rejects_short_signal(self):
         with pytest.raises(InvalidInputError):
-            features.compute_mfcc(features.Waveform(np.zeros(199)))
-
-    def test_rejects_wrong_rate(self):
-        with pytest.raises(InvalidInputError):
-            features.compute_mfcc(features.Waveform(np.zeros(16000), sample_rate=16000))
-
-    def test_rejects_more_coeffs_than_filters(self):
-        cfg = features.MfccConfig(num_filters=20, num_coeffs=23)
-        with pytest.raises(InvalidInputError):
-            features.compute_mfcc(features.Waveform(np.zeros(4000)), cfg)
+            features.compute_mfcc(np.zeros(199))
 
 
 class TestSlidingCmn:
     def test_constant_input_goes_to_zero(self):
-        fm = features.FeatureMatrix(np.full((40, 5), 3.25))
-        out = features.sliding_cmn(fm)
-        assert np.abs(out.values).max() == 0.0
+        feats = np.full((40, 5), 3.25)
+        out = features.sliding_cmn(feats)
+        assert np.abs(out).max() == 0.0
 
     def test_two_frame_example(self):
-        fm = features.FeatureMatrix(np.array([[1.0], [3.0]]))
-        out = features.sliding_cmn(fm, window_frames=300)
-        np.testing.assert_allclose(out.values, [[-1.0], [1.0]])
+        feats = np.array([[1.0], [3.0]])
+        out = features.sliding_cmn(feats, window_frames=300)
+        np.testing.assert_allclose(out, [[-1.0], [1.0]])
 
     def test_matches_windowed_mean_oracle(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((500, 3))
-        out = features.sliding_cmn(features.FeatureMatrix(x), window_frames=300).values
+        out = features.sliding_cmn(x, window_frames=300)
         # independent loop: full-length centered window, shifted inside at edges
         total, window = 500, 300
         for t in range(total):
@@ -109,13 +100,13 @@ class TestSlidingCmn:
         rng = np.random.default_rng(4)
         for total in (2, 150, 299, 300):
             x = rng.standard_normal((total, 4)) * 5
-            out = features.sliding_cmn(features.FeatureMatrix(x), window_frames=300).values
+            out = features.sliding_cmn(x, window_frames=300)
             assert np.abs(out.mean(axis=0)).max() < 1e-9
 
     def test_rejects_bad_window(self):
-        fm = features.FeatureMatrix(np.zeros((5, 2)))
+        feats = np.zeros((5, 2))
         with pytest.raises(InvalidInputError):
-            features.sliding_cmn(fm, window_frames=0)
+            features.sliding_cmn(feats, window_frames=0)
 
 
 class TestSegmentSpeech:
@@ -187,12 +178,14 @@ class TestStrideWindows:
 
 class TestWavIo:
     def test_round_trip(self, tmp_path):
-        wave_in = features.Waveform(tone(dur_s=0.25))
+        wave_in = tone(dur_s=0.25)
         path = tmp_path / "t.wav"
         features.write_wav(path, wave_in)
         wave_out = features.read_wav(path)
-        assert wave_out.sample_rate == 8000
-        np.testing.assert_allclose(wave_out.samples, wave_in.samples, atol=1.0 / 32768)
+        with wavemod.open(str(path), "rb") as w:
+            assert w.getframerate() == 8000
+        assert wave_out.dtype == np.float64
+        np.testing.assert_allclose(wave_out, wave_in, atol=1.0 / 32768)
 
     @pytest.mark.parametrize("channels,width,rate", [(2, 2, 8000), (1, 1, 8000), (1, 2, 16000)])
     def test_rejects_other_layouts(self, tmp_path, channels, width, rate):
@@ -215,13 +208,12 @@ class TestWavIo:
 class TestFeatureIo:
     def test_round_trip_exact_in_f32(self, tmp_path):
         rng = np.random.default_rng(5)
-        fm = features.FeatureMatrix(rng.standard_normal((37, 23)))
+        feats = rng.standard_normal((37, 23))
         path = tmp_path / "x.fea"
-        features.write_features(path, fm)
+        features.write_features(path, feats)
         back = features.read_features(path)
-        np.testing.assert_array_equal(
-            back.values, fm.values.astype(np.float32).astype(np.float64)
-        )
+        assert back.dtype == np.float32
+        np.testing.assert_array_equal(back, feats.astype(np.float32))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.fea"
@@ -231,8 +223,8 @@ class TestFeatureIo:
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "x.fea"
-        fm = features.FeatureMatrix(np.zeros((4, 3)))
-        features.write_features(path, fm)
+        feats = np.zeros((4, 3))
+        features.write_features(path, feats)
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(FormatError):
             features.read_features(path)

@@ -5,7 +5,7 @@ import pytest
 
 from diarkit.backend import EmbeddingRecord
 from diarkit.errors import InvalidInputError
-from diarkit.features import FeatureMatrix, SadMark, Segment, write_features
+from diarkit.features import SadMark, Segment, read_features, write_features
 from diarkit.network import (
     DimOverrides,
     build_architecture,
@@ -23,7 +23,7 @@ from diarkit.pipeline import (
     utterance_embeddings,
     windowed_utterance_embeddings,
 )
-from diarkit.training import ManifestEntry, write_manifest
+from diarkit.training import ManifestEntry, load_train_set, write_manifest
 from embedding_reference import extract_embedding
 
 
@@ -39,19 +39,19 @@ def _marks(end_s, conv="conv0"):
 # ----------------------------------------------------------------- segments
 
 def test_conversation_segments_clips_to_features():
-    feats = FeatureMatrix(np.zeros((240, 6)))
+    feats = np.zeros((240, 6))
     segs = conversation_segments(feats, _marks(3.0), min_frames=16)
     assert [s.frame_range for s in segs] == [(0, 150), (75, 225), (150, 240)]
 
 
 def test_conversation_segments_drops_short_tail():
-    feats = FeatureMatrix(np.zeros((160, 6)))
+    feats = np.zeros((160, 6))
     segs = conversation_segments(feats, _marks(3.0), min_frames=16)
     assert [s.frame_range for s in segs] == [(0, 150), (75, 160)]
 
 
 def test_conversation_segments_nothing_left():
-    feats = FeatureMatrix(np.zeros((10, 6)))
+    feats = np.zeros((10, 6))
     assert conversation_segments(feats, _marks(3.0), min_frames=16) == []
 
 
@@ -64,7 +64,7 @@ def test_near_empty_conversation_runs_no_network(monkeypatch):
     monkeypatch.setattr("diarkit.pipeline.extract_embeddings", no_pass)
     # two regions under 0.5 s, and 1 s that the features clip to 0.1 s
     marks = [SadMark("c", 0.0, 0.4), SadMark("c", 1.0, 1.3), SadMark("c", 2.5, 3.5)]
-    segments, vecs = conversation_embeddings(net, FeatureMatrix(np.zeros((260, 6))), marks)
+    segments, vecs = conversation_embeddings(net, np.zeros((260, 6)), marks)
     assert segments == []
     assert vecs.shape == (0, dim)
     assert speech_span(marks) == Segment("c", 0.0, 3.5)
@@ -75,12 +75,12 @@ def test_near_empty_conversation_runs_no_network(monkeypatch):
 def test_conversation_embeddings_match_single_extraction():
     net = _toy_net()
     rng = np.random.default_rng(4)
-    feats = FeatureMatrix(rng.normal(size=(300, 6)))
+    feats = rng.normal(size=(300, 6))
     segs, vecs = conversation_embeddings(net, feats, _marks(3.0))
     assert len(segs) == len(vecs) == 3
     for seg, vec in zip(segs, vecs):
         a, b = seg.frame_range
-        assert np.allclose(vec, extract_embedding(net, feats.values[a:b]),
+        assert np.allclose(vec, extract_embedding(net, feats[a:b]),
                            rtol=0, atol=1e-12)
 
 
@@ -111,7 +111,7 @@ def test_conversation_embeddings_match_per_segment_oracle(arch, taps, monkeypatc
     embedding from the shared region pass equals a forward over its frames."""
     rng = np.random.default_rng(40)
     net = _region_net(arch, taps, rng)
-    feats = FeatureMatrix(rng.normal(size=(690, 6)))
+    feats = rng.normal(size=(690, 6))
     marks = [SadMark("c", 0.0, 2.6), SadMark("c", 3.5, 4.5), SadMark("c", 5.0, 7.0)]
     seen = []
 
@@ -125,7 +125,7 @@ def test_conversation_embeddings_match_per_segment_oracle(arch, taps, monkeypatc
     ranges = [s.frame_range for s in segs]
     assert ranges == [(0, 150), (75, 225), (150, 260), (350, 450),
                       (500, 650), (575, 690)]
-    _assert_matches_oracle(net, feats.values, ranges, vecs)
+    _assert_matches_oracle(net, feats, ranges, vecs)
 
 
 @pytest.mark.parametrize("arch,taps", REGION_ARCHS)
@@ -137,7 +137,7 @@ def test_windowed_utterance_embeddings_match_per_segment_oracle(tmp_path, arch, 
     arrays = {"long": rng.normal(size=(330, 6)), "short": rng.normal(size=(100, 6))}
     want = {"long": [(0, 150), (75, 225), (150, 300), (225, 330)], "short": [(0, 100)]}
     for utt, arr in arrays.items():
-        write_features(tmp_path / f"{utt}.fea", FeatureMatrix(arr))
+        write_features(tmp_path / f"{utt}.fea", arr)
     write_manifest(tmp_path / "m.txt", [ManifestEntry("long", "ann", "long.fea"),
                                         ManifestEntry("short", "ben", "short.fea")])
     recs = windowed_utterance_embeddings(net, tmp_path / "m.txt")
@@ -149,13 +149,40 @@ def test_windowed_utterance_embeddings_match_per_segment_oracle(tmp_path, arch, 
         _assert_matches_oracle(net, stored, ranges, [r.vector for r in mine])
 
 
+def test_features_stay_float32_from_file_to_network(tmp_path):
+    """The .fea matrix reaches the network as the file's float32 values; a
+    float64 network upcasts them exactly, so it sees what it would have seen
+    from a float64 copy, and a float32 network needs no cast at all."""
+    rng = np.random.default_rng(43)
+    write_features(tmp_path / "u0.fea", rng.normal(size=(690, 6)))
+    write_features(tmp_path / "u1.fea", rng.normal(size=(120, 6)))
+    feats = read_features(tmp_path / "u0.fea")
+    assert feats.dtype == np.float32 and feats.dtype.isnative
+    assert feats.flags.writeable
+    write_manifest(tmp_path / "m.txt", [ManifestEntry("u0", "ann", "u0.fea"),
+                                        ManifestEntry("u1", "ben", "u1.fea")])
+    assert {f.dtype for f in load_train_set(tmp_path / "m.txt").features} == {np.dtype(np.float32)}
+
+    marks = [SadMark("c", 0.0, 2.6), SadMark("c", 3.5, 4.5), SadMark("c", 5.0, 7.0)]
+    net64 = _region_net("ftdnn_msa", ("frame7", "frame9"), rng)
+    for net in (net64, net64.astype(np.float32)):
+        segs, vecs = conversation_embeddings(net, feats, marks)
+        segs64, vecs64 = conversation_embeddings(net, feats.astype(np.float64), marks)
+        assert segs == segs64 and len(segs) == 6
+        assert vecs.dtype == net.dtype
+        assert np.array_equal(vecs, vecs64)
+        # no segment long enough to embed: no rows, still in the network's dtype
+        segs, vecs = conversation_embeddings(net, feats[:10], marks)
+        assert segs == [] and vecs.shape == (0, 8) and vecs.dtype == net.dtype
+
+
 def test_utterance_embeddings_from_manifest(tmp_path):
     net = _toy_net()
     rng = np.random.default_rng(9)
     entries, arrays = [], []
     for i, spk in enumerate(["alice", "bob", "alice"]):
         arr = rng.normal(size=(120 + 10 * i, 6))
-        write_features(tmp_path / f"u{i}.fea", FeatureMatrix(arr))
+        write_features(tmp_path / f"u{i}.fea", arr)
         entries.append(ManifestEntry(f"utt{i}", spk, f"u{i}.fea"))  # relative
         arrays.append(arr)
     write_manifest(tmp_path / "manifest.txt", entries)
@@ -173,8 +200,8 @@ def test_windowed_utterance_embeddings(tmp_path):
     net = _toy_net()
     rng = np.random.default_rng(13)
     arr = rng.normal(size=(300, 6))  # 3 s -> windows at 0, 0.75, 1.5
-    write_features(tmp_path / "u0.fea", FeatureMatrix(arr))
-    write_features(tmp_path / "u1.fea", FeatureMatrix(rng.normal(size=(150, 6))))
+    write_features(tmp_path / "u0.fea", arr)
+    write_features(tmp_path / "u1.fea", rng.normal(size=(150, 6)))
     write_manifest(tmp_path / "m.txt", [ManifestEntry("long", "ann", "u0.fea"),
                                         ManifestEntry("short", "ben", "u1.fea")])
     recs = windowed_utterance_embeddings(net, tmp_path / "m.txt")
@@ -191,8 +218,8 @@ def test_windowed_utterance_embeddings(tmp_path):
 
 def test_windowed_utterance_embeddings_reject_short_utterance(tmp_path):
     net = _toy_net()
-    write_features(tmp_path / "u0.fea", FeatureMatrix(np.zeros((100, 6))))
-    write_features(tmp_path / "u1.fea", FeatureMatrix(np.zeros((14, 6))))
+    write_features(tmp_path / "u0.fea", np.zeros((100, 6)))
+    write_features(tmp_path / "u1.fea", np.zeros((14, 6)))
     write_manifest(tmp_path / "m.txt", [ManifestEntry("a", "s1", "u0.fea"),
                                         ManifestEntry("b", "s2", "u1.fea")])
     with pytest.raises(InvalidInputError, match="^b: no usable segments within the features$"):
@@ -201,8 +228,8 @@ def test_windowed_utterance_embeddings_reject_short_utterance(tmp_path):
 
 def test_utterance_embeddings_reject_short_utterance(tmp_path):
     net = _toy_net()
-    write_features(tmp_path / "u0.fea", FeatureMatrix(np.zeros((14, 6))))
-    write_features(tmp_path / "u1.fea", FeatureMatrix(np.zeros((100, 6))))
+    write_features(tmp_path / "u0.fea", np.zeros((14, 6)))
+    write_features(tmp_path / "u1.fea", np.zeros((100, 6)))
     write_manifest(tmp_path / "m.txt", [ManifestEntry("a", "s1", "u0.fea"),
                                         ManifestEntry("b", "s2", "u1.fea")])
     with pytest.raises(InvalidInputError):

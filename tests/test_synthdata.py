@@ -51,6 +51,12 @@ def test_speakers_deterministic():
     assert not np.array_equal(a[0].mean, c[0].mean)
 
 
+@pytest.mark.parametrize("separation", [float("nan"), float("inf"), -float("inf")])
+def test_speakers_reject_bad_separation(separation):
+    with pytest.raises(InvalidInputError, match="separation must be finite"):
+        generate_speakers(3, separation, seed=0)
+
+
 def test_speaker_validation():
     with pytest.raises(InvalidInputError):
         generate_speakers(1, 1.0, seed=0)
@@ -67,12 +73,12 @@ def test_speaker_validation():
 def test_utterance_shape_and_mean():
     spk = generate_speakers(2, 4.0, seed=2)[0]
     feats = generate_utterance(spk, 30.0, seed=3)
-    assert feats.values.shape == (3000, 23)
-    assert np.all(np.isfinite(feats.values))
+    assert feats.shape == (3000, 23)
+    assert np.all(np.isfinite(feats))
     # AR(1) with c=0.9 inflates the sample-mean std by ~sqrt(19)
     c = spk.smoothing
     bound = 4.0 * math.sqrt((1 + c) / (1 - c) / 3000)
-    assert np.abs(feats.values.mean(axis=0) - spk.mean).max() < bound
+    assert np.abs(feats.mean(axis=0) - spk.mean).max() < bound
 
 
 def test_ar1_sample_mean_variance_matches_theory():
@@ -82,7 +88,7 @@ def test_ar1_sample_mean_variance_matches_theory():
     T, reps = 150, 3000
     rng = np.random.default_rng(4)
     means = np.stack([
-        generate_utterance(spk, T / 100.0, seed=int(rng.integers(1 << 30))).values.mean(axis=0)
+        generate_utterance(spk, T / 100.0, seed=int(rng.integers(1 << 30))).mean(axis=0)
         for _ in range(reps)
     ])
     c = 0.9
@@ -95,7 +101,7 @@ def test_utterance_deterministic():
     spk = generate_speakers(2, 1.0, seed=5)[1]
     a = generate_utterance(spk, 2.0, seed=9)
     b = generate_utterance(spk, 2.0, seed=9)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
 
 
 # -------------------------------------------------------------- conversations
@@ -110,7 +116,7 @@ def test_fixed_turn_schedule():
     # two speakers with no immediate repeat means strict alternation
     ids = [spk for spk, _ in conv.turns]
     assert all(a != b for a, b in zip(ids, ids[1:]))
-    assert conv.features.values.shape == (6000, 23)
+    assert conv.features.shape == (6000, 23)
     assert conv.sad[0].start_s == 0.0 and conv.sad[0].end_s == 60.0
 
 
@@ -130,8 +136,8 @@ def test_reference_tiles_duration_exactly():
         for _, dur in conv.turns:
             assert dur >= lo - 1e-9           # tail absorbed, never dangling
         frames = sum(int(round(d * 100)) for _, d in conv.turns)
-        assert conv.features.values.shape == (frames, 23)
-        assert np.all(np.isfinite(conv.features.values))
+        assert conv.features.shape == (frames, 23)
+        assert np.all(np.isfinite(conv.features))
 
 
 def test_turn_frames_track_speaker_mean():
@@ -141,7 +147,7 @@ def test_turn_frames_track_speaker_mean():
     offset = 0
     for spk_id, dur in conv.turns:
         n = int(round(dur * 100))
-        block = conv.features.values[offset:offset + n]
+        block = conv.features[offset:offset + n]
         c = by_id[spk_id].smoothing
         bound = 4.0 * math.sqrt((1 + c) / (1 - c) / n)
         assert np.abs(block.mean(axis=0) - by_id[spk_id].mean).max() < bound
@@ -154,8 +160,8 @@ def test_conversation_deterministic():
     b = generate_conversation(speakers, 30.0, (2.0, 4.0), seed=5)
     c = generate_conversation(speakers, 30.0, (2.0, 4.0), seed=6)
     assert a.turns == b.turns
-    assert np.array_equal(a.features.values, b.features.values)
-    assert (a.turns != c.turns) or not np.array_equal(a.features.values, c.features.values)
+    assert np.array_equal(a.features, b.features)
+    assert (a.turns != c.turns) or not np.array_equal(a.features, c.features)
 
 
 def test_conversation_validation():
@@ -174,13 +180,13 @@ def test_conversation_audio_feeds_front_end():
     speakers = generate_speakers(2, 3.0, seed=12)
     conv = generate_conversation(speakers, 10.0, (2.0, 3.0), seed=2, conversation_id="c9")
     wave = conversation_audio(conv, speakers)
-    assert wave.samples.shape == (80000,)
-    assert np.all(np.isfinite(wave.samples))
+    assert wave.shape == (80000,)
+    assert np.all(np.isfinite(wave))
     feats = compute_mfcc(wave)
-    assert feats.num_frames > 950
-    assert np.all(np.isfinite(feats.values))
+    assert feats.shape[0] > 950
+    assert np.all(np.isfinite(feats))
     again = conversation_audio(conv, speakers)
-    assert np.array_equal(wave.samples, again.samples)
+    assert np.array_equal(wave, again)
 
 
 # -------------------------------------------------------------------- corpora
@@ -208,7 +214,7 @@ def test_corpus_layout_and_contents(tmp_path):
     counts = read_speaker_counts(paths["oracle_k"])
     assert counts == {c: 2 for c in convs}
     feats = read_features(tmp_path / "corpus" / "eval" / "feats" / "conv001.fea")
-    assert feats.values.shape == (1200, 23)
+    assert feats.shape == (1200, 23)
 
 
 def test_corpus_deterministic(tmp_path):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from diarkit.errors import FormatError, InvalidInputError, TrainingDivergedError
-from diarkit.features import FeatureMatrix, write_features
-from diarkit.network import DimOverrides, build_architecture, initialize_network
+from diarkit.features import write_features
+from diarkit.network import DimOverrides, build_architecture, forward_batch, initialize_network
 from diarkit.training import (
     ManifestEntry,
     TrainConfig,
@@ -67,7 +67,7 @@ def test_load_train_set_reads_feature_files(tmp_path):
     entries = []
     for i, spk in enumerate(["b", "a", "b"]):
         fpath = tmp_path / f"utt{i}.fea"
-        write_features(fpath, FeatureMatrix(rng.normal(size=(55 + i, 8))))
+        write_features(fpath, rng.normal(size=(55 + i, 8)))
         entries.append(ManifestEntry(f"utt{i}", spk, str(fpath)))
     manifest = tmp_path / "train.lst"
     write_manifest(manifest, entries)
@@ -281,3 +281,13 @@ def test_max_ortho_residual_reports_worst_layer():
     assert max_ortho_residual(net) < 1e-10
     net.params["frame5"]["M"] *= 2.0
     assert max_ortho_residual(net) > 1.0
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, -0.5, float("nan")])
+def test_dropout_outside_unit_interval_is_rejected(p):
+    with pytest.raises(InvalidInputError, match=r"dropout_prob must be in \[0, 1\)"):
+        TrainConfig(dropout_prob=p)
+    net = initialize_network(build_architecture("tdnn", 2, dims=SMALL), seed=0)
+    with pytest.raises(InvalidInputError, match=r"dropout probability must be in \[0, 1\)"):
+        forward_batch(net, [np.zeros((60, 8))], mode="training", dropout_prob=p,
+                      rng=np.random.default_rng(0))
