@@ -78,6 +78,12 @@ def apply_whitener(w: Whitener, vectors: np.ndarray) -> np.ndarray:
     return (np.asarray(vectors, dtype=np.float64) - w.mean) @ w.transform.T
 
 
+def check_pca_fraction(fraction: float) -> None:
+    """The retained fraction of conversation PCA lies in (0, 1]."""
+    if not 0 < fraction <= 1:
+        raise InvalidInputError(f"fraction must be in (0, 1], got {fraction}")
+
+
 def conversation_pca(vectors: np.ndarray, fraction: float = CONV_PCA_FRACTION) -> tuple[np.ndarray, int]:
     """Rank-limited denoising in the conversation's own principal subspace.
 
@@ -89,8 +95,7 @@ def conversation_pca(vectors: np.ndarray, fraction: float = CONV_PCA_FRACTION) -
     n, d = x.shape
     if n < 2:
         raise InvalidInputError("conversation PCA needs at least two segments")
-    if not 0 < fraction <= 1:
-        raise InvalidInputError("fraction must be in (0, 1]")
+    check_pca_fraction(fraction)
     rank = min(max(1, math.ceil(fraction * n)), d)
     mean = x.mean(axis=0)
     centered = x - mean

@@ -32,16 +32,18 @@ from . import synthdata
 from .backend import (
     CONV_PCA_FRACTION,
     EmbeddingRecord,
+    check_pca_fraction,
     load_backend,
     read_embeddings,
     save_backend,
     write_embeddings,
 )
-from .clustering import GRID_SIZE, calibrate_threshold
+from .clustering import GRID_SIZE, calibrate_threshold, check_threshold
 from .der import (
     DEFAULT_COLLAR_S,
     by_conversation,
     build_hypothesis,
+    check_collar,
     compute_der,
     der_report,
     read_rttm,
@@ -84,6 +86,9 @@ _TRAIN_DTYPE = np.float32
 _TRAIN_DEFAULTS = TrainConfig()
 _DIM_DEFAULTS = DimOverrides()
 _SYNTH_DEFAULTS = synthdata.CorpusSpec()
+# Upper bound of --jobs: a process pool starts all its workers at once, and
+# each worker holds its own copy of the model and back-end.
+MAX_JOBS = 64
 
 
 # glibc mallopt parameters; 32 MiB is the largest mmap threshold it accepts on
@@ -137,6 +142,7 @@ class _Opt:
     required: bool = False
     help: str = ""
     choices: tuple = ()
+    check: Optional[Callable] = None  # the library's validator of the converted value
 
     @property
     def dest(self) -> str:
@@ -149,7 +155,12 @@ _COMMON = (
 )
 
 _SEED = _Opt("--seed", int, help="RNG seed (falls back to DIARKIT_SEED, then 0)")
-_JOBS = _Opt("--jobs", int, default=1, help="parallel workers for per-conversation stages")
+_JOBS = _Opt("--jobs", int, default=1,
+             help=f"parallel workers for per-conversation stages, at most {MAX_JOBS}")
+_PCA_FRACTION = _Opt("--pca-fraction", float, CONV_PCA_FRACTION,
+                     help="retained fraction for conversation-level PCA",
+                     check=check_pca_fraction)
+_COLLAR = _Opt("--collar", float, DEFAULT_COLLAR_S, check=check_collar)
 
 _COMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
     "features": (
@@ -168,7 +179,7 @@ _COMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
             _Opt("--out", required=True, help="corpus root directory"),
             _Opt("--speakers", int, _SYNTH_DEFAULTS.n_speakers),
             _Opt("--separation", float, _SYNTH_DEFAULTS.separation,
-                 help="radius of the speaker-mean sphere"),
+                 help="radius of the speaker-mean sphere", check=synthdata.check_separation),
             _Opt("--train-utts", int, _SYNTH_DEFAULTS.train_utts, help="utterances per speaker"),
             _Opt("--train-utt-s", float, _SYNTH_DEFAULTS.train_utt_s),
             _Opt("--convs", int, _SYNTH_DEFAULTS.n_convs),
@@ -242,11 +253,11 @@ _COMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
             _Opt("--features", required=True, help="directory of {conversation}.fea"),
             _Opt("--sad", required=True),
             _Opt("--out", required=True, help="output RTTM"),
-            _Opt("--threshold", float, help="stop merging below this score"),
+            _Opt("--threshold", float, help="stop merging below this score",
+                 check=check_threshold),
             _Opt("--oracle-k", help="file of 'conversation num_speakers' lines; a count "
                                     "above a conversation's segments is capped at that count"),
-            _Opt("--pca-fraction", float, CONV_PCA_FRACTION,
-                 help="retained fraction for conversation-level PCA"),
+            _PCA_FRACTION,
             _JOBS,
         ),
     ),
@@ -256,7 +267,7 @@ _COMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
             _Opt("--ref", required=True),
             _Opt("--hyp", required=True),
             _Opt("--sad", required=True),
-            _Opt("--collar", float, DEFAULT_COLLAR_S),
+            _COLLAR,
             _Opt("--breakdown", _FLAG, help="add per-speaker-count groups to the report"),
         ),
     ),
@@ -274,8 +285,8 @@ _COMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
             _Opt("--out", required=True, help="RTTM from each conversation's held-out fold"),
             _Opt("--folds", int, 2),
             _Opt("--grid-size", int, GRID_SIZE),
-            _Opt("--pca-fraction", float, CONV_PCA_FRACTION),
-            _Opt("--collar", float, DEFAULT_COLLAR_S),
+            _PCA_FRACTION,
+            _COLLAR,
         ),
     ),
 }
@@ -326,11 +337,17 @@ def _convert(opt: _Opt, raw, source: str):
     if opt.choices and value not in opt.choices:
         raise _UsageError(
             f"{source} {opt.flag}: {value!r} is not one of {', '.join(opt.choices)}")
+    if opt.check is not None:
+        try:
+            opt.check(value)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{source} {opt.flag}: {exc}") from exc
     return value
 
 
 def _finalize(command: str, ns: argparse.Namespace) -> argparse.Namespace:
-    """Merge config-file values under explicit flags, convert, apply defaults."""
+    """Merge config-file values under explicit flags, convert and check them,
+    apply defaults. Every value is checked here, before any work starts."""
     opts = _COMMANDS[command][1] + _COMMON
     known = {o.dest: o for o in opts}
     config = _read_config(ns.config) if ns.config else {}
@@ -349,8 +366,8 @@ def _finalize(command: str, ns: argparse.Namespace) -> argparse.Namespace:
     missing = [o.flag for o in opts if o.required and getattr(ns, o.dest) is None]
     if missing:
         raise _UsageError(f"diarkit {command}: missing {', '.join(missing)}")
-    if hasattr(ns, "jobs") and ns.jobs < 1:
-        raise _UsageError("--jobs must be at least 1")
+    if hasattr(ns, "jobs") and not 1 <= ns.jobs <= MAX_JOBS:
+        raise _UsageError(f"--jobs must be between 1 and {MAX_JOBS}, got {ns.jobs}")
     return ns
 
 
@@ -392,12 +409,13 @@ def _sad_by_conversation(path) -> dict[str, list]:
 
 
 def _run_jobs(jobs: int, fn, tasks, initializer=None, initargs=()):
-    """Ordered map over tasks, in-process when jobs == 1."""
+    """Ordered map over tasks, in-process when jobs == 1; never more workers
+    than tasks."""
     if jobs == 1 or len(tasks) <= 1:
         if initializer is not None:
             initializer(*initargs)
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs, initializer=initializer,
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), initializer=initializer,
                              initargs=initargs) as pool:
         return list(pool.map(fn, tasks))
 

@@ -4,6 +4,10 @@ Linkage is the average of the *original* pair scores between two clusters'
 members, never a re-scored merge product. The greedy merge order is therefore
 independent of the stopping rule, which lets one merge sequence serve every
 threshold during calibration.
+
+One merge sequence over n segments costs O(n^2) memory and, in practice,
+O(n^2) time (Muellner's generic algorithm, arXiv:1109.2378). The caller's
+score matrix is never modified.
 """
 
 from __future__ import annotations
@@ -43,71 +47,66 @@ def merge_sequence(scores) -> list[MergeStep]:
     is checked (square, finite, symmetric) before clustering.
 
     Ties on the average score resolve toward the lexicographically smallest
-    (first, second) id pair. Cluster pair sums update incrementally, so the
-    whole sequence costs O(n^3) additions but no rescans of the matrix.
+    (first, second) id pair. `s` holds cluster pair sums and `avg` their
+    averages on live pairs i < j (-inf elsewhere); each row caches the first
+    column of its maximum, and a merge rescans only rows whose column it moved.
     """
     s = _check_scores(scores)
     n = s.shape[0]
-    sizes = {i: 1 for i in range(n)}
-    sums = {(i, j): s[i, j] for i in range(n) for j in range(i + 1, n)}
+    if n == 0:
+        return []
+    size, alive = np.ones(n), np.ones(n, dtype=bool)
+    avg = np.where(np.tri(n, dtype=bool), -np.inf, s)
+    col, val = avg.argmax(axis=1), avg.max(axis=1)
     steps: list[MergeStep] = []
-    while len(sizes) > 1:
-        best_key = None
-        best_avg = -math.inf
-        for (a, b), total in sums.items():
-            avg = total / (sizes[a] * sizes[b])
-            if avg > best_avg or (avg == best_avg and (a, b) < best_key):
-                best_key, best_avg = (a, b), avg
-        a, b = best_key
-        steps.append(MergeStep(best_avg, a, b))
-        del sums[(a, b)]
-        for c in sizes:
-            if c == a or c == b:
-                continue
-            key_b = (b, c) if b < c else (c, b)
-            key_a = (a, c) if a < c else (c, a)
-            sums[key_a] += sums.pop(key_b)
-        sizes[a] += sizes.pop(b)
+    for _ in range(n - 1):
+        a = int(val.argmax())
+        b = int(col[a])
+        steps.append(MergeStep(val[a], a, b))
+        stale = np.flatnonzero(alive & ((col == a) | (col == b)))
+        s[a] += s[b]  # sum(a, c) += sum(b, c), one float addition per pair and merge
+        s[:, a] = s[a]
+        size[a] += size[b]
+        alive[b] = False
+        avg[b] = avg[:, b] = -np.inf
+        avg[a, a + 1:] = np.where(alive[a + 1:], s[a, a + 1:] / (size[a] * size[a + 1:]), -np.inf)
+        avg[:a, a] = np.where(alive[:a], s[:a, a] / (size[:a] * size[a]), -np.inf)
+        # row c < a takes (c, a) if it beats c's best, or ties it from a smaller column
+        wins = (avg[:a, a] > val[:a]) | ((avg[:a, a] == val[:a]) & (col[:a] > a))
+        val[:a] = np.where(wins, avg[:a, a], val[:a])
+        col[:a] = np.where(wins, a, col[:a])
+        for r in (a, b, *stale):
+            col[r] = avg[r].argmax()
+            val[r] = avg[r, col[r]]
     return steps
 
 
 def _labels_after(n: int, steps: list[MergeStep], merges: int) -> np.ndarray:
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    """A cluster's id is its smallest member, so each merged id points to a
+    smaller one, and one pass in id order resolves every root."""
+    root = list(range(n))
     for st in steps[:merges]:
-        parent[find(st.second)] = find(st.first)
-    labels = np.empty(n, dtype=np.int64)
-    seen: dict[int, int] = {}
+        root[st.second] = st.first
     for i in range(n):
-        root = find(i)
-        if root not in seen:
-            seen[root] = len(seen)
-        labels[i] = seen[root]
-    return labels
+        root[i] = root[root[i]]
+    seen: dict[int, int] = {}
+    return np.array([seen.setdefault(r, len(seen)) for r in root], dtype=np.int64)
 
 
 def _merges_above(steps: list[MergeStep], threshold: float) -> int:
     """Merges made before the first whose average score falls below the threshold."""
-    merges = 0
-    for st in steps:
-        if st.score < threshold:
-            break
-        merges += 1
-    return merges
+    return next((i for i, st in enumerate(steps) if st.score < threshold), len(steps))
+
+
+def check_threshold(threshold: float) -> None:
+    """A NaN threshold orders against no score; +-inf are valid (no merge, every merge)."""
+    if math.isnan(threshold):
+        raise InvalidInputError("clustering threshold must not be NaN")
 
 
 def cut_at_threshold(n: int, steps: list[MergeStep], threshold: float) -> np.ndarray:
-    """Stop at the first merge whose average score falls below the threshold.
-    A NaN threshold orders against no score, so it is rejected; +-inf are
-    valid (no merge, every merge)."""
-    if math.isnan(threshold):
-        raise InvalidInputError("clustering threshold must not be NaN")
+    """Stop at the first merge whose average score falls below the threshold."""
+    check_threshold(threshold)
     return _labels_after(n, steps, _merges_above(steps, threshold))
 
 

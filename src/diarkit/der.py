@@ -147,6 +147,12 @@ def optimal_speaker_mapping(
     return _scored_runs(_by_speaker(ref), _by_speaker(hyp), scored)[1]
 
 
+def check_collar(collar_s: float) -> None:
+    """A collar is a finite, nonnegative number of seconds."""
+    if not 0.0 <= collar_s < np.inf:
+        raise InvalidInputError(f"collar must be finite and nonnegative, got {collar_s}")
+
+
 def compute_der(
     ref: Sequence[TimelineEntry],
     hyp: Sequence[TimelineEntry],
@@ -171,8 +177,7 @@ def compute_der(
         hconv = _validate_entries(hyp, "hypothesis")
         if hconv != conv:
             raise InvalidInputError(f"hypothesis is for {hconv!r}, reference for {conv!r}")
-    if not 0.0 <= collar_s < np.inf:
-        raise InvalidInputError(f"collar must be finite and nonnegative, got {collar_s}")
+    check_collar(collar_s)
     if not sad:
         raise InvalidInputError("no speech activity marks given")
     for m in sad:

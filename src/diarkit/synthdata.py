@@ -66,6 +66,12 @@ class SynthConversation:
     sad: list[SadMark]
 
 
+def check_separation(separation: float) -> None:
+    """The radius of the speaker-mean sphere is finite and nonnegative."""
+    if not 0.0 <= separation < np.inf:
+        raise InvalidInputError(f"separation must be finite and nonnegative, got {separation}")
+
+
 def generate_speakers(
     n: int,
     separation: float,
@@ -76,8 +82,7 @@ def generate_speakers(
     """Means drawn uniformly on the sphere of radius `separation`."""
     if n < 2:
         raise InvalidInputError(f"need at least 2 speakers, got {n}")
-    if not 0.0 <= separation < np.inf:
-        raise InvalidInputError(f"separation must be finite and nonnegative, got {separation}")
+    check_separation(separation)
     rng = np.random.default_rng(seed)
     out = []
     for i in range(n):

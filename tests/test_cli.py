@@ -6,12 +6,14 @@ these tests double as an end-to-end check of the wiring.
 
 import ctypes
 import hashlib
+import json
 import os
 import platform
 import shutil
 import struct
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -131,13 +133,25 @@ def test_invalid_input_is_exit_4(work, tmp_path, capsys):
     assert "ghost" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command,flag,value", [
+_BAD_OPTION_VALUES = [
     ("score", "--collar", "nan"), ("score", "--collar", "inf"), ("calibrate", "--collar", "nan"),
     ("diarize", "--threshold", "nan"), ("train", "--dropout", "1.0"),
     ("train", "--dropout", "1.5"), ("train", "--dropout", "-0.5"),
-    ("synth", "--separation", "nan"),
-])
-def test_bad_option_value_is_exit_4(work, tmp_path, capsys, command, flag, value):
+    ("synth", "--separation", "nan"), ("diarize", "--pca-fraction", "0"),
+    ("calibrate", "--pca-fraction", "0"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value,dry_run", [
+    pytest.param(*case, dry_run, id="-".join(case) + ("-dry-run" if dry_run else ""))
+    for dry_run in (False, True) for case in _BAD_OPTION_VALUES])
+def test_bad_option_value_is_exit_4(work, tmp_path, capsys, monkeypatch,
+                                    command, flag, value, dry_run):
+    """Rejected before any work: no conversation is embedded, dry run or not."""
+    embedded = []
+    real = cli.conversation_embeddings
+    monkeypatch.setattr(cli, "conversation_embeddings",
+                        lambda *args: embedded.append(args[2]) or real(*args))
     ev, out = work["corpus"] / "eval", tmp_path / "out"
     args = {
         "score": ["--ref", str(ev / "ref.rttm"), "--hyp", str(work["hyp"]),
@@ -150,10 +164,43 @@ def test_bad_option_value_is_exit_4(work, tmp_path, capsys, command, flag, value
                   "--epochs", "1", "--batch-size", "4"],
         "synth": ["--out", str(out), "--speakers", "3", "--convs", "1"],
     }[command]
-    assert main([command, *args, flag, value]) == 4
+    assert main([command, *args, flag, value, *(["--dry-run"] if dry_run else [])]) == 4
     assert flag.lstrip("-") in capsys.readouterr().err
+    assert embedded == []
     if command != "synth":
         assert not out.exists()
+
+
+def test_jobs_are_bounded(work, tmp_path, monkeypatch):
+    """--jobs above MAX_JOBS is a usage error, and the pool never has more
+    workers than conversations. No worker process is started."""
+    out = tmp_path / "x.rttm"
+    args = ["diarize", *_conv_args(work), "--backend", str(work["backend"]),
+            "--oracle-k", str(work["corpus"] / "eval/oracle_k.txt"), "--out", str(out)]
+    assert main([*args, "--jobs", str(cli.MAX_JOBS + 1), "--dry-run"]) == 2
+    assert main([*args, "--jobs", str(cli.MAX_JOBS), "--dry-run"]) == 0
+    pools = []
+
+    class InProcessPool:
+        """Records the pool size and runs the tasks in this process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            pools.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    assert main([*args, "--jobs", str(cli.MAX_JOBS)]) == 0
+    assert pools == [3]
+    assert out.read_bytes() == work["hyp"].read_bytes()
 
 
 def test_diverged_training_is_exit_5(work, tmp_path, monkeypatch, capsys):
@@ -429,6 +476,44 @@ def test_console_entry_point():
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0
     assert "corpus spec valid" in proc.stdout
+
+
+# Runs each argument list of a JSON list through `python -m diarkit.cli`, in
+# turn, in a fresh process, so that its children's peak RSS is theirs alone.
+_MEASURED_RUNS = """
+import json, resource, subprocess, sys
+runs = [subprocess.run([sys.executable, "-m", "diarkit.cli", *args], capture_output=True,
+                       text=True, timeout=120) for args in json.loads(sys.argv[1])]
+print(json.dumps({"runs": [[p.returncode, p.stdout, p.stderr] for p in runs],
+                  "peak_rss_kib": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss}))
+"""
+
+
+def test_thirty_minute_conversation_in_bounded_time_and_memory(work, tmp_path):
+    """One 1,800 s conversation (about 2,400 segments) through diarize and
+    score: under 60 s and 600 MB. Cubic AHC would need minutes at this size."""
+    corpus = tmp_path / "long"
+    assert main(["synth", "--out", str(corpus), "--speakers", "3", "--train-utts", "1",
+                 "--train-utt-s", "2", "--convs", "1", "--conv-s", "1800", "--seed", "5"]) == 0
+    ev, hyp = corpus / "eval", tmp_path / "hyp.rttm"
+    commands = [
+        ["diarize", *_conv_args(work, ev / "sad.lab", ev / "feats"),
+         "--backend", str(work["backend"]), "--oracle-k", str(ev / "oracle_k.txt"),
+         "--out", str(hyp)],
+        ["score", "--ref", str(ev / "ref.rttm"), "--hyp", str(hyp), "--sad", str(ev / "sad.lab")],
+    ]
+    src = os.path.dirname(os.path.dirname(diarkit.__file__))  # the package under test
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", _MEASURED_RUNS, json.dumps(commands)],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": src})
+    wall_s = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    measured = json.loads(proc.stdout)
+    assert [code for code, _, _ in measured["runs"]] == [0, 0], measured["runs"]
+    assert "TOTAL" in measured["runs"][1][1]
+    assert wall_s < 60.0
+    assert measured["peak_rss_kib"] < 600 * 1024
 
 
 # ------------------------------------------------- per-conversation outputs

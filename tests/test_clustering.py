@@ -15,6 +15,7 @@ from diarkit.clustering import (
     threshold_grid,
 )
 from diarkit.errors import InvalidInputError
+from clustering_reference import merge_sequence as dict_merge_sequence
 
 
 def _greedy_reference(s, threshold=None, oracle_k=None):
@@ -211,6 +212,21 @@ MERGE_SHA256 = {
                                            ("gram-200", _gram_matrices)])
 def test_merge_sequence_is_pinned(name, matrices):
     assert _merge_digest(matrices()) == MERGE_SHA256[name]
+
+
+def test_merge_sequence_matches_dict_reference():
+    """Every MergeStep bit for bit against the dict-of-pair-sums version, and
+    the caller's matrix unchanged (calibration reads it again afterwards)."""
+    def steps(merges):
+        return [(float(st.score).hex(), st.first, st.second) for st in merges]
+
+    rng = np.random.default_rng(42)
+    matrices = [_sym(rng, n, integer=True) for n in range(61) for _ in range(2)]
+    matrices += [x @ x.T for x in (rng.normal(size=(300, 16)) for _ in range(2))]
+    for s in matrices:
+        before = s.tobytes()
+        assert steps(merge_sequence(s)) == steps(dict_merge_sequence(s)), f"n = {len(s)}"
+        assert s.tobytes() == before
 
 
 def test_merge_sequence_scores_and_cut():
