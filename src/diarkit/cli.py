@@ -38,7 +38,7 @@ from .backend import (
     save_backend,
     write_embeddings,
 )
-from .clustering import GRID_SIZE, calibrate_threshold, check_threshold
+from .clustering import GRID_SIZE, calibrate_threshold, check_folds, check_grid_size, check_threshold
 from .der import (
     DEFAULT_COLLAR_S,
     by_conversation,
@@ -181,13 +181,13 @@ _COMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
             _Opt("--separation", float, _SYNTH_DEFAULTS.separation,
                  help="radius of the speaker-mean sphere", check=synthdata.check_separation),
             _Opt("--train-utts", int, _SYNTH_DEFAULTS.train_utts, help="utterances per speaker"),
-            _Opt("--train-utt-s", float, _SYNTH_DEFAULTS.train_utt_s),
+            _Opt("--train-utt-s", float, _SYNTH_DEFAULTS.train_utt_s, check=synthdata.check_positive),
             _Opt("--convs", int, _SYNTH_DEFAULTS.n_convs),
-            _Opt("--conv-s", float, _SYNTH_DEFAULTS.conv_s),
-            _Opt("--turn-min", float, _SYNTH_DEFAULTS.turn_min_s),
-            _Opt("--turn-max", float, _SYNTH_DEFAULTS.turn_max_s),
+            _Opt("--conv-s", float, _SYNTH_DEFAULTS.conv_s, check=synthdata.check_positive),
+            _Opt("--turn-min", float, _SYNTH_DEFAULTS.turn_min_s, check=synthdata.check_turn_length),
+            _Opt("--turn-max", float, _SYNTH_DEFAULTS.turn_max_s, check=synthdata.check_turn_length),
             _Opt("--speakers-per-conv", int, _SYNTH_DEFAULTS.speakers_per_conv),
-            _Opt("--smoothing", float, _SYNTH_DEFAULTS.smoothing),
+            _Opt("--smoothing", float, _SYNTH_DEFAULTS.smoothing, check=synthdata.check_smoothing),
             _Opt("--audio", _FLAG, help="also synthesize waveforms and derive features from them"),
             _SEED,
         ),
@@ -283,8 +283,8 @@ _COMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
             _Opt("--sad", required=True),
             _Opt("--ref", required=True),
             _Opt("--out", required=True, help="RTTM from each conversation's held-out fold"),
-            _Opt("--folds", int, 2),
-            _Opt("--grid-size", int, GRID_SIZE),
+            _Opt("--folds", int, 2, check=check_folds),
+            _Opt("--grid-size", int, GRID_SIZE, check=check_grid_size),
             _PCA_FRACTION,
             _COLLAR,
         ),

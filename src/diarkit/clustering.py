@@ -104,6 +104,16 @@ def check_threshold(threshold: float) -> None:
         raise InvalidInputError("clustering threshold must not be NaN")
 
 
+def check_folds(folds: int) -> None:
+    if folds < 2:
+        raise InvalidInputError("calibration needs at least two folds")
+
+
+def check_grid_size(grid_size: int) -> None:
+    if grid_size < 1:
+        raise InvalidInputError(f"threshold grid needs at least one point, got {grid_size}")
+
+
 def cut_at_threshold(n: int, steps: list[MergeStep], threshold: float) -> np.ndarray:
     """Stop at the first merge whose average score falls below the threshold."""
     check_threshold(threshold)
@@ -171,10 +181,8 @@ def calibrate_threshold(
     per fold.
     """
     ids = sorted(scores_by_conv)
-    if folds < 2:
-        raise InvalidInputError("calibration needs at least two folds")
-    if grid_size < 1:
-        raise InvalidInputError(f"threshold grid needs at least one point, got {grid_size}")
+    check_folds(folds)
+    check_grid_size(grid_size)
     if len(ids) < folds:
         raise InvalidInputError(f"need at least {folds} conversations for {folds} folds")
     traces = {cid: (np.shape(scores_by_conv[cid])[0], merge_sequence(scores_by_conv[cid]))

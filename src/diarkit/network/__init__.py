@@ -20,7 +20,6 @@ from .layers import (
     ortho_residual,
     semi_orthogonalize,
     splice,
-    unsplice,
 )
 from .model_io import load_network, save_network
 
@@ -45,6 +44,5 @@ __all__ = [
     "save_network",
     "semi_orthogonalize",
     "splice",
-    "unsplice",
     "validate_spec",
 ]

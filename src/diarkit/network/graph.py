@@ -17,19 +17,20 @@ The training tape keeps one entry per layer for the backward pass. It holds
 each frame-level activation once: the layer input is the forward value itself
 (or, after a skip connection, the combined input), and an entry adds only
 what no value holds, such as batch-norm moments, a dropout mask, or a
-factorized layer's inner activation. Spliced copies and batch norm's
-normalized input are recomputed on the way back, by the same operations in
-the same order, so gradients are the same bits as if they had been kept.
+factorized layer's inner activation. Backward splices nothing again (a
+convolution takes one product per context offset on row slices), and batch
+norm's gradient is in closed form, so its normalized input is never formed.
 
 The engine computes in the dtype of the network's parameters (Network.dtype):
 forward_batch casts its input sequences to it, every layer output and
 gradient is allocated in it, and backward_batch takes the logits gradient in
 it. A float64 network runs the float64 engine; a float32 one (what
 ``diarkit train`` writes) runs in float32 throughout, except where a long sum
-would cancel: batch norm's batch mean and variance and the pooling moments
+would cancel: batch norm's batch mean and the pooling moments
 (layers.pool_moments) accumulate in float64 and round once to the parameter
-dtype, and semi_orthogonalize and ortho_residual work in float64. Those
-float64 accumulators live only inside the call; the values, the tape and the
+dtype (batch norm's variance, of centred rows, is a BLAS sum in that dtype),
+and semi_orthogonalize and ortho_residual work in float64. Those float64
+accumulators live only inside the call; the values, the tape and the
 gradients hold the parameter dtype.
 """
 
@@ -48,7 +49,7 @@ from .layers import (
     pool_moments,
     semi_orthogonalize,
     splice,
-    unsplice,
+    spliced_map_grads,
     validate_context,
 )
 
@@ -193,8 +194,7 @@ class LayerKind:
     The graph adds the layer input to the entry as in_value. What forward
     puts in the entry must be something backward cannot get from in_value or
     the parameters: statistics per column, a dropout mask, an intermediate
-    activation. A copy or rearrangement of the input (a spliced matrix, a
-    normalized one) is recomputed in backward instead.
+    activation, never a copy or rearrangement of the input.
     """
 
     fills: dict[str, float] = {}
@@ -261,16 +261,14 @@ class _Tdnn(LayerKind):
         gb = g.sum(axis=0)
         gx, gx_split = self._input_grad(ls, x)
         for seq, gs, gseq in zip(x.split(), _split_rows(g, x, self.span(ls)), gx_split):
-            gW += gs.T @ splice(seq, ls.context)
-            if gx is not None:
-                unsplice(gs @ p["W"], ls.context, gseq)
+            spliced_map_grads(seq, gs, p["W"], ls.context, gW, gseq)
         return {"W": gW, "b": gb}, [_data(gx)]
 
 
 class _FactorizedTdnn(_Tdnn):
     """Two chained spliced maps, M over the first factor context and F over
     the second; M is the factor held semi-orthogonal. The tape keeps the
-    inner activation h of each sequence, unspliced."""
+    inner activation h of each sequence."""
 
     semi_orthogonal = ("M",)
 
@@ -316,11 +314,9 @@ class _FactorizedTdnn(_Tdnn):
         gx, gx_split = self._input_grad(ls, x)
         gs_split = _split_rows(g, x, self.span(ls))
         for seq, h, gs, gseq in zip(x.split(), cache["h"], gs_split, gx_split):
-            gF += gs.T @ splice(h, c2)
-            gh = unsplice(gs @ p["F"], c2, np.zeros_like(h))
-            gM += gh.T @ splice(seq, c1)
-            if gx is not None:
-                unsplice(gh @ p["M"], c1, gseq)
+            gh = np.zeros_like(h)
+            spliced_map_grads(h, gs, p["F"], c2, gF, gh)
+            spliced_map_grads(seq, gh, p["M"], c1, gM, gseq)
         return {"M": gM, "F": gF, "b": gb}, [_data(gx)]
 
 
@@ -343,10 +339,11 @@ class _ReluBatchNorm(LayerKind):
     The forward pass works in place in its one output array: ReLU, subtract
     the mean, scale by the inverse std, then gamma, beta and the dropout mask.
     The tape keeps only the mean, the inverse std and the boolean keep-mask
-    (its scale 1 / (1 - p) is a scalar); the backward pass recomputes x-hat
-    from the pre-activation input, which the graph already holds, by the same
-    operations in the same order, and does its arithmetic in two buffers it
-    reuses (and the masked gradient, with dropout).
+    (its scale 1 / (1 - p) is a scalar). The backward pass is the closed
+    form (Ioffe & Szegedy, arXiv:1502.03167) in r = relu(x) - mu, x-hat / istd:
+    two BLAS column sums, of g and g * r, give the beta and gamma gradients
+    and both batch means of the input gradient. It holds r and the input
+    gradient, and with dropout the masked output gradient.
     """
 
     fills = {"gamma": 1.0, "beta": 0.0}
@@ -364,11 +361,10 @@ class _ReluBatchNorm(LayerKind):
     def forward(self, ls, p, xs, run):
         y = np.maximum(_data(xs[0]), 0.0)
         buf = run.buffers[ls.name]
-        if run.training:  # moments summed in float64, rounded once
+        if run.training:  # the mean summed in float64, rounded once
             mu = y.mean(axis=0, dtype=np.float64).astype(y.dtype, copy=False)
             y -= mu
-            var = np.einsum("ij,ij->j", y, y, dtype=np.float64) / y.shape[0]
-            var = var.astype(y.dtype, copy=False)
+            var = np.ones(y.shape[0], y.dtype) @ np.square(y) / y.shape[0]
             buf["running_mean"] *= BN_MOMENTUM
             buf["running_mean"] += (1.0 - BN_MOMENTUM) * mu
             buf["running_var"] *= BN_MOMENTUM
@@ -388,33 +384,27 @@ class _ReluBatchNorm(LayerKind):
             y *= scale
         return _like(xs[0], y), {"mu": mu, "istd": istd, "keep": keep, "scale": scale}
 
-    @staticmethod
-    def _xhat(x: np.ndarray, cache: dict, out=None) -> np.ndarray:
-        xhat = np.maximum(x, 0.0, out=out)
-        xhat -= cache["mu"]
-        xhat *= cache["istd"]
-        return xhat
-
     def backward(self, ls, p, g, cache):
         if cache["keep"] is not None:
             g = g * cache["keep"]
             g *= cache["scale"]
         x = _data(cache["in_value"])
-        xhat = self._xhat(x, cache)
-        dxhat = g * xhat  # g * xhat, for the gamma gradient, before dxhat
-        grads = {"gamma": dxhat.sum(axis=0), "beta": g.sum(axis=0)}
-        np.multiply(g, p["gamma"], out=dxhat)
-        mean_dxhat = dxhat.mean(axis=0)
-        xhat *= dxhat
-        mean_dxhat_xhat = xhat.mean(axis=0)
-        # dx = istd * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) where x > 0
-        dxhat -= mean_dxhat
-        xhat = self._xhat(x, cache, out=xhat)  # again, not a third array
-        xhat *= mean_dxhat_xhat
-        dxhat -= xhat
-        dxhat *= cache["istd"]
-        dxhat *= x > 0.0
-        return grads, [dxhat]
+        n = x.shape[0]
+        ones = np.ones(n, g.dtype)
+        istd = cache["istd"]
+        r = np.maximum(x, 0.0)
+        r -= cache["mu"]
+        sum_g = ones @ g
+        dx = g * r
+        grads = {"gamma": (ones @ dx) * istd, "beta": sum_g}
+        # dx = a * (g - mean(g)) - a * istd * mean(g * xhat) * r where x > 0
+        a = p["gamma"] * istd
+        np.subtract(g, sum_g / n, out=dx)
+        dx *= a
+        r *= grads["gamma"] * (a * istd / n)
+        dx -= r
+        dx *= x > 0.0
+        return grads, [dx]
 
 
 class _StatsPool(LayerKind):

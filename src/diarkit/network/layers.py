@@ -1,6 +1,6 @@
-"""Layer primitives: frame splicing and its adjoint, the factor contexts of a
-factorized convolution, statistics-pooling moments, and the semi-orthogonal
-projection applied to factor matrices."""
+"""Layer primitives: frame splicing and the gradients of a spliced map, the
+factor contexts of a factorized convolution, statistics-pooling moments, and
+the semi-orthogonal projection applied to factor matrices."""
 
 from __future__ import annotations
 
@@ -41,15 +41,19 @@ def splice(x: np.ndarray, context) -> np.ndarray:
     return np.concatenate([x[o - base : o - base + out_len] for o in context], axis=1)
 
 
-def unsplice(grad_spliced: np.ndarray, context, out: np.ndarray) -> np.ndarray:
-    """Scatter a gradient w.r.t. spliced rows back onto the input rows: add it
-    into out, the (T, D) gradient w.r.t. the input, and return out."""
+def spliced_map_grads(x, g, w, context, gw: np.ndarray, gx) -> None:
+    """Gradients of splice(x, context) @ w.T with output gradient g, added into
+    gw and into gx (x's shape; None for none), by one product per offset on
+    that offset's rows of x and block of w, with no spliced copy."""
     base = context[0]
-    out_len = out.shape[0] - context_span(context)
-    dim = out.shape[1]
+    out_len = g.shape[0]
+    dim = x.shape[1]
     for i, o in enumerate(context):
-        out[o - base : o - base + out_len] += grad_spliced[:, i * dim : (i + 1) * dim]
-    return out
+        rows = slice(o - base, o - base + out_len)
+        block = slice(i * dim, (i + 1) * dim)
+        gw[:, block] += g.T @ x[rows]
+        if gx is not None:
+            gx[rows] += g @ w[:, block]
 
 
 def factor_contexts(context) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -53,8 +53,7 @@ class SynthSpeaker:
             raise InvalidInputError("speaker mean and covariance shapes disagree")
         if not np.all(self.covariance > 0):
             raise InvalidInputError(f"{self.speaker_id}: covariance must be positive")
-        if not 0.0 <= self.smoothing < 1.0:
-            raise InvalidInputError(f"{self.speaker_id}: smoothing must be in [0, 1)")
+        check_smoothing(self.smoothing)
 
 
 @dataclass(frozen=True)
@@ -64,6 +63,33 @@ class SynthConversation:
     reference: list[TimelineEntry]
     features: np.ndarray  # (frames, NUM_COEFFS)
     sad: list[SadMark]
+
+
+def check_smoothing(smoothing: float) -> None:
+    """The AR(1) coefficient of a speaker's frames is in [0, 1)."""
+    if not 0.0 <= smoothing < 1.0:
+        raise InvalidInputError(f"smoothing must be in [0, 1), got {smoothing}")
+
+
+def check_positive(value, name: str = "value") -> None:
+    """A count or a length in seconds is finite and positive."""
+    if not 0 < value < math.inf:
+        raise InvalidInputError(f"{name} must be finite and positive, got {value}")
+
+
+def check_turn_length(seconds: float) -> None:
+    """A turn-length bound is finite and admits at least one scoring segment."""
+    if not MIN_TURN_S < seconds < math.inf:
+        raise InvalidInputError(f"turn length must be finite and above {MIN_TURN_S} s, got {seconds}")
+
+
+def check_turns(total_s: float, turn_range_s: tuple[float, float]) -> None:
+    """Two turn-length bounds lo <= hi, and room for one turn in total_s."""
+    lo, hi = turn_range_s
+    check_turn_length(lo)
+    check_turn_length(hi)
+    if lo > hi or total_s < lo:
+        raise InvalidInputError(f"turn range {turn_range_s} is empty or longer than {total_s} s")
 
 
 def check_separation(separation: float) -> None:
@@ -131,16 +157,13 @@ def generate_conversation(
     """
     if len(speakers) < 2:
         raise InvalidInputError("a conversation needs at least 2 speakers")
-    lo, hi = turn_range_s
-    if not MIN_TURN_S < lo <= hi:
-        raise InvalidInputError(f"turn range must satisfy {MIN_TURN_S} < lo <= hi, got {turn_range_s}")
-    if total_s < lo:
-        raise InvalidInputError(f"total {total_s} s is shorter than one minimum turn")
+    check_turns(total_s, turn_range_s)
     ids = {s.speaker_id for s in speakers}
     if len(ids) != len(speakers):
         raise InvalidInputError("duplicate speaker ids in conversation cast")
 
     rng = np.random.default_rng(seed)
+    lo, hi = turn_range_s
     total_f = int(round(total_s * _FPS))
     lo_f, hi_f = int(round(lo * _FPS)), int(round(hi * _FPS))
     turns_f: list[tuple[int, int]] = []  # (speaker index, frames)
@@ -218,8 +241,9 @@ class CorpusSpec:
         if self.speakers_per_conv < 2:
             raise InvalidInputError("conversations need at least 2 speakers")
         for name in ("n_speakers", "train_utts", "train_utt_s", "n_convs", "conv_s"):
-            if getattr(self, name) <= 0:
-                raise InvalidInputError(f"{name} must be positive")
+            check_positive(getattr(self, name), name)
+        check_smoothing(self.smoothing)
+        check_turns(self.conv_s, (self.turn_min_s, self.turn_max_s))
 
 
 def write_corpus(out_dir, spec: CorpusSpec) -> dict[str, str]:

@@ -138,7 +138,9 @@ _BAD_OPTION_VALUES = [
     ("diarize", "--threshold", "nan"), ("train", "--dropout", "1.0"),
     ("train", "--dropout", "1.5"), ("train", "--dropout", "-0.5"),
     ("synth", "--separation", "nan"), ("diarize", "--pca-fraction", "0"),
-    ("calibrate", "--pca-fraction", "0"),
+    ("calibrate", "--pca-fraction", "0"), ("calibrate", "--folds", "1"),
+    ("calibrate", "--grid-size", "0"), ("synth", "--turn-min", "0"), ("synth", "--smoothing", "1.5"),
+    ("synth", "--turn-max", "nan"), ("synth", "--train-utt-s", "nan"), ("synth", "--conv-s", "inf"),
 ]
 
 
@@ -147,7 +149,8 @@ _BAD_OPTION_VALUES = [
     for dry_run in (False, True) for case in _BAD_OPTION_VALUES])
 def test_bad_option_value_is_exit_4(work, tmp_path, capsys, monkeypatch,
                                     command, flag, value, dry_run):
-    """Rejected before any work: no conversation is embedded, dry run or not."""
+    """Rejected before any work: no conversation is embedded and nothing is
+    written, dry run or not."""
     embedded = []
     real = cli.conversation_embeddings
     monkeypatch.setattr(cli, "conversation_embeddings",
@@ -167,8 +170,7 @@ def test_bad_option_value_is_exit_4(work, tmp_path, capsys, monkeypatch,
     assert main([command, *args, flag, value, *(["--dry-run"] if dry_run else [])]) == 4
     assert flag.lstrip("-") in capsys.readouterr().err
     assert embedded == []
-    if command != "synth":
-        assert not out.exists()
+    assert not out.exists()
 
 
 def test_jobs_are_bounded(work, tmp_path, monkeypatch):
@@ -553,23 +555,24 @@ def work64(work):
 
 # Pin every byte train (the model file), segment-mode embed, diarize and
 # calibrate write on the work corpus, for the float32 model `diarkit train`
-# writes and for a float64 model. The float64 hashes were taken before
+# writes and for a float64 model. The float64 output hashes were taken before
 # training moved to float32, so they show that a float64 model file still
-# runs the same engine bit for bit. The model and the back-end pass through
+# runs the same engine bit for bit; its "model" hash follows the training
+# arithmetic. The model and the back-end pass through
 # LAPACK, so another build may move their last bits and these hashes.
 WORK_OUTPUT_SHA256 = {
     "diarize-oracle-k": "70ff4cc211eeb6aced388a9a83dd9a9a6686a22deb92ec15717aec0efc246445",
     "diarize-threshold": "c2c6df154389dbe37492576794a821c2e49a6a228d80af2b4efe1bcc1cb1844a",
-    "calibrate": "bf51e230e0b82c460f3e23d47fc6093d95b3b70709ce69b664eb34cc48cadaf6",
-    "embed": "a41afe7229859d582680f9d793306044cd2daf8b56a1ca4f24ac405609473952",
-    "model": "5f5918e5c4ed4f50c41b1cce1b24bfb504f1f8e7fb6150ac948c6d8f75590df4",
+    "calibrate": "01622368415ba1b5250b3262233bfcc4f5f6e4dacc251cc68ad2a7ce6eb4ced5",
+    "embed": "efd260f9158805c9dbe37c26d4138fb48c9a2d775409613ad515430d24eda14c",
+    "model": "44703352c6131f14044db338e0f139fb453cdafa5ab431209f73176cab1c2be8",
 }
 FLOAT64_WORK_OUTPUT_SHA256 = {
     "diarize-oracle-k": "70ff4cc211eeb6aced388a9a83dd9a9a6686a22deb92ec15717aec0efc246445",
     "diarize-threshold": "c2c6df154389dbe37492576794a821c2e49a6a228d80af2b4efe1bcc1cb1844a",
     "calibrate": "302371276f3f05c5a2a2a378cc90c427b4f4b760422f0521f304383b623765af",
     "embed": "3a995615704381f51d2e93740908aa23aad29aa0d5632d45815c80a24b34f1a4",
-    "model": "e54fe9ff90e7b289960244f29f4778d377fc6f3b5a1e58b6341845a7b70e70ed",
+    "model": "20a6c438912a069f734f7cfff011252d2c872b31c5e930582ea5312f3a2b951e",
 }
 
 
