@@ -41,7 +41,7 @@ def splice(x: np.ndarray, context) -> np.ndarray:
     return np.concatenate([x[o - base : o - base + out_len] for o in context], axis=1)
 
 
-def spliced_map_grads(x, g, w, context, gw: np.ndarray, gx) -> None:
+def spliced_map_grads(x, g, w, context, gw, gx) -> None:
     """Gradients of splice(x, context) @ w.T with output gradient g, added into
     gw and into gx (x's shape; None for none), by one product per offset on
     that offset's rows of x and block of w, with no spliced copy."""

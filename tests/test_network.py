@@ -1119,8 +1119,9 @@ def _batchnorm_case(x, dropout=0.0, seed=0):
 # float32 before the closed-form gradient: 2.260 without dropout, 3.260 with.
 @pytest.mark.parametrize("dropout,bound", [(0.0, 2.27), (0.2, 3.27)])
 def test_batchnorm_backward_peak_memory(dropout, bound):
-    """train-paper's peak RSS is set by its widest relu_batchnorm backward:
-    the call may hold no more whole-array temporaries than it did."""
+    """Besides per-column vectors a relu_batchnorm backward call holds r, the
+    input gradient and the ReLU mask, and with dropout the masked output
+    gradient: at paper widths these set train-paper's peak RSS."""
     x = np.random.default_rng(1).normal(size=(1600, 750)).astype(np.float32)
     ls, p, g, cache = _batchnorm_case(x, dropout)
     tracemalloc.start()

@@ -174,6 +174,8 @@ def test_conversation_validation():
         generate_conversation(speakers, 30.0, (4.0, 2.0), seed=0)
     with pytest.raises(InvalidInputError):
         generate_conversation(speakers, 1.0, (2.0, 4.0), seed=0)
+    with pytest.raises(InvalidInputError):
+        generate_conversation(speakers, 30.0, (2.0, np.inf), seed=0)
 
 
 def test_conversation_audio_feeds_front_end():
@@ -242,3 +244,8 @@ def test_corpus_spec_validation():
         CorpusSpec(speakers_per_conv=1)
     with pytest.raises(InvalidInputError):
         CorpusSpec(n_convs=0)
+    # every value write_corpus would reject later, after writing files
+    for bad in ({"conv_s": np.inf}, {"train_utt_s": np.nan}, {"smoothing": 1.5},
+                {"turn_max_s": np.inf}, {"turn_min_s": 7.0}, {"conv_s": 2.0}):
+        with pytest.raises(InvalidInputError):
+            CorpusSpec(**bad)
