@@ -54,7 +54,12 @@ class Whitener:
 
 
 def fit_pca_whitener(vectors: np.ndarray, n_components: int | None = None) -> Whitener:
-    """PCA whitener; n_components keeps only the top-variance directions."""
+    """PCA whitener; n_components keeps only the top-variance directions.
+
+    A direction whose variance is below n * eps times the rows' mean square
+    holds rounding, not data; whitening would blow its rounding noise up to
+    unit variance, so it is dropped. With no direction left, the input is
+    rejected."""
     x = np.asarray(vectors, dtype=np.float64)
     n, d = x.shape
     if n < d + 1:
@@ -64,10 +69,11 @@ def fit_pca_whitener(vectors: np.ndarray, n_components: int | None = None) -> Wh
     mean = x.mean(axis=0)
     cov = np.atleast_2d(np.cov(x, rowvar=False, ddof=1))  # 0-d for one column
     lam, vecs = np.linalg.eigh(cov)
-    if lam[0] <= 0:
-        raise InvalidInputError("covariance is not positive definite")
     vecs = _canonical_signs(vecs)
     order = np.argsort(lam)[::-1]
+    order = order[lam[order] > n * np.finfo(np.float64).eps * np.mean(x * x)]
+    if order.size == 0:
+        raise InvalidInputError(f"covariance is singular (largest eigenvalue {lam[-1]:.3g})")
     transform = (vecs[:, order] / np.sqrt(lam[order])).T
     if n_components is not None:
         transform = transform[:n_components]

@@ -78,7 +78,8 @@ from .pipeline import (
     utterance_embeddings,
     windowed_utterance_embeddings,
 )
-from .training import TrainConfig, load_train_set, train
+from .training import (TrainConfig, check_l2, check_learning_rate, check_momentum,
+                       check_window_shift, load_train_set, train)
 
 # train computes in and stores float32; a model file's own dtype decides how
 # the other commands run it
@@ -202,16 +203,15 @@ _COMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
             _Opt("--taps", _parse_taps, help="comma-separated pooling taps (ftdnn-msa only)"),
             _Opt("--epochs", int, _TRAIN_DEFAULTS.epochs),
             _Opt("--batch-size", int, _TRAIN_DEFAULTS.batch_size),
-            _Opt("--lr-start", float, _TRAIN_DEFAULTS.lr_start),
-            _Opt("--lr-end", float, _TRAIN_DEFAULTS.lr_end),
-            _Opt("--momentum", float, _TRAIN_DEFAULTS.momentum),
-            _Opt("--l2", float, _TRAIN_DEFAULTS.l2_coeff),
+            _Opt("--lr-start", float, _TRAIN_DEFAULTS.lr_start, check=check_learning_rate),
+            _Opt("--lr-end", float, _TRAIN_DEFAULTS.lr_end, check=check_learning_rate),
+            _Opt("--momentum", float, _TRAIN_DEFAULTS.momentum, check=check_momentum),
+            _Opt("--l2", float, _TRAIN_DEFAULTS.l2_coeff, check=check_l2),
             _Opt("--dropout", float, _TRAIN_DEFAULTS.dropout_prob),
             _Opt("--ortho-interval", int, _TRAIN_DEFAULTS.ortho_interval),
             _Opt("--window-frames", int, _TRAIN_DEFAULTS.window_frames),
-            _Opt("--window-shift", int, _TRAIN_DEFAULTS.window_shift),
+            _Opt("--window-shift", int, _TRAIN_DEFAULTS.window_shift, check=check_window_shift),
             _Opt("--min-window-frames", int, _TRAIN_DEFAULTS.min_window_frames),
-            _Opt("--pooling", str, _TRAIN_DEFAULTS.pooling, choices=("windowed", "whole")),
             _Opt("--feat-dim", int, _DIM_DEFAULTS.feat_dim),
             _Opt("--width", int, _DIM_DEFAULTS.width),
             _Opt("--factor-width", int, _DIM_DEFAULTS.factor_width),
@@ -515,11 +515,15 @@ def _cmd_train(ns) -> int:
         lr_end=ns.lr_end, momentum=ns.momentum, l2_coeff=ns.l2,
         dropout_prob=ns.dropout, ortho_interval=ns.ortho_interval,
         window_frames=ns.window_frames, window_shift=ns.window_shift,
-        min_window_frames=ns.min_window_frames, pooling=ns.pooling,
+        min_window_frames=ns.min_window_frames,
         seed=_resolve_seed(ns.seed),
     )
     _require_file(ns.manifest, "manifest")
     ts = load_train_set(ns.manifest)
+    dims_seen = sorted({f.shape[1] for f in ts.features})
+    if dims_seen != [ns.feat_dim]:
+        raise InvalidInputError(f"--feat-dim {ns.feat_dim} does not match the "
+                                f"features' dimension {', '.join(map(str, dims_seen))}")
     arch = ns.arch.replace("-", "_")
     spec = build_architecture(arch, num_speakers=len(ts.speakers),
                               taps=ns.taps, dims=dims)

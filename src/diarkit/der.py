@@ -217,13 +217,14 @@ def compute_der(
 
 # ------------------------------------------------------ hypothesis timelines
 
-def build_hypothesis(segments, labels, conversation_id=None, prefix="spk") -> list[TimelineEntry]:
+def build_hypothesis(segments, labels) -> list[TimelineEntry]:
     """Turn labeled (possibly overlapping) segments into a hard timeline.
 
     Consecutive same-label segments merge when they touch or overlap. Where
     two different-label segments overlap, each keeps its half up to the
     overlap midpoint. Nested different-label segments have no midpoint rule
-    and are rejected.
+    and are rejected. Label l becomes speaker "spk{l}" in the segments'
+    conversation.
     """
     segments = list(segments)
     labels = list(labels)
@@ -231,7 +232,7 @@ def build_hypothesis(segments, labels, conversation_id=None, prefix="spk") -> li
         raise InvalidInputError(f"{len(segments)} segments but {len(labels)} labels")
     if not segments:
         return []
-    conv = conversation_id if conversation_id is not None else segments[0].conversation_id
+    conv = segments[0].conversation_id
     order = sorted(range(len(segments)), key=lambda i: (segments[i].start_s, segments[i].end_s))
     out: list[TimelineEntry] = []
     cur_start = segments[order[0]].start_s
@@ -250,11 +251,11 @@ def build_hypothesis(segments, labels, conversation_id=None, prefix="spk") -> li
             boundary = (seg.start_s + cur_end) / 2.0
         else:
             boundary = cur_end
-        out.append(TimelineEntry(conv, cur_start, boundary, f"{prefix}{cur_label}"))
+        out.append(TimelineEntry(conv, cur_start, boundary, f"spk{cur_label}"))
         cur_start = boundary if seg.start_s < cur_end else seg.start_s
         cur_end = seg.end_s
         cur_label = lab
-    out.append(TimelineEntry(conv, cur_start, cur_end, f"{prefix}{cur_label}"))
+    out.append(TimelineEntry(conv, cur_start, cur_end, f"spk{cur_label}"))
     return out
 
 

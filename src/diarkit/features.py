@@ -67,10 +67,6 @@ class Segment:
     end_s: float
     frame_range: tuple[int, int] = field(default=(0, 0))
 
-    @property
-    def duration_s(self) -> float:
-        return self.end_s - self.start_s
-
 
 def _mel(hz):
     return 2595.0 * np.log10(1.0 + np.asarray(hz, dtype=np.float64) / 700.0)
@@ -80,12 +76,13 @@ def _mel_inv(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(num_filters: int, fft_size: int, sample_rate: int) -> np.ndarray:
-    """Triangular mel filters spanning 0..Nyquist, evaluated at FFT bin centers."""
-    edges_hz = _mel_inv(np.linspace(_mel(0.0), _mel(sample_rate / 2.0), num_filters + 2))
-    bin_hz = np.arange(fft_size // 2 + 1) * (sample_rate / fft_size)
-    weights = np.zeros((num_filters, bin_hz.shape[0]))
-    for m in range(num_filters):
+def mel_filterbank() -> np.ndarray:
+    """NUM_COEFFS triangular mel filters spanning 0..Nyquist at SAMPLE_RATE,
+    evaluated at the centers of the FFT_SIZE-point FFT's bins."""
+    edges_hz = _mel_inv(np.linspace(_mel(0.0), _mel(SAMPLE_RATE / 2.0), NUM_COEFFS + 2))
+    bin_hz = np.arange(FFT_SIZE // 2 + 1) * (SAMPLE_RATE / FFT_SIZE)
+    weights = np.zeros((NUM_COEFFS, bin_hz.shape[0]))
+    for m in range(NUM_COEFFS):
         lo, mid, hi = edges_hz[m], edges_hz[m + 1], edges_hz[m + 2]
         up = (bin_hz - lo) / (mid - lo)
         down = (hi - bin_hz) / (hi - mid)
@@ -121,7 +118,7 @@ def compute_mfcc(samples: np.ndarray) -> np.ndarray:
     spectrum = np.fft.rfft(frames * window, n=FFT_SIZE, axis=1)
     power = spectrum.real**2 + spectrum.imag**2
 
-    fbank = mel_filterbank(NUM_COEFFS, FFT_SIZE, SAMPLE_RATE)
+    fbank = mel_filterbank()
     log_energy = np.log(np.maximum(power @ fbank.T, ENERGY_FLOOR))
     return dct(log_energy, type=2, axis=1, norm="ortho")[:, :NUM_COEFFS]
 

@@ -6,12 +6,13 @@ Four members of the x-vector family are assembled here as layer graphs:
 * ``etdnn``      ten frame-level layers with wider splicing interleaved with
                  dense layers, two segment-level hiddens
 * ``ftdnn``      factorized frame-level stack with semi-orthogonal bottlenecks
-                 and element-wise skip connections
+                 and skip connections summed onto the layer input
 * ``ftdnn_msa``  the factorized stack pooled at several depths, one branch per
                  tap, branch outputs concatenated ahead of the embedding layer
 
 Every hidden linear layer is followed by ReLU + batch norm (a ``*_post``
-layer); embeddings are read from a dense layer's pre-activation output.
+layer); embeddings are read from the pre-activation output of ``segment1``
+(``segment2`` in etdnn).
 """
 
 from __future__ import annotations
@@ -48,10 +49,10 @@ class _GraphBuilder:
         self.last = INPUT_NAME
 
     def block(self, name, kind, in_dim, out_dim, context=(0,), inner_dim=0,
-              inputs=None, skip_from="", skip_mode="sum"):
+              inputs=None, skip_from=""):
         src = (self.last,) if inputs is None else tuple(inputs)
         self.layers.append(LayerSpec(name, kind, in_dim, out_dim, context,
-                                     inner_dim, src, skip_from, skip_mode))
+                                     inner_dim, src, skip_from))
         if kind in ("tdnn", "factorized_tdnn", "dense"):
             self.layers.append(LayerSpec(f"{name}_post", "relu_batchnorm",
                                          out_dim, out_dim, (0,), 0, (name,)))
@@ -67,7 +68,7 @@ class _GraphBuilder:
         return name
 
 
-def _ftdnn_frame_stack(g: _GraphBuilder, d: DimOverrides, skip_mode: str) -> str:
+def _ftdnn_frame_stack(g: _GraphBuilder, d: DimOverrides) -> str:
     g.block("frame1", "tdnn", d.feat_dim, d.width, (-2, -1, 0, 1, 2))
     f = d.factor_width
     rows = [
@@ -82,8 +83,7 @@ def _ftdnn_frame_stack(g: _GraphBuilder, d: DimOverrides, skip_mode: str) -> str
     ]
     in_dim = d.width
     for name, ctx, skip in rows:
-        g.block(name, "factorized_tdnn", in_dim, f, ctx, d.inner_dim,
-                skip_from=skip, skip_mode=skip_mode if skip else "sum")
+        g.block(name, "factorized_tdnn", in_dim, f, ctx, d.inner_dim, skip_from=skip)
         in_dim = f
     return g.last
 
@@ -93,18 +93,11 @@ def build_architecture(
     num_speakers: int,
     taps=None,
     dims: Optional[DimOverrides] = None,
-    embedding_layer: str = "",
-    skip_mode: str = "sum",
-    wide_stats: bool = False,
 ) -> NetworkSpec:
     """Assemble one of the stock architectures as a validated NetworkSpec.
 
     taps selects the pooled layers of the msa variant (subset of frame7..9,
     default frame8+frame9). dims scales every width for desk-size runs.
-    embedding_layer overrides which dense layer the embedding is read from.
-    skip_mode switches the ftdnn skips between element-wise sum and
-    concatenation with a learned projection back to the layer width.
-    wide_stats doubles the pre-pooling dense layer of the single-scale nets.
     """
     arch = name.replace("-", "_").lower()
     if arch not in ARCH_NAMES:
@@ -113,10 +106,7 @@ def build_architecture(
         raise InvalidInputError("need at least two training speakers")
     if taps and arch != "ftdnn_msa":
         raise InvalidInputError("taps only apply to the ftdnn_msa architecture")
-    if wide_stats and arch == "ftdnn_msa":
-        raise InvalidInputError("wide_stats is a single-scale control knob")
     d = dims or DimOverrides()
-    pool_width = 2 * d.pool_width if wide_stats else d.pool_width
     g = _GraphBuilder()
     msa_taps: tuple[str, ...] = ()
 
@@ -125,10 +115,10 @@ def build_architecture(
         g.block("frame2", "tdnn", d.width, d.width, (-2, 0, 2))
         g.block("frame3", "tdnn", d.width, d.width, (-3, 0, 3))
         g.block("frame4", "dense", d.width, d.width)
-        g.block("frame5", "dense", d.width, pool_width)
-        g.raw("stats", "stats_pool", pool_width, 2 * pool_width)
-        g.block("segment1", "dense", 2 * pool_width, d.width)
-        default_embedding = "segment1"
+        g.block("frame5", "dense", d.width, d.pool_width)
+        g.raw("stats", "stats_pool", d.pool_width, 2 * d.pool_width)
+        g.block("segment1", "dense", 2 * d.pool_width, d.width)
+        embedding = "segment1"
     elif arch == "etdnn":
         g.block("frame1", "tdnn", d.feat_dim, d.width, (-2, -1, 0, 1, 2))
         g.block("frame2", "dense", d.width, d.width)
@@ -139,24 +129,24 @@ def build_architecture(
         g.block("frame7", "tdnn", d.width, d.width, (-4, 0, 4))
         g.block("frame8", "dense", d.width, d.width)
         g.block("frame9", "dense", d.width, d.width)
-        g.block("frame10", "dense", d.width, pool_width)
-        g.raw("stats", "stats_pool", pool_width, 2 * pool_width)
-        g.block("segment1", "dense", 2 * pool_width, d.width)
+        g.block("frame10", "dense", d.width, d.pool_width)
+        g.raw("stats", "stats_pool", d.pool_width, 2 * d.pool_width)
+        g.block("segment1", "dense", 2 * d.pool_width, d.width)
         g.block("segment2", "dense", d.width, d.width)
-        default_embedding = "segment2"
+        embedding = "segment2"
     elif arch == "ftdnn":
-        _ftdnn_frame_stack(g, d, skip_mode)
-        g.block("frame10", "dense", d.factor_width, pool_width)
-        g.raw("stats", "stats_pool", pool_width, 2 * pool_width)
-        g.block("segment1", "dense", 2 * pool_width, d.width)
+        _ftdnn_frame_stack(g, d)
+        g.block("frame10", "dense", d.factor_width, d.pool_width)
+        g.raw("stats", "stats_pool", d.pool_width, 2 * d.pool_width)
+        g.block("segment1", "dense", 2 * d.pool_width, d.width)
         g.block("segment2", "dense", d.width, d.width)
-        default_embedding = "segment1"
+        embedding = "segment1"
     else:  # ftdnn_msa
         msa_taps = tuple(taps) if taps else DEFAULT_MSA_TAPS
         if not set(msa_taps) <= set(MSA_TAP_CHOICES) or len(set(msa_taps)) != len(msa_taps):
             raise InvalidInputError(f"msa taps must be distinct members of {MSA_TAP_CHOICES}")
         msa_taps = tuple(sorted(msa_taps))  # branch order is ascending layer index
-        _ftdnn_frame_stack(g, d, skip_mode)
+        _ftdnn_frame_stack(g, d)
         branch_outs = []
         for tap in msa_taps:
             g.block(f"pre_stats_{tap}", "dense", d.factor_width, d.pool_width,
@@ -167,13 +157,13 @@ def build_architecture(
         g.raw("concat", "concat", d.branch_dim * len(msa_taps),
               d.branch_dim * len(msa_taps), inputs=tuple(branch_outs))
         g.block("segment1", "dense", d.branch_dim * len(msa_taps), d.embed_dim)
-        default_embedding = "segment1"
+        embedding = "segment1"
 
     hidden_out = g.layers[-2].out_dim  # pre-activation width of the last hidden
     g.raw("output", "dense", hidden_out, num_speakers)
     spec = NetworkSpec(
         layers=tuple(g.layers),
-        embedding_layer=embedding_layer or default_embedding,
+        embedding_layer=embedding,
         num_speakers=num_speakers,
         msa_taps=msa_taps,
     )

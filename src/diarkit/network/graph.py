@@ -69,9 +69,9 @@ class LayerSpec:
     inner_dim: int = 0
     inputs: tuple[str, ...] = (INPUT_NAME,)
     skip_from: str = ""
-    # "sum" adds the skip source to the layer input; "concat" stacks the two
-    # and projects back to in_dim through a learned map P
-    skip_mode: str = "sum"
+    # a skip source is added to the layer input; not a field, but model files
+    # write it and perfbench's flop count (workloads.forward_flop) reads it
+    skip_mode = "sum"
 
 
 @dataclass(frozen=True)
@@ -489,12 +489,8 @@ LAYER_KINDS: dict[str, LayerKind] = {
 
 
 def param_shapes(ls: LayerSpec) -> dict[str, tuple[int, ...]]:
-    """Shape of every parameter of a layer, in canonical order; a concat skip
-    adds its projection P last."""
-    shapes = LAYER_KINDS[ls.kind].shapes(ls)
-    if ls.skip_from and ls.skip_mode == "concat":
-        shapes["P"] = (ls.in_dim, 2 * ls.in_dim)
-    return shapes
+    """Shape of every parameter of a layer, in canonical order."""
+    return LAYER_KINDS[ls.kind].shapes(ls)
 
 
 def receptive_span(spec: NetworkSpec) -> int:
@@ -524,8 +520,6 @@ def validate_spec(spec: NetworkSpec) -> None:
                 raise InvalidInputError(f"{ls.name}: input {src!r} is not an earlier layer")
         level = LAYER_KINDS[ls.kind].check(ls, [info[src] for src in ls.inputs])
         if ls.skip_from:
-            if ls.skip_mode not in ("sum", "concat"):
-                raise InvalidInputError(f"{ls.name}: unknown skip mode {ls.skip_mode!r}")
             if info.get(ls.skip_from) != (ls.in_dim, "frame"):
                 raise InvalidInputError(
                     f"{ls.name}: skip source must be an earlier frame-level layer of dim {ls.in_dim}"
@@ -590,24 +584,13 @@ def _skip_crop(ls: LayerSpec, main_span: int, skip_span: int) -> int:
     return diff // 2
 
 
-def _skip_rows(ls: LayerSpec, main: FrameBatch, skip: FrameBatch) -> np.ndarray:
-    """The skip source's rows, center-cropped per sequence onto main's. In
-    concat mode they come stacked to the right of main's rows."""
+def _add_skip(ls: LayerSpec, main: FrameBatch, skip: FrameBatch) -> FrameBatch:
+    """The layer input plus its skip source, center-cropped per sequence onto
+    the input's rows."""
     left = _skip_crop(ls, main.span, skip.span)
-    cropped = []
-    for seq_main, seq_skip in zip(main.split(), skip.split()):
-        cropped.append(seq_skip[left : left + seq_main.shape[0]])
-    cropped = np.vstack(cropped)
-    return cropped if ls.skip_mode == "sum" else np.hstack([main.data, cropped])
-
-
-def _combine_skip(ls: LayerSpec, params: dict, main: FrameBatch, skip: FrameBatch) -> FrameBatch:
-    """Join the skip source onto the layer input. Sum mode adds the two;
-    concat mode stacks them and projects back to the input width through the
-    layer's P matrix."""
-    rows = _skip_rows(ls, main, skip)
-    data = main.data + rows if ls.skip_mode == "sum" else rows @ params["P"].T
-    return FrameBatch(data, main.lengths, main.span)
+    cropped = np.vstack([seq_skip[left : left + seq_main.shape[0]]
+                         for seq_main, seq_skip in zip(main.split(), skip.split())])
+    return FrameBatch(main.data + cropped, main.lengths, main.span)
 
 
 def forward_batch(
@@ -714,7 +697,7 @@ def _apply_layers(
         p = net.params[ls.name]
         xs = [values[n] for n in ls.inputs]
         if ls.skip_from:
-            xs[0] = _combine_skip(ls, p, xs[0], values[ls.skip_from])
+            xs[0] = _add_skip(ls, xs[0], values[ls.skip_from])
         out, cache = LAYER_KINDS[ls.kind].forward(ls, p, xs, run)
         if training:
             cache["in_value"] = xs[0]
@@ -747,22 +730,6 @@ def backward_batch(net: Network, result: ForwardResult, logits_grad: np.ndarray)
         else:
             grads[name] = g
 
-    def push_through_skip(ls: LayerSpec, gx: np.ndarray):
-        """Route the gradient at a skip-combined layer input to both sources."""
-        main, skip = values[ls.inputs[0]], values[ls.skip_from]
-        if ls.skip_mode == "concat":
-            param_grads.setdefault(ls.name, {})["P"] = gx.T @ _skip_rows(ls, main, skip)
-            gz = gx @ net.params[ls.name]["P"]
-            gmain, gcrop = gz[:, : ls.in_dim], gz[:, ls.in_dim :]
-        else:
-            gmain, gcrop = gx, gx
-        push(ls.inputs[0], gmain)
-        left = _skip_crop(ls, main.span, skip.span)
-        gskip = _like(skip, np.zeros_like(skip.data))
-        for gseq, gc in zip(gskip.split(), _like(main, gcrop).split()):
-            gseq[left : left + gc.shape[0]] = gc
-        push(ls.skip_from, gskip.data)
-
     for ls in reversed(net.spec.layers):
         g = grads.pop(ls.name, None)
         if g is None:
@@ -771,11 +738,15 @@ def backward_batch(net: Network, result: ForwardResult, logits_grad: np.ndarray)
                                                                  result.tape[ls.name])
         if layer_grads:
             param_grads[ls.name] = layer_grads
-        if ls.skip_from:
-            push_through_skip(ls, input_grads[0])
-        else:
-            for src, gx in zip(ls.inputs, input_grads):
-                push(src, gx)
+        for src, gx in zip(ls.inputs, input_grads):
+            push(src, gx)
+        if ls.skip_from:  # the input gradient, onto the skip source's cropped rows
+            main, skip = values[ls.inputs[0]], values[ls.skip_from]
+            left = _skip_crop(ls, main.span, skip.span)
+            gskip = _like(skip, np.zeros_like(skip.data))
+            for gseq, gc in zip(gskip.split(), _like(main, input_grads[0]).split()):
+                gseq[left : left + gc.shape[0]] = gc
+            push(ls.skip_from, gskip.data)
     return param_grads
 
 

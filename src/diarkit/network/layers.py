@@ -71,15 +71,16 @@ def factor_contexts(context) -> tuple[tuple[int, ...], tuple[int, ...]]:
     raise InvalidInputError(f"factorized layers need context {{0}} or {{-k,0,+k}}, got {ctx}")
 
 
-def semi_orthogonalize(m: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
+def semi_orthogonalize(m: np.ndarray) -> np.ndarray:
     """Nearest matrix with orthonormal rows (Frobenius sense): U V^T from the SVD.
 
-    The SVD runs in float64 and the result is rounded once to m's dtype, so
-    rank_tol means the same for a float32 matrix."""
+    A smallest singular value at most 1e-10 times max(1, the largest) is
+    rank deficiency. The SVD runs in float64 and the result is rounded once to
+    m's dtype, so that tolerance means the same for a float32 matrix."""
     if m.ndim != 2 or m.shape[0] > m.shape[1]:
         raise InvalidInputError(f"matrix of shape {m.shape} has more rows than columns")
     u, s, vt = np.linalg.svd(m.astype(np.float64, copy=False), full_matrices=False)
-    if s[-1] <= rank_tol * max(1.0, s[0]):
+    if s[-1] <= 1e-10 * max(1.0, s[0]):
         raise InvalidInputError("rank-deficient matrix has no semi-orthogonal projection")
     return (u @ vt).astype(m.dtype, copy=False)
 

@@ -11,7 +11,8 @@ A float64 network is written in format 1, so its file is byte for byte what
 earlier versions wrote; any other network is written in format 2. Both load,
 each in its own dtype. Shapes are implied by the graph: the layer-kind table
 in graph.py (LAYER_KINDS) gives every parameter's shape and every buffer, so
-blobs carry no shape headers; save followed by load is bit-exact.
+blobs carry no shape headers; save followed by load is bit-exact. A layer
+line's last column, its skip mode, must read ``sum``.
 """
 
 from __future__ import annotations
@@ -71,6 +72,8 @@ def spec_from_text(text: str) -> NetworkSpec:
             if fields[0] == "layer":
                 if len(fields) != 10:
                     raise ValueError("bad field count")
+                if fields[9] != LayerSpec.skip_mode:
+                    raise ValueError(f"skip mode {fields[9]!r} is not {LayerSpec.skip_mode!r}")
                 layers.append(
                     LayerSpec(
                         name=fields[1],
@@ -81,7 +84,6 @@ def spec_from_text(text: str) -> NetworkSpec:
                         inner_dim=int(fields[6]),
                         inputs=_uncsv(fields[7]),
                         skip_from="" if fields[8] == "-" else fields[8],
-                        skip_mode=fields[9],
                     )
                 )
             elif fields[0] in ("embedding", "speakers", "taps") and len(fields) == 2:

@@ -102,7 +102,6 @@ def generate_speakers(
     n: int,
     separation: float,
     seed,  # int or SeedSequence
-    dim: int = NUM_COEFFS,
     smoothing: float = DEFAULT_SMOOTHING,
 ) -> list[SynthSpeaker]:
     """Means drawn uniformly on the sphere of radius `separation`."""
@@ -112,13 +111,13 @@ def generate_speakers(
     rng = np.random.default_rng(seed)
     out = []
     for i in range(n):
-        direction = rng.normal(size=dim)
+        direction = rng.normal(size=NUM_COEFFS)
         norm = np.linalg.norm(direction)
         while norm < 1e-12:
-            direction = rng.normal(size=dim)
+            direction = rng.normal(size=NUM_COEFFS)
             norm = np.linalg.norm(direction)
         out.append(SynthSpeaker(f"spk{i:03d}", separation * direction / norm,
-                                np.ones(dim), smoothing))
+                                np.ones(NUM_COEFFS), smoothing))
     return out
 
 
@@ -195,10 +194,9 @@ def generate_conversation(
 
 # ----------------------------------------------------------------- audio mode
 
-def conversation_audio(conv: SynthConversation, speakers: Sequence[SynthSpeaker],
-                       noise_scale: float = 0.01) -> np.ndarray:
+def conversation_audio(conv: SynthConversation, speakers: Sequence[SynthSpeaker]) -> np.ndarray:
     """Samples at SAMPLE_RATE rendering each turn as a small sine mixture
-    keyed to the speaker, plus a touch of noise; enough structure for the
+    keyed to the speaker, plus white noise of std 0.01; enough structure for the
     MFCC front end to tell speakers apart, no pretense of being speech."""
     order = {s.speaker_id: i for i, s in enumerate(speakers)}
     # zlib.crc32 is stable across processes, unlike hash()
@@ -212,7 +210,7 @@ def conversation_audio(conv: SynthConversation, speakers: Sequence[SynthSpeaker]
         tone = (0.4 * np.sin(2 * np.pi * f0 * t)
                 + 0.25 * np.sin(2 * np.pi * 2.1 * f0 * t)
                 + 0.15 * np.sin(2 * np.pi * 3.3 * f0 * t))
-        pieces.append(tone + noise_scale * rng.normal(size=n))
+        pieces.append(tone + 0.01 * rng.normal(size=n))
     return np.concatenate(pieces)
 
 

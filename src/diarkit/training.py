@@ -29,6 +29,26 @@ from .network import (
 )
 
 
+def check_learning_rate(lr: float) -> None:
+    if not 0.0 < lr < math.inf:
+        raise InvalidInputError(f"learning rate must be positive and finite, got {lr}")
+
+
+def check_momentum(momentum: float) -> None:
+    if not 0.0 <= momentum < 1.0:
+        raise InvalidInputError(f"momentum must be in [0, 1), got {momentum}")
+
+
+def check_l2(coeff: float) -> None:
+    if not 0.0 <= coeff < math.inf:
+        raise InvalidInputError(f"L2 coefficient must be finite and nonnegative, got {coeff}")
+
+
+def check_window_shift(frames: int) -> None:
+    if frames < 1:
+        raise InvalidInputError(f"window shift must be a positive frame count, got {frames}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 2
@@ -42,18 +62,18 @@ class TrainConfig:
     window_frames: int = 150   # 1.5 s at the 10 ms frame shift
     window_shift: int = 75
     min_window_frames: int = 50
-    pooling: str = "windowed"  # "windowed" averages window statistics, "whole" pools once
     seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.ortho_interval < 1:
             raise InvalidInputError("epochs, batch_size and ortho_interval must be positive")
-        if not (0.0 < self.lr_start and 0.0 < self.lr_end):
-            raise InvalidInputError("learning rates must be positive")
-        if self.pooling not in ("windowed", "whole"):
-            raise InvalidInputError(f"unknown pooling mode {self.pooling!r}")
+        check_learning_rate(self.lr_start)
+        check_learning_rate(self.lr_end)
+        check_momentum(self.momentum)
+        check_l2(self.l2_coeff)
         if not 0.0 <= self.dropout_prob < 1.0:
             raise InvalidInputError(f"dropout_prob must be in [0, 1), got {self.dropout_prob}")
+        check_window_shift(self.window_shift)
         if not 0 < self.min_window_frames <= self.window_frames:
             raise InvalidInputError("need 0 < min_window_frames <= window_frames")
 
@@ -164,15 +184,17 @@ def sgd_update(net: Network, velocity, grads, lr: float, cfg: TrainConfig) -> No
 
 
 def project_factors(net: Network) -> None:
+    """Put every factor matrix back on the semi-orthogonal manifold. A factor
+    that is not finite means training diverged, and gets no SVD."""
     for m in net.factor_matrices():
+        if not np.isfinite(m).all():
+            raise TrainingDivergedError("a factor matrix holds non-finite values")
         m[:] = semi_orthogonalize(m)
 
 
 def max_ortho_residual(net: Network) -> float:
-    worst = 0.0
-    for m in net.factor_matrices():
-        worst = max(worst, ortho_residual(m))
-    return worst
+    """The worst factor's residual; NaN when some factor's residual is NaN."""
+    return float(np.max([ortho_residual(m) for m in net.factor_matrices()], initial=0.0))
 
 
 def pool_windows(num_frames: int, cfg: TrainConfig) -> list[tuple[int, int]]:
@@ -197,9 +219,7 @@ def train_step(
     project: bool = False,
 ) -> float:
     """Forward, loss, backward, update; optionally re-project the factors."""
-    windows = None
-    if cfg.pooling == "windowed":
-        windows = [(i, pool_windows(s.shape[0], cfg)) for i, s in enumerate(seqs)]
+    windows = [(i, pool_windows(s.shape[0], cfg)) for i, s in enumerate(seqs)]
     res = forward_batch(net, seqs, mode="training", windows=windows,
                         dropout_prob=cfg.dropout_prob, rng=rng)
     loss, logit_grad = softmax_cross_entropy(res.logits, labels)
@@ -235,7 +255,9 @@ def train(
     """Full training run; returns one record per step.
 
     Every log line is "step loss ortho_residual lr" with the residual taken
-    after any projection scheduled for that step.
+    after any projection scheduled for that step. A loss, a factor about to be
+    projected, or at the end any parameter or batch-norm moment that is not
+    finite raises TrainingDivergedError.
     """
     if len(ts.speakers) != net.spec.num_speakers:
         raise InvalidInputError(
@@ -243,16 +265,15 @@ def train(
             f"has {len(ts.speakers)} speakers"
         )
     span = receptive_span(net.spec)
-    if cfg.pooling == "windowed" and cfg.min_window_frames <= span:
+    if cfg.min_window_frames <= span:
         raise InvalidInputError(
             f"pooling windows of {cfg.min_window_frames} frames cannot cover a "
             f"{span}-frame receptive span"
         )
     shortest = min(f.shape[0] for f in ts.features)
-    needed = cfg.min_window_frames if cfg.pooling == "windowed" else span + 1
-    if shortest < needed:
+    if shortest < cfg.min_window_frames:
         raise InvalidInputError(
-            f"shortest utterance has {shortest} frames, need at least {needed}"
+            f"shortest utterance has {shortest} frames, need at least {cfg.min_window_frames}"
         )
 
     rng = np.random.default_rng(cfg.seed)
@@ -270,4 +291,7 @@ def train(
         records.append(TrainRecord(step, loss, resid, lr))
         if log is not None:
             log(f"{step} {loss:.6f} {resid:.3e} {lr:.6e}")
+    held = [a for _, _, a in net.parameters()] + [b for d in net.buffers.values() for b in d.values()]
+    if not all(np.isfinite(a).all() for a in held):
+        raise TrainingDivergedError("training left non-finite parameters or batch-norm moments")
     return records

@@ -153,10 +153,6 @@ def condition_for_fd(net, sequences, windows=None, target_std=18.0, bn_scale=2.1
     for outer magnitude to balance the two truncation terms. The output layer
     is left alone; it feeds the loss directly and has no relu after it. The
     running batch-norm moments end as they started.
-
-    Assumes skips run in sum mode: a concat skip reprojects the bias through
-    its learned matrix, so the per-channel placement would not land where it
-    was computed.
     """
     spec = net.spec
 

@@ -103,6 +103,20 @@ def test_whitener_needs_enough_data():
         fit_pca_whitener(np.random.default_rng(4).normal(size=(8, 8)))
 
 
+def test_whitener_drops_directions_of_rounding_variance():
+    """Rows on a plane in 3-D leave one covariance eigenvalue at rounding
+    level. Whitening that direction would scale rounding noise to unit
+    variance; the whitener keeps the two real ones. Rows with no variance
+    above rounding at all are rejected."""
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(200, 2)) @ rng.normal(size=(2, 3)) + rng.normal(size=3)
+    w = fit_pca_whitener(x)
+    assert w.transform.shape == (2, 3)
+    assert np.allclose(np.cov(apply_whitener(w, x), rowvar=False), np.eye(2), atol=1e-8)
+    with pytest.raises(InvalidInputError, match="covariance is singular"):
+        fit_pca_whitener(np.where(rng.random((12, 1)) < 0.3, np.nextafter(1.0, 0.0), 1.0))
+
+
 # ---------------------------------------------------------- conversation PCA
 
 def test_conversation_pca_rank_rule():

@@ -141,6 +141,9 @@ _BAD_OPTION_VALUES = [
     ("calibrate", "--pca-fraction", "0"), ("calibrate", "--folds", "1"),
     ("calibrate", "--grid-size", "0"), ("synth", "--turn-min", "0"), ("synth", "--smoothing", "1.5"),
     ("synth", "--turn-max", "nan"), ("synth", "--train-utt-s", "nan"), ("synth", "--conv-s", "inf"),
+    ("train", "--momentum", "nan"), ("train", "--momentum", "5"), ("train", "--l2", "nan"),
+    ("train", "--lr-start", "inf"), ("train", "--window-shift", "0"),
+    ("train", "--window-shift", "-5"), ("train", "--feat-dim", "20"),
 ]
 
 
@@ -216,6 +219,45 @@ def test_diverged_training_is_exit_5(work, tmp_path, monkeypatch, capsys):
                  "--width", "8", "--pool-width", "12", "--epochs", "1"]) == 5
     assert "error: loss is not finite" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+# a net with semi-orthogonal factors, trained in two steps of 6 utterances
+_FACTORED_NET = ["--arch", "ftdnn-msa", "--feat-dim", "23", "--width", "8", "--factor-width", "8",
+                 "--inner-dim", "4", "--pool-width", "12", "--branch-dim", "4", "--epochs", "1",
+                 "--batch-size", "6", "--seed", "2"]
+
+
+@pytest.mark.parametrize("rates,message", [
+    (["--lr-start", "1e200", "--lr-end", "1e200"], "a factor matrix holds non-finite values"),
+    (["--lr-end", "1e200"], "training left non-finite parameters"),
+], ids=["every-step", "last-step"])
+def test_diverged_training_writes_no_model(work, tmp_path, capsys, rates, message):
+    """A huge rate at every step leaves factors that the first projection
+    finds not finite; one only at the last step leaves parameters that no
+    later forward pass sees, so the check after the last step finds them, and
+    the last log line's ortho residual is NaN. Both exit 5 and write nothing."""
+    out = tmp_path / "model.bin"
+    with np.errstate(all="ignore"):
+        code = main(["train", "--manifest", str(work["corpus"] / "train/manifest.txt"),
+                     "--out", str(out), *_FACTORED_NET, "--embed-dim", "4", *rates])
+    printed = capsys.readouterr()
+    assert code == 5
+    assert f"error: {message}" in printed.err
+    if rates[0] == "--lr-end":
+        assert printed.out.splitlines()[-1].split()[2] == "nan"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_removed_pooling_option_is_a_usage_error(work, tmp_path, capsys):
+    """Training always pools windows: --pooling, on the command line or in a
+    config file, is no option of train."""
+    args = ["train", "--manifest", str(work["corpus"] / "train/manifest.txt"),
+            "--out", str(tmp_path / "m.bin"), "--dry-run"]
+    assert main([*args, "--pooling", "whole"]) == 2
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("pooling=whole\n")
+    assert main([*args, "--config", str(cfg)]) == 2
+    assert "'pooling' is not an option" in capsys.readouterr().err
 
 
 def test_diarize_requires_exactly_one_stop_rule(work, capsys):
@@ -620,16 +662,58 @@ def test_bad_model_dtype_is_exit_3(work, tmp_path, capsys):
     assert "unknown parameter dtype 'f2'" in capsys.readouterr().err
 
 
-def test_one_dimensional_embeddings_fit_a_backend(work, tmp_path):
+def test_model_with_a_concat_skip_column_is_exit_3(work, tmp_path, capsys):
+    """Skips only add: a model file whose skip-mode column reads anything but
+    sum is rejected."""
+    raw = work["model"].read_bytes()
+    (length,) = struct.unpack("<Q", raw[10:18])
+    text = raw[18 : 18 + length].decode().replace(" sum\n", " concat\n", 1).encode()
+    bad = tmp_path / "concat.bin"
+    bad.write_bytes(raw[:10] + struct.pack("<Q", len(text)) + text + raw[18 + length :])
+    assert main(["embed", *_conv_args({**work, "model": bad}),
+                 "--out", str(tmp_path / "x.emb")]) == 3
+    assert "skip mode 'concat'" in capsys.readouterr().err
+    assert not (tmp_path / "x.emb").exists()
+
+
+def _one_dimensional_embeddings(work, tmp_path, centre: bool):
+    """Train a net with a 1-D embedding and embed the training utterances.
+    Its embeddings have one sign; centre shifts the embedding layer's bias
+    by their median first, so they take both."""
     manifest = str(work["corpus"] / "train/manifest.txt")
     model, emb = tmp_path / "model.bin", tmp_path / "emb.bin"
     assert main(["train", "--manifest", manifest, "--out", str(model), "--arch", "ftdnn-msa",
                  "--feat-dim", "23", "--width", "8", "--factor-width", "8", "--inner-dim", "4",
                  "--pool-width", "12", "--branch-dim", "4", "--embed-dim", "1",
                  "--epochs", "1", "--batch-size", "4", "--seed", "2"]) == 0
-    assert main(["embed", "--model", str(model), "--manifest", manifest, "--out", str(emb)]) == 0
-    assert {r.vector.shape for r in read_embeddings(emb)} == {(1,)}
+    embed = ["embed", "--model", str(model), "--manifest", manifest, "--out", str(emb)]
+    assert main(embed) == 0
+    if centre:
+        net = load_network(model)
+        values = [r.vector[0] for r in read_embeddings(emb)]
+        net.params["segment1"]["b"] -= net.dtype.type(np.median(values))
+        save_network(net, model)
+        assert main(embed) == 0
+    records = read_embeddings(emb)
+    assert {r.vector.shape for r in records} == {(1,)}
+    return emb, np.array([r.vector[0] for r in records])
+
+
+def test_one_dimensional_embeddings_fit_a_backend(work, tmp_path):
+    emb, values = _one_dimensional_embeddings(work, tmp_path, centre=True)
+    assert values.min() < 0.0 < values.max()
     assert main(["backend-fit", "--embeddings", str(emb), "--out", str(tmp_path / "b.bin")]) == 0
+
+
+def test_one_signed_one_dimensional_embeddings_are_exit_4(work, tmp_path, capsys):
+    """Length normalization maps 1-D vectors of one sign all to 1.0, so their
+    variance is rounding alone; the whitener rejects it instead of scaling by
+    about 1e16."""
+    emb, values = _one_dimensional_embeddings(work, tmp_path, centre=False)
+    assert values.min() > 0.0 or values.max() < 0.0
+    assert main(["backend-fit", "--embeddings", str(emb), "--out", str(tmp_path / "b.bin")]) == 4
+    assert "covariance is singular" in capsys.readouterr().err
+    assert not (tmp_path / "b.bin").exists()
 
 
 NEAR_EMPTY = "conv001-short"

@@ -271,7 +271,6 @@ def test_factorized_stack_layout():
     assert by_name["stats"].out_dim == 3000
     assert by_name["segment1"].out_dim == 512
     assert spec.embedding_layer == "segment1"
-    assert build_architecture("ftdnn", 100, embedding_layer="segment2").embedding_layer == "segment2"
 
 
 def test_msa_branch_layout():
@@ -300,25 +299,9 @@ def test_msa_taps_sorted_and_validated():
     with pytest.raises(InvalidInputError):
         build_architecture("tdnn", 10, taps=("frame8",))
     with pytest.raises(InvalidInputError):
-        build_architecture("ftdnn_msa", 10, wide_stats=True)
-    with pytest.raises(InvalidInputError):
         build_architecture("resnet", 10)
     with pytest.raises(InvalidInputError):
         build_architecture("tdnn", 1)
-
-
-def test_wide_stats_doubles_pooling_width():
-    spec = build_architecture("ftdnn", 10, wide_stats=True, dims=REDUCED)
-    by_name = {ls.name: ls for ls in spec.layers}
-    assert by_name["frame10"].out_dim == 2 * REDUCED.pool_width
-    assert by_name["stats"].out_dim == 4 * REDUCED.pool_width
-
-
-def test_concat_skip_has_projection():
-    spec = build_architecture("ftdnn", 10, dims=REDUCED, skip_mode="concat")
-    net = initialize_network(spec, seed=0)
-    for name in ("frame5", "frame7", "frame9"):
-        assert net.params[name]["P"].shape == (REDUCED.factor_width, 2 * REDUCED.factor_width)
 
 
 def test_receptive_spans():
@@ -659,7 +642,7 @@ def test_grad_factorized_with_sum_skip():
         LayerSpec("f1_post", "relu_batchnorm", 6, 6, (0,), 0, ("f1",)),
         LayerSpec("f2", "factorized_tdnn", 6, 6, (-1, 0, 1), 3, ("f1_post",)),
         LayerSpec("f2_post", "relu_batchnorm", 6, 6, (0,), 0, ("f2",)),
-        LayerSpec("f3", "factorized_tdnn", 6, 6, (0,), 3, ("f2_post",), "f1_post", "sum"),
+        LayerSpec("f3", "factorized_tdnn", 6, 6, (0,), 3, ("f2_post",), "f1_post"),
         LayerSpec("f3_post", "relu_batchnorm", 6, 6, (0,), 0, ("f3",)),
         LayerSpec("stats", "stats_pool", 6, 12, (0,), 0, ("f3_post",)),
         LayerSpec("seg", "dense", 12, 7, (0,), 0, ("stats",)),
@@ -668,28 +651,6 @@ def test_grad_factorized_with_sum_skip():
     ]
     seqs = [rng.normal(size=(14, 5)), rng.normal(-0.3, 0.8, size=(15, 5))]
     _grad_case(layers, "seg", seqs, seed=1)
-
-
-def test_grad_concat_skip_projection():
-    """Concat-mode skip: bias placement does not apply, so keep the net shallow
-    and hold the only relu away from zero by hand."""
-    rng = np.random.default_rng(22)
-    layers = [
-        LayerSpec("f1", "tdnn", 5, 6, (-1, 0, 1), 0, ("input",)),
-        LayerSpec("f1_post", "relu_batchnorm", 6, 6, (0,), 0, ("f1",)),
-        LayerSpec("f2", "factorized_tdnn", 6, 6, (-1, 0, 1), 3, ("f1_post",), "f1_post", "concat"),
-        LayerSpec("stats", "stats_pool", 6, 12, (0,), 0, ("f2",)),
-        LayerSpec("seg", "dense", 12, 7, (0,), 0, ("stats",)),
-        LayerSpec("output", "dense", 7, 3, (0,), 0, ("seg",)),
-    ]
-    spec = _spec(layers, "seg")
-    net = initialize_network(spec, seed=2)
-    net.params["f1"]["b"][:] = [2.0, -2.0, 2.0, -2.0, 2.0, -2.0]
-    seqs = [rng.normal(0, 0.3, size=(14, 5)), rng.normal(0, 0.3, size=(12, 5))]
-    grad_out = np.random.default_rng(99).choice([-1.0, 1.0], size=(2, 3))
-    rels = check_gradients(net, seqs, grad_out)
-    assert "f2.P" in rels
-    assert max(rels.values()) < TOL_GRAD, sorted(rels.items(), key=lambda kv: -kv[1])[:5]
 
 
 def test_grad_batchnorm_and_dropout():
@@ -787,7 +748,7 @@ def test_gradient_oracle_leaves_the_network_as_it_was():
         LayerSpec("f1_post", "relu_batchnorm", 6, 6, (0,), 0, ("f1",)),
         LayerSpec("f2", "factorized_tdnn", 6, 6, (-1, 0, 1), 3, ("f1_post",)),
         LayerSpec("f2_post", "relu_batchnorm", 6, 6, (0,), 0, ("f2",)),
-        LayerSpec("f3", "factorized_tdnn", 6, 6, (0,), 3, ("f2_post",), "f1_post", "sum"),
+        LayerSpec("f3", "factorized_tdnn", 6, 6, (0,), 3, ("f2_post",), "f1_post"),
         LayerSpec("f3_post", "relu_batchnorm", 6, 6, (0,), 0, ("f3",)),
         LayerSpec("stats", "stats_pool", 6, 12, (0,), 0, ("f3_post",)),
         LayerSpec("seg", "dense", 12, 7, (0,), 0, ("stats",)),
@@ -927,6 +888,15 @@ def test_float32_model_file_is_half_the_size(tmp_path):
     assert 0.5 < f4 / f8 < 0.51  # the spec text and the length prefixes stay
 
 
+def _stock(arch, skip_mode):
+    """A reduced stock spec whose model-file layer lines all end in skip_mode,
+    the skip column the pins below are keyed by."""
+    spec = build_architecture(arch, 4, dims=REDUCED)
+    lines = [ln for ln in spec_to_text(spec).splitlines() if ln.startswith("layer ")]
+    assert {ln.split()[-1] for ln in lines} == {skip_mode}
+    return spec
+
+
 # Pin the initial draw order and the file layout. Factor matrices pass through
 # an SVD, so another LAPACK build may move their last bits and these hashes.
 INIT_MODEL_SHA256 = {
@@ -934,15 +904,13 @@ INIT_MODEL_SHA256 = {
     ("etdnn", "sum"): "5bc6207a75f7fde2320dbb37f4a483886522dbc3018d7219a5ec079a0411af1d",
     ("ftdnn", "sum"): "fc625e23b9e22531f85c0483a24f7f3cf075b895cef2fa3c1cb8b98b8d36bc29",
     ("ftdnn_msa", "sum"): "76b3e207e4964b8bd3da419e76badc342b6da3d24244b9a925594c8e1e511d20",
-    ("ftdnn", "concat"): "82241d52b3c73c32e57aab0ae864f830b9a008cce00be6f2a10ad2d9323bea57",
 }
 
 
 @pytest.mark.parametrize("arch,skip_mode", sorted(INIT_MODEL_SHA256))
 def test_initial_model_bytes_are_pinned(tmp_path, arch, skip_mode):
-    spec = build_architecture(arch, 4, dims=REDUCED, skip_mode=skip_mode)
     path = tmp_path / "init.xvec"
-    save_network(initialize_network(spec, seed=0), path)
+    save_network(initialize_network(_stock(arch, skip_mode), seed=0), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == INIT_MODEL_SHA256[arch, skip_mode]
 
 
@@ -964,8 +932,7 @@ def test_initialization_bounds_and_determinism():
 def _trained_case(arch, skip_mode, dropout):
     """Three seeded training steps on a ragged batch (the last re-projects the
     factors), then inference embeddings of rows that share sequences."""
-    spec = build_architecture(arch, 4, dims=REDUCED, skip_mode=skip_mode)
-    net = initialize_network(spec, seed=0)
+    net = initialize_network(_stock(arch, skip_mode), seed=0)
     rng = np.random.default_rng(21)
     seqs = [rng.normal(0.1 * i, 1.0 + 0.1 * i, size=(n, 23))
             for i, n in enumerate((96, 81, 110, 88))]
@@ -997,10 +964,6 @@ TRAINED_SHA256 = {
     ("ftdnn_msa", "sum", 0.0): (
         "53d2c9117c5dfbbf965671d82910e788f9a16ce26c54e83c65e32f195a2b4080",
         "d04db12c12256015433eb58aa40a6880d37607bacfe996088e807d98d0ad807a",
-    ),
-    ("ftdnn", "concat", 0.0): (
-        "b789d362a224b70f41944c396f82f2a4c75212fd9f782e16664a4812b71633ba",
-        "fc6b99b10cb061a8e470767ff0736723d8bd0108a2c6d6ac754b767a059190ca",
     ),
     ("ftdnn_msa", "sum", 0.2): (
         "9373eb9895ad0036635c8d5c21de3bf8b1001d085451443690db2e1e8a5239cf",
@@ -1149,7 +1112,7 @@ F32_ROWS = [(0, [(0, 60)]), (0, [(20, 80), (40, 96)]), (2, [(0, 110)]),
 def _float32_case(arch, skip_mode):
     """A float32 network whose running moments have moved, the float64
     network with the same values, and float32-representable ragged input."""
-    spec = build_architecture(arch, 4, dims=REDUCED, skip_mode=skip_mode)
+    spec = _stock(arch, skip_mode)
     rng = np.random.default_rng(0)
     seqs = [rng.normal(0.1 * i, 1.0 + 0.1 * i, size=(n, 23)).astype(np.float32)
             for i, n in enumerate((96, 81, 110))]
@@ -1164,7 +1127,7 @@ def _relative(a, ref):
 
 
 @pytest.mark.parametrize("arch,skip_mode", [("tdnn", "sum"), ("etdnn", "sum"), ("ftdnn", "sum"),
-                                            ("ftdnn", "concat"), ("ftdnn_msa", "sum")])
+                                            ("ftdnn_msa", "sum")])
 def test_float32_engine_matches_float64(arch, skip_mode):
     """Logits, embeddings and every parameter gradient of the float32 engine
     against the float64 engine on the same values, with pooling rows that
@@ -1191,7 +1154,7 @@ def test_float32_training_pass_holds_only_float32():
     the parameters, buffers and velocity after an update and a projection,
     are float32. The float64 moment accumulators (batch norm, pooling) are
     local to their call: nothing a pass keeps is float64."""
-    spec = build_architecture("ftdnn_msa", 4, dims=REDUCED, skip_mode="concat")
+    spec = build_architecture("ftdnn_msa", 4, dims=REDUCED)
     net = initialize_network(spec, seed=0).astype(np.float32)
     rng = np.random.default_rng(12)
     seqs = [rng.normal(size=(n, 23)) for n in (96, 81, 110)]  # float64 input

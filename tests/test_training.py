@@ -15,6 +15,7 @@ from diarkit.training import (
     load_train_set,
     max_ortho_residual,
     pool_windows,
+    project_factors,
     read_manifest,
     receptive_span,
     sample_batch,
@@ -254,15 +255,23 @@ def test_divergence_raises():
         train(net, ts, TrainConfig(epochs=4, batch_size=6, seed=0))
 
 
-def test_whole_pooling_mode():
-    rng = np.random.default_rng(10)
-    ts = _toy_set(rng)
-    net = initialize_network(build_architecture("tdnn", 2, dims=SMALL), seed=7)
-    cfg = TrainConfig(epochs=1, batch_size=6, pooling="whole")
-    records = train(net, ts, cfg)
-    assert all(np.isfinite(r.loss) for r in records)
+def test_non_finite_factor_is_divergence_not_an_svd_error():
+    net = initialize_network(build_architecture("ftdnn", 2, dims=SMALL), seed=6)
+    net.params["frame7"]["M"][0, 0] = np.nan
+    assert np.isnan(max_ortho_residual(net))  # not hidden behind a finite layer's value
+    with pytest.raises(TrainingDivergedError, match="factor matrix"):
+        project_factors(net)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("lr_start", float("inf")), ("lr_end", float("nan")), ("lr_start", 0.0),
+    ("momentum", float("nan")), ("momentum", 1.0), ("momentum", -0.1),
+    ("l2_coeff", float("nan")), ("l2_coeff", -1e-4), ("l2_coeff", float("inf")),
+    ("window_shift", 0), ("window_shift", -5),
+])
+def test_train_config_rejects_values_outside_their_domain(field, value):
     with pytest.raises(InvalidInputError):
-        TrainConfig(pooling="everything")
+        TrainConfig(**{field: value})
 
 
 def test_learning_rate_schedule_is_geometric():
