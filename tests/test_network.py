@@ -929,10 +929,10 @@ def test_initialization_bounds_and_determinism():
     assert ortho_residual(a.params["frame2"]["M"]) < 1e-10
 
 
-def _trained_case(arch, skip_mode, dropout):
+def _trained_case(arch, skip_mode, dropout, dtype=np.float64):
     """Three seeded training steps on a ragged batch (the last re-projects the
     factors), then inference embeddings of rows that share sequences."""
-    net = initialize_network(_stock(arch, skip_mode), seed=0)
+    net = initialize_network(_stock(arch, skip_mode), seed=0).astype(dtype)
     rng = np.random.default_rng(21)
     seqs = [rng.normal(0.1 * i, 1.0 + 0.1 * i, size=(n, 23))
             for i, n in enumerate((96, 81, 110, 88))]
@@ -980,6 +980,52 @@ def test_trained_model_and_embeddings_are_pinned(tmp_path, arch, skip_mode, drop
     got = (hashlib.sha256(path.read_bytes()).hexdigest(),
            hashlib.sha256(np.ascontiguousarray(emb).tobytes()).hexdigest())
     assert got == TRAINED_SHA256[arch, skip_mode, dropout]
+
+
+# The same pin for the float32 engine that ``diarkit train`` runs, on the
+# factorized networks, whose factors are projected in float64 and rounded once.
+TRAINED_F32_SHA256 = {
+    ("ftdnn", 0.0): (
+        "4c47266679dc258cb16a87664f295b66036121835b90719757d901b6aae347df",
+        "d45724b2ab55e86907856b80956ae1ba641876baa1be005aecc7269d24d35cea",
+    ),
+    ("ftdnn_msa", 0.0): (
+        "738e90ea891f053ef187e4e61f7f4ee12d040f6c3eccd992c940df05af318f2b",
+        "9985dbe787a460cae7df50d180f777ee28000ee84caa47d62d5f43cc48d72144",
+    ),
+    ("ftdnn_msa", 0.2): (
+        "9ee9ac446e9cb6f0e5ee497b08b25674fe1fc2bb77302ae2c5ab572749e717f3",
+        "5912831c5fd9a8d340a79ebc46fed0c43cf6df7c1e4af6bdbe14087037b2b726",
+    ),
+}
+
+
+@pytest.mark.parametrize("arch,dropout", sorted(TRAINED_F32_SHA256))
+def test_float32_trained_model_and_embeddings_are_pinned(tmp_path, arch, dropout):
+    net, emb = _trained_case(arch, "sum", dropout, dtype=np.float32)
+    path = tmp_path / "trained.xvec"
+    save_network(net, path)
+    got = (hashlib.sha256(path.read_bytes()).hexdigest(),
+           hashlib.sha256(np.ascontiguousarray(emb).tobytes()).hexdigest())
+    assert got == TRAINED_F32_SHA256[arch, dropout]
+
+
+# The seed-0 factor matrices at the paper widths, as ``diarkit train`` starts
+# from them: projected in float64, then cast to float32. The two networks
+# share their frame-level stack and draw order, so their factors hash alike.
+PAPER_F32_FACTORS_SHA256 = {
+    "ftdnn": "cbf9eec6b98f69a74f181eaa8aafd4908d3d4f635f6331c09f85d97c23906f7d",
+    "ftdnn_msa": "cbf9eec6b98f69a74f181eaa8aafd4908d3d4f635f6331c09f85d97c23906f7d",
+}
+
+
+@pytest.mark.parametrize("arch", sorted(PAPER_F32_FACTORS_SHA256))
+def test_paper_width_float32_factors_are_pinned(arch):
+    net = initialize_network(build_architecture(arch, 4, dims=DimOverrides()), seed=0)
+    digest = hashlib.sha256()
+    for m in net.astype(np.float32).factor_matrices():
+        digest.update(np.ascontiguousarray(m).tobytes())
+    assert digest.hexdigest() == PAPER_F32_FACTORS_SHA256[arch]
 
 
 # Pin every bit of inference apart from training: seed-0 networks whose
