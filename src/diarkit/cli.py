@@ -79,7 +79,7 @@ from .pipeline import (
     windowed_utterance_embeddings,
 )
 from .training import (TrainConfig, check_l2, check_learning_rate, check_momentum,
-                       check_window_shift, load_train_set, train)
+                       check_window_shift, check_window_span, load_train_set, train)
 
 # train computes in and stores float32; a model file's own dtype decides how
 # the other commands run it
@@ -527,6 +527,10 @@ def _cmd_train(ns) -> int:
     arch = ns.arch.replace("-", "_")
     spec = build_architecture(arch, num_speakers=len(ts.speakers),
                               taps=ns.taps, dims=dims)
+    try:
+        check_window_span(spec, cfg.min_window_frames)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"--min-window-frames: {exc}") from None
     if ns.dry_run:
         print(f"dry run: {arch} with {len(ts.speakers)} speakers, "
               f"{len(ts.features)} utterances")

@@ -29,7 +29,8 @@ it. A float64 network runs the float64 engine; a float32 one (what
 would cancel: batch norm's batch mean and the pooling moments
 (layers.pool_moments) accumulate in float64 and round once to the parameter
 dtype (batch norm's variance, of centred rows, is a BLAS sum in that dtype),
-and semi_orthogonalize and ortho_residual work in float64. Those float64
+and semi_orthogonalize (an eigendecomposition of the factor's Gram matrix and
+one Bjorck step) and ortho_residual work in float64. Those float64
 accumulators live only inside the call; the values, the tape and the
 gradients hold the parameter dtype.
 """
@@ -515,6 +516,9 @@ def validate_spec(spec: NetworkSpec) -> None:
             raise InvalidInputError(f"{ls.name}: unknown layer kind {ls.kind!r}")
         if ls.name in seen or ls.name == INPUT_NAME:
             raise InvalidInputError(f"duplicate or reserved layer name {ls.name!r}")
+        if ls.in_dim < 1 or ls.out_dim < 1:
+            raise InvalidInputError(
+                f"{ls.name}: layer widths must be positive, got {ls.in_dim} -> {ls.out_dim}")
         for src in ls.inputs:
             if src not in info:
                 raise InvalidInputError(f"{ls.name}: input {src!r} is not an earlier layer")

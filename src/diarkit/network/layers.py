@@ -72,17 +72,27 @@ def factor_contexts(context) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def semi_orthogonalize(m: np.ndarray) -> np.ndarray:
-    """Nearest matrix with orthonormal rows (Frobenius sense): U V^T from the SVD.
+    """Nearest matrix with orthonormal rows (Frobenius sense): the polar factor
+    U V^T of m, formed as (m m^T)^(-1/2) m.
 
-    A smallest singular value at most 1e-10 times max(1, the largest) is
-    rank deficiency. The SVD runs in float64 and the result is rounded once to
-    m's dtype, so that tolerance means the same for a float32 matrix."""
+    The inverse square root comes from the eigendecomposition of the Gram
+    matrix, and one Bjorck step (P <- 1.5 P - 0.5 P P^T P) takes out the
+    error that squaring the condition number put in. A smallest Gram
+    eigenvalue at most 1e-10 times the largest (a condition number of 1e5 or
+    more), or one that is not positive, is rank deficiency; so is a matrix
+    that is not finite. The work runs in float64 and the result is rounded
+    once to m's dtype, so that tolerance means the same for a float32 matrix."""
     if m.ndim != 2 or m.shape[0] > m.shape[1]:
         raise InvalidInputError(f"matrix of shape {m.shape} has more rows than columns")
-    u, s, vt = np.linalg.svd(m.astype(np.float64, copy=False), full_matrices=False)
-    if s[-1] <= 1e-10 * max(1.0, s[0]):
+    a = m.astype(np.float64, copy=False)
+    if not np.isfinite(a).all():
+        raise InvalidInputError("non-finite matrix has no semi-orthogonal projection")
+    lam, q = np.linalg.eigh(a @ a.T)
+    if not lam[0] > 1e-10 * lam[-1]:
         raise InvalidInputError("rank-deficient matrix has no semi-orthogonal projection")
-    return (u @ vt).astype(m.dtype, copy=False)
+    p = (q / np.sqrt(lam)) @ (q.T @ a)
+    p = 1.5 * p - 0.5 * ((p @ p.T) @ p)
+    return p.astype(m.dtype, copy=False)
 
 
 def ortho_residual(m: np.ndarray) -> float:

@@ -21,6 +21,7 @@ from .errors import FormatError, InvalidInputError, TrainingDivergedError
 from .features import read_features, stride_windows
 from .network import (
     Network,
+    NetworkSpec,
     backward_batch,
     forward_batch,
     ortho_residual,
@@ -47,6 +48,16 @@ def check_l2(coeff: float) -> None:
 def check_window_shift(frames: int) -> None:
     if frames < 1:
         raise InvalidInputError(f"window shift must be a positive frame count, got {frames}")
+
+
+def check_window_span(spec: NetworkSpec, min_window_frames: int) -> None:
+    """Every pooling window must keep frames after the network's receptive span."""
+    span = receptive_span(spec)
+    if min_window_frames <= span:
+        raise InvalidInputError(
+            f"pooling windows of {min_window_frames} frames cannot cover a "
+            f"{span}-frame receptive span"
+        )
 
 
 @dataclass(frozen=True)
@@ -185,7 +196,7 @@ def sgd_update(net: Network, velocity, grads, lr: float, cfg: TrainConfig) -> No
 
 def project_factors(net: Network) -> None:
     """Put every factor matrix back on the semi-orthogonal manifold. A factor
-    that is not finite means training diverged, and gets no SVD."""
+    that is not finite means training diverged, and is not projected."""
     for m in net.factor_matrices():
         if not np.isfinite(m).all():
             raise TrainingDivergedError("a factor matrix holds non-finite values")
@@ -264,12 +275,7 @@ def train(
             f"network has {net.spec.num_speakers} outputs but the training set "
             f"has {len(ts.speakers)} speakers"
         )
-    span = receptive_span(net.spec)
-    if cfg.min_window_frames <= span:
-        raise InvalidInputError(
-            f"pooling windows of {cfg.min_window_frames} frames cannot cover a "
-            f"{span}-frame receptive span"
-        )
+    check_window_span(net.spec, cfg.min_window_frames)
     shortest = min(f.shape[0] for f in ts.features)
     if shortest < cfg.min_window_frames:
         raise InvalidInputError(

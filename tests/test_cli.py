@@ -143,7 +143,8 @@ _BAD_OPTION_VALUES = [
     ("synth", "--turn-max", "nan"), ("synth", "--train-utt-s", "nan"), ("synth", "--conv-s", "inf"),
     ("train", "--momentum", "nan"), ("train", "--momentum", "5"), ("train", "--l2", "nan"),
     ("train", "--lr-start", "inf"), ("train", "--window-shift", "0"),
-    ("train", "--window-shift", "-5"), ("train", "--feat-dim", "20"),
+    ("train", "--window-shift", "-5"), ("train", "--feat-dim", "20"), ("train", "--width", "0"),
+    ("train", "--min-window-frames", "10"),
 ]
 
 
