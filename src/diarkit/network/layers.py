@@ -73,15 +73,13 @@ def factor_contexts(context) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def semi_orthogonalize(m: np.ndarray) -> np.ndarray:
     """Nearest matrix with orthonormal rows (Frobenius sense): the polar factor
-    U V^T of m, formed as (m m^T)^(-1/2) m.
-
-    The inverse square root comes from the eigendecomposition of the Gram
-    matrix, and one Bjorck step (P <- 1.5 P - 0.5 P P^T P) takes out the
-    error that squaring the condition number put in. A smallest Gram
-    eigenvalue at most 1e-10 times the largest (a condition number of 1e5 or
-    more), or one that is not positive, is rank deficiency; so is a matrix
-    that is not finite. The work runs in float64 and the result is rounded
-    once to m's dtype, so that tolerance means the same for a float32 matrix."""
+    U V^T = (m m^T)^(-1/2) m, from the eigendecomposition of the Gram matrix
+    and one Bjorck step, P <- 1.5 P - 0.5 P P^T P, which takes out the error
+    that squaring the condition number put in. A smallest Gram eigenvalue at
+    most 1e-10 times the largest (condition number 1e5 or more), or a matrix
+    that is not finite, is rank deficiency. The work runs in float64 and the
+    result is rounded once to m's dtype, so that tolerance means the same for
+    a float32 matrix."""
     if m.ndim != 2 or m.shape[0] > m.shape[1]:
         raise InvalidInputError(f"matrix of shape {m.shape} has more rows than columns")
     a = m.astype(np.float64, copy=False)

@@ -206,6 +206,19 @@ def test_semi_orthogonalize_matches_svd_oracle(shape, cond):
     assert ortho_residual(q) < 1e-10
 
 
+def test_float32_projection_is_the_rounded_polar_factor():
+    """A paper-width factor draw, projected and rounded to float32 as
+    initialization does, equals the polar factor refined by two Bjorck steps
+    in extended precision and rounded once: the float64 work is off by a few
+    float64 ulps, far below one float32 rounding."""
+    bound = 1.0 / np.sqrt(725)
+    m = np.random.default_rng(2).uniform(-bound, bound, size=(180, 725))
+    ref = semi_orthogonalize(m).astype(np.longdouble)
+    for _ in range(2):
+        ref = 1.5 * ref - 0.5 * ((ref @ ref.T) @ ref)
+    assert np.array_equal(semi_orthogonalize(m).astype(np.float32), ref.astype(np.float32))
+
+
 def test_semi_orthogonalize_errors():
     with pytest.raises(InvalidInputError):
         semi_orthogonalize(np.zeros((5, 3)))  # more rows than columns
@@ -412,8 +425,6 @@ def test_spec_rejects_skip_that_cannot_be_centered():
     assert str(run_time.value) == odd
 
 
-# ------------------------------------------------------------ graph behavior
-
 @pytest.mark.parametrize("arch,field,value", [
     ("tdnn", "width", 0), ("ftdnn", "factor_width", -3),
     ("ftdnn_msa", "embed_dim", 0), ("ftdnn_msa", "branch_dim", -1),
@@ -423,6 +434,8 @@ def test_spec_rejects_non_positive_widths(arch, field, value):
     with pytest.raises(InvalidInputError, match="widths must be positive"):
         build_architecture(arch, 4, dims=replace(REDUCED, **{field: value}))
 
+
+# ------------------------------------------------------------ graph behavior
 
 def _reduced_msa_net(seed=1):
     spec = build_architecture("ftdnn_msa", 4, dims=REDUCED)
