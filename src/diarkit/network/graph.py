@@ -26,9 +26,9 @@ forward_batch casts its input sequences to it, every layer output and
 gradient is allocated in it, and backward_batch takes the logits gradient in
 it. A float64 network runs the float64 engine; a float32 one (what
 ``diarkit train`` writes) runs in float32 throughout, except where a long sum
-would cancel: batch norm's batch mean and the pooling moments
-(layers.pool_moments) accumulate in float64 and round once to the parameter
-dtype (batch norm's variance, of centred rows, is a BLAS sum in that dtype),
+would cancel: batch norm's batch mean and the pooling moments accumulate in
+float64 and round once to the parameter dtype (batch norm's variance, of
+centred rows, is a BLAS sum in that dtype),
 and semi_orthogonalize (an eigendecomposition of the factor's Gram matrix and
 one Bjorck step) and ortho_residual work in float64. Those float64
 accumulators live only inside the call; the values, the tape and the
@@ -47,7 +47,6 @@ from .layers import (
     VARIANCE_FLOOR,
     context_span,
     factor_contexts,
-    pool_moments,
     semi_orthogonalize,
     splice,
     spliced_map_grads,
@@ -56,6 +55,11 @@ from .layers import (
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
+# Statistics pooling gathers at most this many values of its input at once,
+# whatever the number of windows. Its float64 copy of them, 512 KB, stays in
+# cache; blocks of 1 << 20 values took 40 % longer at the train workload's
+# shapes.
+POOL_BLOCK_VALUES = 1 << 16
 
 INPUT_NAME = "input"
 
@@ -410,7 +414,23 @@ class _ReluBatchNorm(LayerKind):
 
 class _StatsPool(LayerKind):
     """One output row per pooling row: mean and std over each of the row's
-    windows of its source sequence, averaged over those windows."""
+    windows of its source sequence, averaged over those windows.
+
+    The windows of all rows, in row order, are cut into blocks: runs of
+    consecutive windows of one width, of at most POOL_BLOCK_VALUES values.
+    Forward gathers a block once, window frame by window, as a float64
+    (width, k, dim) array, and takes every window's moments in four calls
+    (sum, centring, an einsum of the squares, the floored square root): the
+    float64 sums of one window's frames in frame order, each moment rounded
+    once to the engine dtype. That is 6 passes over the block, where one
+    call per window made 6 passes over each window. A row's statistics are
+    the sum of its windows' in window order, divided by its window count.
+    Backward gathers a block again as (k, width, dim), forms its gradient
+    contributions in three passes, and adds them window by window in row and
+    window order, so overlapping windows add into shared frames in the same
+    order as one window at a time. The tape keeps each window's mean,
+    variance and std.
+    """
 
     frame_input = True
 
@@ -422,39 +442,77 @@ class _StatsPool(LayerKind):
 
     def forward(self, ls, p, xs, run):
         x = xs[0]
-        seqs = x.split()
-        pooled_rows, row_caches = [], []
+        dim, dtype = ls.in_dim, x.data.dtype
+        offsets = np.cumsum((0,) + x.lengths).tolist()
+        starts, widths = [], []  # rows of x.data
         for i, wins in run.rows:
-            per_window, wcache = [], []
             for w in wins:
                 a, b = int(w[0]), int(w[1]) - x.span
-                if not (0 <= a < b <= seqs[i].shape[0]):
+                if not (0 <= a < b <= x.lengths[i]):
                     raise InvalidInputError(
                         f"{ls.name}: window {w} leaves no frames after a {x.span}-frame receptive span"
                     )
-                mean, var, std = pool_moments(seqs[i][a:b])
-                per_window.append(np.concatenate([mean, std]))
-                wcache.append((a, b, mean, var, std))
-            pooled_rows.append(np.mean(per_window, axis=0))
-            row_caches.append((i, wcache))
-        return np.stack(pooled_rows), {"rows": row_caches}
+                starts.append(offsets[i] + a)
+                widths.append(b - a)
+        starts, blocks = np.array(starts), _window_blocks(widths, dim)
+        stats = np.empty((len(widths), 2 * dim), dtype)  # mean, then std
+        var = np.empty((len(widths), dim), dtype)
+        for width, lo, hi in blocks:
+            if dim > 1:
+                v = x.data[np.add.outer(np.arange(width), starts[lo:hi])].astype(np.float64)
+            else:  # numpy sums a lone contiguous column pairwise, so keep each window's together
+                v = x.data[np.add.outer(starts[lo:hi], np.arange(width))].astype(np.float64)
+                v = v.swapaxes(0, 1)
+            mean = v.sum(axis=0) / width
+            v -= mean
+            block_var = np.einsum("ikj,ikj->kj", v, v) / width
+            stats[lo:hi, :dim] = mean
+            stats[lo:hi, dim:] = np.sqrt(np.maximum(block_var, VARIANCE_FLOOR))
+            var[lo:hi] = block_var
+        counts = np.array([len(wins) for _, wins in run.rows])
+        row_of = np.repeat(np.arange(len(counts)), counts)
+        first = np.cumsum(counts) - counts
+        pooled = stats[first]
+        for j in range(1, counts.max()):
+            more = counts > j
+            pooled[more] += stats[first[more] + j]
+        counts = counts.astype(dtype)  # an integer count would promote g to float64
+        pooled /= counts[:, None]
+        return pooled, {"stats": stats, "var": var, "starts": starts, "blocks": blocks,
+                        "widths": np.array(widths, dtype), "row_of": row_of, "counts": counts}
 
     def backward(self, ls, p, g, cache):
         """Rows that share a sequence add their gradients into its frames."""
-        x = cache["in_value"]
+        x = _data(cache["in_value"])
         dim = ls.in_dim
-        gx = np.zeros_like(x.data)
-        starts = np.cumsum((0,) + x.lengths)
-        for r, (i, wcache) in enumerate(cache["rows"]):
-            n_windows = len(wcache)
-            dmean = g[r, :dim] / n_windows
-            dstd = g[r, dim:] / n_windows
-            for a, b, mean, var, std in wcache:
-                rows = x.data[starts[i] + a : starts[i] + b]
-                width = b - a
-                gate = np.where(var > VARIANCE_FLOOR, dstd / (std * width), 0.0)
-                gx[starts[i] + a : starts[i] + b] += dmean / width + (rows - mean) * gate
+        gx = np.zeros_like(x)
+        g = (g / cache["counts"][:, None])[cache["row_of"]]  # each window's share
+        mean, std = cache["stats"][:, :dim], cache["stats"][:, dim:]
+        widths = cache["widths"][:, None]
+        gate = np.where(cache["var"] > VARIANCE_FLOOR, g[:, dim:] / (std * widths), 0.0)
+        dmean = g[:, :dim] / widths
+        starts = cache["starts"]
+        for width, lo, hi in cache["blocks"]:
+            contrib = x[np.add.outer(starts[lo:hi], np.arange(width))]
+            contrib -= mean[lo:hi, None]
+            contrib *= gate[lo:hi, None]
+            contrib += dmean[lo:hi, None]
+            for a, c in zip(starts[lo:hi].tolist(), contrib):
+                gx[a : a + width] += c
         return {}, [gx]
+
+
+def _window_blocks(widths: list[int], dim: int) -> list[tuple[int, int, int]]:
+    """(width, lo, hi) of each block of windows lo..hi-1: a run of consecutive
+    windows of one width, cut so that no block gathers more than
+    POOL_BLOCK_VALUES values (but at least one window)."""
+    blocks, lo = [], 0
+    for hi in range(1, len(widths) + 1):
+        if hi == len(widths) or widths[hi] != widths[lo]:
+            step = max(1, POOL_BLOCK_VALUES // (widths[lo] * dim))
+            blocks += [(widths[lo], a, min(a + step, hi)) for a in range(lo, hi, step)]
+            lo = hi
+    return blocks
 
 
 class _Concat(LayerKind):

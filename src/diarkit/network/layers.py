@@ -1,6 +1,6 @@
 """Layer primitives: frame splicing and the gradients of a spliced map, the
-factor contexts of a factorized convolution, statistics-pooling moments, and
-the semi-orthogonal projection applied to factor matrices."""
+factor contexts of a factorized convolution, the statistics-pooling variance
+floor, and the semi-orthogonal projection applied to factor matrices."""
 
 from __future__ import annotations
 
@@ -101,16 +101,3 @@ def ortho_residual(m: np.ndarray) -> float:
     gram = m @ m.T
     return float(np.linalg.norm(gram - np.eye(gram.shape[0])))
 
-
-def pool_moments(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean, population variance and standard deviation over the frame axis.
-
-    The sums run in float64 and each moment is rounded once to the frames'
-    dtype. The variance is floored at VARIANCE_FLOOR under the square root so
-    the std gradient stays finite for constant input.
-    """
-    mean = frames.mean(axis=0, dtype=np.float64)
-    centered = frames - mean
-    var = np.einsum("ij,ij->j", centered, centered) / frames.shape[0]
-    std = np.sqrt(np.maximum(var, VARIANCE_FLOOR))
-    return tuple(a.astype(frames.dtype, copy=False) for a in (mean, var, std))

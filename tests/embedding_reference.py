@@ -3,14 +3,14 @@
 The engine embeds the overlapping segments of a speech region from one shared
 frame-level pass; this reference runs every segment through the network on
 its own, as a sequence of exactly its frames, with nothing shared. stats_pool
-pools one matrix through the engine's own moments, for the pooling oracles.
+pools one matrix through the per-window moments of pooling_reference.
 """
 
 import numpy as np
 
 from diarkit.errors import InvalidInputError
 from diarkit.network import forward_batch
-from diarkit.network.layers import pool_moments
+from pooling_reference import pool_moments
 
 
 def extract_embedding(net, x) -> np.ndarray:

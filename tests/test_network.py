@@ -39,6 +39,7 @@ from diarkit.network.layers import spliced_map_grads
 from diarkit.network.model_io import spec_to_text
 from diarkit.training import TrainConfig, init_velocity, train_step
 import batchnorm_reference
+import pooling_reference
 from embedding_reference import extract_embedding, stats_pool
 from gradcheck_reference import check_gradients, condition_for_fd, fd_gradients, relative_errors
 from orthogonal_reference import svd_semi_orthogonalize
@@ -290,6 +291,64 @@ def test_stats_pool_variance_floor():
 def test_stats_pool_rejects_empty():
     with pytest.raises(InvalidInputError):
         stats_pool(np.zeros((0, 3)))
+
+
+def _pooling_case(dtype, dim=5):
+    """A stats_pool layer, the frame batch it reads (span 3, so windows end
+    up to 3 frames past a sequence's rows), and pooling rows with mixed
+    window widths, overlapping windows, a one-frame window, several rows per
+    sequence, a repeated window, and a run of equal widths that crosses from
+    one sequence to the next."""
+    lengths = (40, 33, 25)
+    data = np.random.default_rng(31).normal(0.3, 1.5, size=(sum(lengths), dim))
+    x = graph.FrameBatch(data.astype(dtype), lengths, span=3)
+    rows = [(0, [(0, 20), (5, 25), (10, 30)]), (1, [(3, 23)]), (1, [(0, 36)]), (0, [(0, 43)]),
+            (2, [(2, 14), (4, 28), (0, 12), (6, 18)]), (0, [(8, 20), (8, 20)]),
+            (1, [(30, 36), (3, 9), (12, 16)]), (2, [(24, 28)]), (0, [(1, 21), (35, 43)])]
+    return LayerSpec("stats", "stats_pool", dim, 2 * dim), x, rows
+
+
+def _pool_engine(ls, x, rows, g):
+    """The engine layer's pooled rows and input gradient."""
+    kind = graph.LAYER_KINDS["stats_pool"]
+    pooled, cache = kind.forward(ls, {}, [x], graph._Pass({}, rows, True, 0.0, None))
+    cache["in_value"] = x
+    return pooled, kind.backward(ls, {}, g, cache)[1][0]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dim", [1, 5])
+@pytest.mark.parametrize("block", ["default", "one window"])
+def test_stats_pool_layer_matches_per_window_oracle(monkeypatch, dtype, dim, block):
+    """The blocked layer, forward and backward, bit for bit against one call
+    per window; with the block bound at one value every block is one
+    window."""
+    if block == "one window":
+        monkeypatch.setattr(graph, "POOL_BLOCK_VALUES", 1)
+    ls, x, rows = _pooling_case(dtype, dim)
+    want, row_caches = pooling_reference.forward(x, rows)
+    g = np.random.default_rng(32).normal(size=want.shape).astype(dtype)
+    got, gx = _pool_engine(ls, x, rows, g)
+    assert got.dtype == gx.dtype == dtype
+    assert np.array_equal(got, want)
+    assert np.array_equal(gx, pooling_reference.backward(x, g, row_caches))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stats_pool_layer_constant_input(dtype):
+    """Constant columns pool to std sqrt(VARIANCE_FLOOR) exactly, and a std
+    gradient moves no frame."""
+    ls, x, rows = _pooling_case(dtype)
+    x.data[:] = np.linspace(-1.0, 2.5, 5)
+    g = np.random.default_rng(33).normal(size=(len(rows), 10)).astype(dtype)
+    g[:, :5] = 0.0
+    got, gx = _pool_engine(ls, x, rows, g)
+    want, row_caches = pooling_reference.forward(x, rows)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got[:, :5], np.broadcast_to(x.data[0], (len(rows), 5)))
+    one_window = [r for r, (_, wins) in enumerate(rows) if len(wins) == 1]
+    assert np.all(got[one_window, 5:] == dtype(np.sqrt(VARIANCE_FLOOR)))
+    assert not gx.any()
 
 
 # ------------------------------------------------------------ architectures
