@@ -599,23 +599,24 @@ def work64(work):
 # Pin every byte train (the model file), segment-mode embed, diarize and
 # calibrate write on the work corpus, for the float32 model `diarkit train`
 # writes and for a float64 model. The float64 output hashes were taken before
-# training moved to float32, so they show that a float64 model file still
-# runs the same engine bit for bit; its "model" hash follows the training
+# training moved to float32 and held when batch norm's scale and shift were
+# folded: the float64 engine's embeddings moved by rounding, below what the
+# float32 embedding archive stores. Its "model" hash follows the training
 # arithmetic. The model and the back-end pass through
 # LAPACK, so another build may move their last bits and these hashes.
 WORK_OUTPUT_SHA256 = {
     "diarize-oracle-k": "70ff4cc211eeb6aced388a9a83dd9a9a6686a22deb92ec15717aec0efc246445",
     "diarize-threshold": "c2c6df154389dbe37492576794a821c2e49a6a228d80af2b4efe1bcc1cb1844a",
-    "calibrate": "01622368415ba1b5250b3262233bfcc4f5f6e4dacc251cc68ad2a7ce6eb4ced5",
-    "embed": "efd260f9158805c9dbe37c26d4138fb48c9a2d775409613ad515430d24eda14c",
-    "model": "44703352c6131f14044db338e0f139fb453cdafa5ab431209f73176cab1c2be8",
+    "calibrate": "dd025053995e6bff53ab616e2ebf70f76feb735dfd143de3871395f97f8c57ea",
+    "embed": "bfefb345fe484adc5c8bbc96e1c50e97896e7749703df0b55496be58fb44e4b1",
+    "model": "40f512f033bf1b719f0c77c32b0ba8a3c94f57414bafb6aa7b826da6c065888e",
 }
 FLOAT64_WORK_OUTPUT_SHA256 = {
     "diarize-oracle-k": "70ff4cc211eeb6aced388a9a83dd9a9a6686a22deb92ec15717aec0efc246445",
     "diarize-threshold": "c2c6df154389dbe37492576794a821c2e49a6a228d80af2b4efe1bcc1cb1844a",
     "calibrate": "302371276f3f05c5a2a2a378cc90c427b4f4b760422f0521f304383b623765af",
     "embed": "3a995615704381f51d2e93740908aa23aad29aa0d5632d45815c80a24b34f1a4",
-    "model": "20a6c438912a069f734f7cfff011252d2c872b31c5e930582ea5312f3a2b951e",
+    "model": "48c23400f52fc224125f61a14bb7514d93c1fc4cda856fd4e6b6dc76a95c956f",
 }
 
 

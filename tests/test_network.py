@@ -1060,24 +1060,24 @@ def _trained_case(arch, skip_mode, dropout, dtype=np.float64):
 # the embeddings it gives. The LAPACK caveat above applies.
 TRAINED_SHA256 = {
     ("tdnn", "sum", 0.0): (
-        "4cacf801aea676d6be8909a4894ba73ae718d7f7af21b8816792b417e5c05f1f",
-        "cc9031890bfb14ccbcb7bb0b605814e744f37d527c68f8e7056ea9986ac51004",
+        "3b56e2497526b31f4364d3e080bb9a6ef30f6b5f15b53fafaed08e5bfd2b7a69",
+        "b030256267ca6fb660892b6872324059c99a1c88938380d6eff8a2a64d8a446b",
     ),
     ("etdnn", "sum", 0.0): (
-        "aa08aca989bc0bd34b7afc161ff06f649eac7452d3e947c4fcdd27ac6c42bfd7",
-        "520fc3fc6d88e30b0954fec269d720561e2d6e74cb4d45a452d55339ce486efd",
+        "186515fab213cd9643d1bafc793ecfd435c40e159768279420ef370b05b08547",
+        "01487f00621730470ea8e5091c7af47b00f5e378574273c8caf0ef65a9bcb5ed",
     ),
     ("ftdnn", "sum", 0.0): (
-        "9480f668542e8fc92f3879fdcc42c13b4a765896b88851580785346455085e69",
-        "d925770225bcefe45237e845f1956d11e878cf44bcaecc4d44605a9f9d8667c6",
+        "614676a035b53de7cf75622ad726a7d9b2278cbf99f302d731a71b997e2bca4d",
+        "11257c4606a3ec0b3f5fe8ce8e8e617052ed7ac0d6a0685e69946292536751d5",
     ),
     ("ftdnn_msa", "sum", 0.0): (
-        "61d6bcf6dbc6f83a291f08711226efa841127984d859de611dd3afc0bb5747b1",
-        "55c098549194937e4c26459b59f29c9240530a01cfd586d2a2f3e302525a375f",
+        "d6e81ca62013e2e90a2cb19364bac25e7eb2b58106e3a7703f1feb293afee889",
+        "2b84f060e0c09b70a6cf0659cfada1acdcecec40d99a0f86994936f98163aca2",
     ),
     ("ftdnn_msa", "sum", 0.2): (
-        "13ae8a22e1579d08331b4f530049d4ff1de35ced53680f60e352a55285aee4e8",
-        "d035187ec60046e9391ce733406480c0c2ddda3130ce4668e28f133df4085c96",
+        "d81d22305ef04b7961328eef6de531da3f26699184318cb7eb9d78c6aebc4a3c",
+        "5d6c0607c2cd14599f9232cf2b7162f92a0a54a0ec28cb301681cc96d5ea63ef",
     ),
 }
 
@@ -1096,16 +1096,16 @@ def test_trained_model_and_embeddings_are_pinned(tmp_path, arch, skip_mode, drop
 # factorized networks, whose factors are projected in float64 and rounded once.
 TRAINED_F32_SHA256 = {
     ("ftdnn", 0.0): (
-        "4c47266679dc258cb16a87664f295b66036121835b90719757d901b6aae347df",
-        "d45724b2ab55e86907856b80956ae1ba641876baa1be005aecc7269d24d35cea",
+        "a6cbeaf5fc3bdf8ea1f36c0e44f97b0f170bc798b7541219688a081de16612ce",
+        "32024a6ea6cb28923412a4832b1efaf1548d169601a29128296778325ebbf041",
     ),
     ("ftdnn_msa", 0.0): (
-        "738e90ea891f053ef187e4e61f7f4ee12d040f6c3eccd992c940df05af318f2b",
-        "9985dbe787a460cae7df50d180f777ee28000ee84caa47d62d5f43cc48d72144",
+        "b3e5577465dc11e3da9fe5b0bec895dcf094c61e02b45e68c962378f2ca7c187",
+        "f94f8dc0fa0c72fef979d33be2b64762338433e5fd1d4dfe0459560e0046d6e0",
     ),
     ("ftdnn_msa", 0.2): (
-        "9ee9ac446e9cb6f0e5ee497b08b25674fe1fc2bb77302ae2c5ab572749e717f3",
-        "5912831c5fd9a8d340a79ebc46fed0c43cf6df7c1e4af6bdbe14087037b2b726",
+        "d3331a417af1562ba98c6b2803780a997a433a1590b3f0882060392934082c40",
+        "61123bef9b8c353cc8a36fe65dbfda45d5c5a5d156f55a6d2bdac14ab4b7b60d",
     ),
 }
 
@@ -1143,21 +1143,21 @@ def test_paper_width_float32_factors_are_pinned(arch):
 # share sequences, in both engine dtypes. The LAPACK caveat above applies.
 INFERENCE_SHA256 = {
     ("tdnn", "float32"):
-        "0f1d65f3b040132f5f97bfad65cd5d038f620972839988e1819f72246cf48351",
+        "8d7f7defafce28db22146200f25cf109d76634bb530aeb57c179177965c4fce3",
     ("tdnn", "float64"):
-        "400be65152cfb0b4313094fa79717e1d7059d890062c919662a607bac8263f48",
+        "e8134522dbbf50987de62d8dcaa5c83dac4a8d2271db87142096d6fd1adefeec",
     ("etdnn", "float32"):
-        "1eb21af3bc3f1d701f6c798dd0a4385c8ebd29a4a1d09f8a0f93c98f33987093",
+        "bee87b060cfb2ec126ffe519477bbdc73bf3d80f6928ae3e3282518fe78c2c58",
     ("etdnn", "float64"):
-        "f878e22dc930b995da0f9854dda27de0b3eeba4b3bf5d24c9bc4285eec92b32e",
+        "9f5690f8409cfe501e0f4568b73fe429cd6497769df045ea862ca4b101d6aba4",
     ("ftdnn", "float32"):
-        "f208030371b93576f2d98ee8715a8c71272f4ad7ea8cd59f0d29830bbe33e3f1",
+        "fa0f9a7f44c2609a37a3a144ba817fb103326f4475724d87d3a798c29361edfc",
     ("ftdnn", "float64"):
-        "a54ff11da9ac6c64a96e2e1910af8665315106429f1de86b023035910131e646",
+        "45a6e9339deb5eb5c0ceb29e0870ddfac3a5857cd9c5226964dc9256de878b8b",
     ("ftdnn_msa", "float32"):
-        "7c560c595aacc1902fc392a2072daddf6051d99b8dd2cd9c8eabae5a3e212ece",
+        "9271c6129dcf8776066d4402dfa81d1aad2d2ab11aec2d8e9f9a05365d854ec8",
     ("ftdnn_msa", "float64"):
-        "a98d5b48d8927223fb373dd82d890d3b5af2ae06bc6f8f40de5e2847de8dec39",
+        "7deb953ae6e295d02353464b755e017d75a0a4de6683628321e18bcc4449c7d4",
 }
 
 
@@ -1234,6 +1234,36 @@ def _batchnorm_case(x, dropout=0.0, seed=0):
     return ls, p, rng.normal(size=(n, d)).astype(x.dtype), cache
 
 
+@pytest.mark.parametrize("dtype,bound", [(np.float64, 1e-13), (np.float32, 1e-6)])
+@pytest.mark.parametrize("training,dropout", [(True, 0.0), (True, 0.3), (False, 0.0)])
+@pytest.mark.parametrize("n", [50, 7, 1])
+def test_batchnorm_folded_forward_matches_unfolded_reference(dtype, bound, training, dropout, n):
+    """The folded relu_batchnorm forward (BLAS mean, one scale, one shift)
+    against the unfolded one on the same input, parameters and running
+    moments: the output, the running moments a training pass leaves, and
+    the tape entry the backward pass reads."""
+    x = _batchnorm_input(n).astype(dtype)
+    rng = np.random.default_rng(n)
+    p = {"gamma": rng.uniform(0.5, 1.5, 6).astype(dtype), "beta": rng.normal(size=6).astype(dtype)}
+    moments = {"running_mean": rng.uniform(0.0, 0.5, 6).astype(dtype),
+               "running_var": rng.uniform(0.05, 0.5, 6).astype(dtype)}
+    got_buf, want_buf = ({k: v.copy() for k, v in moments.items()} for _ in range(2))
+    run = graph._Pass({"bn": got_buf}, [], training, dropout, np.random.default_rng(7))
+    got, cache = graph.LAYER_KINDS["relu_batchnorm"].forward(
+        LayerSpec("bn", "relu_batchnorm", 6, 6), p, [x], run)
+    want, want_cache = batchnorm_reference.forward(p, x, want_buf, training, dropout,
+                                                   np.random.default_rng(7))
+    pairs = [(got, want), (cache["mu"], want_cache["mu"]), (cache["istd"], want_cache["istd"])]
+    pairs += [(got_buf[k], want_buf[k]) for k in moments]
+    for a, b in pairs:
+        assert a.dtype == b.dtype == dtype
+        assert np.linalg.norm(a - b) <= bound * np.linalg.norm(b)
+    assert (cache["keep"] is None) == (want_cache["keep"] is None)
+    if dropout:
+        assert np.array_equal(cache["keep"], want_cache["keep"])
+        assert cache["scale"] == want_cache["scale"]
+
+
 # Peak of one backward call over the input's bytes, measured at 1600 x 750
 # float32 before the closed-form gradient: 2.260 without dropout, 3.260 with.
 @pytest.mark.parametrize("dropout,bound", [(0.0, 2.27), (0.2, 3.27)])
@@ -1256,7 +1286,7 @@ def test_batchnorm_backward_peak_memory(dropout, bound):
 
 # Relative Frobenius distance of the float32 engine from the float64 one on
 # the same float32 parameters and inputs. Worst measured over these five
-# cases: logits 6.0e-6, embeddings 1.7e-7, gradients 3.6e-5 (float32 eps is
+# cases: logits 6.5e-6, embeddings 1.8e-7, gradients 3.4e-5 (float32 eps is
 # 6e-8; batch norm over five segment rows amplifies the rounding of its
 # inputs by 1/std, which the logits and gradients see and inference does not).
 # The bounds leave about ten times that.
@@ -1308,8 +1338,8 @@ def test_float32_engine_matches_float64(arch, skip_mode):
 def test_float32_training_pass_holds_only_float32():
     """Every value, tape entry and gradient of a float32 training pass, and
     the parameters, buffers and velocity after an update and a projection,
-    are float32. The float64 moment accumulators (batch norm, pooling) are
-    local to their call: nothing a pass keeps is float64."""
+    are float32. Pooling's float64 moment accumulators are local to its
+    call: nothing a pass keeps is float64."""
     spec = build_architecture("ftdnn_msa", 4, dims=REDUCED)
     net = initialize_network(spec, seed=0).astype(np.float32)
     rng = np.random.default_rng(12)
