@@ -80,6 +80,13 @@ def fit_pca_whitener(vectors: np.ndarray, n_components: int | None = None) -> Wh
     return Whitener(mean, transform)
 
 
+def check_pca_dim(n_components: int) -> None:
+    """A whitener keeps at least one direction; the upper bound, the
+    embeddings' dimension, is known only once they are read."""
+    if n_components < 1:
+        raise InvalidInputError(f"n_components must be at least 1, got {n_components}")
+
+
 def apply_whitener(w: Whitener, vectors: np.ndarray) -> np.ndarray:
     return (np.asarray(vectors, dtype=np.float64) - w.mean) @ w.transform.T
 

@@ -32,6 +32,7 @@ from . import synthdata
 from .backend import (
     CONV_PCA_FRACTION,
     EmbeddingRecord,
+    check_pca_dim,
     check_pca_fraction,
     load_backend,
     read_embeddings,
@@ -54,6 +55,7 @@ from .der import (
 from .errors import FormatError, InvalidInputError, TrainingDivergedError
 from .features import (
     CMN_WINDOW_FRAMES,
+    check_cmn_window,
     compute_mfcc,
     read_features,
     read_sad,
@@ -155,7 +157,14 @@ _COMMON = (
     _Opt("--dry-run", _FLAG, help="validate configuration and inputs, then stop"),
 )
 
-_SEED = _Opt("--seed", int, help="RNG seed (falls back to DIARKIT_SEED, then 0)")
+def _check_seed(seed: int) -> None:
+    """numpy's generators take non-negative integer seeds."""
+    if seed < 0:
+        raise InvalidInputError(f"seed must be a non-negative integer, got {seed}")
+
+
+_SEED = _Opt("--seed", int, help="RNG seed (falls back to DIARKIT_SEED, then 0)",
+             check=_check_seed)
 _JOBS = _Opt("--jobs", int, default=1,
              help=f"parallel workers for per-conversation stages, at most {MAX_JOBS}")
 _PCA_FRACTION = _Opt("--pca-fraction", float, CONV_PCA_FRACTION,
@@ -170,7 +179,8 @@ _COMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
             _Opt("--wav-dir", required=True, help="directory of {conversation}.wav files"),
             _Opt("--sad", required=True, help="speech regions, one 'conv start end' per line"),
             _Opt("--out", required=True, help="output directory for {conversation}.fea"),
-            _Opt("--cmn-window", int, CMN_WINDOW_FRAMES, help="sliding CMN window in frames"),
+            _Opt("--cmn-window", int, CMN_WINDOW_FRAMES, help="sliding CMN window in frames",
+                 check=check_cmn_window),
             _JOBS,
         ),
     ),
@@ -241,7 +251,7 @@ _COMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
         (
             _Opt("--embeddings", required=True, help="archive of speaker-labeled embeddings"),
             _Opt("--out", required=True, help="output backend file"),
-            _Opt("--pca-dim", int, help="keep this many whitened dimensions"),
+            _Opt("--pca-dim", int, help="keep this many whitened dimensions", check=check_pca_dim),
         ),
     ),
     "diarize": (
@@ -378,9 +388,14 @@ def _resolve_seed(value: Optional[int]) -> int:
     if env is None:
         return 0
     try:
-        return int(env)
+        seed = int(env)
     except ValueError:
         raise _UsageError(f"DIARKIT_SEED must be an integer, got {env!r}") from None
+    try:
+        _check_seed(seed)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"DIARKIT_SEED: {exc}") from None
+    return seed
 
 
 def _require_file(path, what: str) -> None:

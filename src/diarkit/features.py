@@ -123,6 +123,12 @@ def compute_mfcc(samples: np.ndarray) -> np.ndarray:
     return dct(log_energy, type=2, axis=1, norm="ortho")[:, :NUM_COEFFS]
 
 
+def check_cmn_window(window_frames: int) -> None:
+    """A CMN window holds at least one frame."""
+    if window_frames < 1:
+        raise InvalidInputError(f"CMN window must be at least one frame, got {window_frames}")
+
+
 def sliding_cmn(x: np.ndarray, window_frames: int = CMN_WINDOW_FRAMES) -> np.ndarray:
     """Subtract from each frame the mean of a centered window around it.
 
@@ -130,8 +136,7 @@ def sliding_cmn(x: np.ndarray, window_frames: int = CMN_WINDOW_FRAMES) -> np.nda
     utterances no longer than the window degrade to whole-utterance mean
     subtraction.
     """
-    if window_frames < 1:
-        raise InvalidInputError("CMN window must be at least one frame")
+    check_cmn_window(window_frames)
     total = x.shape[0]
     if total == 0:
         raise InvalidInputError("cannot normalize an empty feature matrix")

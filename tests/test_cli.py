@@ -144,14 +144,16 @@ _BAD_OPTION_VALUES = [
     ("train", "--momentum", "nan"), ("train", "--momentum", "5"), ("train", "--l2", "nan"),
     ("train", "--lr-start", "inf"), ("train", "--window-shift", "0"),
     ("train", "--window-shift", "-5"), ("train", "--feat-dim", "20"), ("train", "--width", "0"),
-    ("train", "--min-window-frames", "10"),
+    ("train", "--min-window-frames", "10"), ("synth", "--seed", "-1"), ("train", "--seed", "-3"),
+    ("backend-fit", "--pca-dim", "0"), ("backend-fit", "--pca-dim", "-1"),
+    ("features", "--cmn-window", "0"), ("features", "--cmn-window", "-5"),
 ]
 
 
 @pytest.mark.parametrize("command,flag,value,dry_run", [
     pytest.param(*case, dry_run, id="-".join(case) + ("-dry-run" if dry_run else ""))
     for dry_run in (False, True) for case in _BAD_OPTION_VALUES])
-def test_bad_option_value_is_exit_4(work, tmp_path, capsys, monkeypatch,
+def test_bad_option_value_is_exit_4(work, tmp_path, capsys, monkeypatch, request,
                                     command, flag, value, dry_run):
     """Rejected before any work: no conversation is embedded and nothing is
     written, dry run or not."""
@@ -170,7 +172,12 @@ def test_bad_option_value_is_exit_4(work, tmp_path, capsys, monkeypatch,
                   "--arch", "tdnn", "--feat-dim", "23", "--width", "8", "--pool-width", "12",
                   "--epochs", "1", "--batch-size", "4"],
         "synth": ["--out", str(out), "--speakers", "3", "--convs", "1"],
+        "backend-fit": ["--embeddings", str(work["root"] / "train_emb.bin"), "--out", str(out)],
+        "features": ["--out", str(out)],
     }[command]
+    if command == "features":
+        audio = request.getfixturevalue("audio_corpus") / "eval"
+        args += ["--wav-dir", str(audio / "wav"), "--sad", str(audio / "sad.lab")]
     assert main([command, *args, flag, value, *(["--dry-run"] if dry_run else [])]) == 4
     assert flag.lstrip("-") in capsys.readouterr().err
     assert embedded == []
@@ -397,6 +404,20 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
 def test_seed_env_must_be_integer(monkeypatch, capsys):
     monkeypatch.setenv("DIARKIT_SEED", "lots")
     assert main(["synth", "--out", "x", "--dry-run"]) == 2
+
+
+@pytest.mark.parametrize("dry_run", [False, True])
+def test_negative_seed_env_is_exit_4(work, tmp_path, monkeypatch, capsys, dry_run):
+    """A negative DIARKIT_SEED is rejected before synth or train does any work."""
+    monkeypatch.setenv("DIARKIT_SEED", "-2")
+    out = tmp_path / "out"
+    dry = ["--dry-run"] if dry_run else []
+    assert main(["synth", "--out", str(out), "--speakers", "3", "--convs", "1", *dry]) == 4
+    assert main(["train", "--manifest", str(work["corpus"] / "train/manifest.txt"),
+                 "--out", str(out), "--arch", "tdnn", "--feat-dim", "23", "--width", "8",
+                 "--pool-width", "12", "--epochs", "1", "--batch-size", "4", *dry]) == 4
+    assert capsys.readouterr().err.count("DIARKIT_SEED") == 2
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------- dry runs
