@@ -157,6 +157,7 @@ _COMMON = (
     _Opt("--dry-run", _FLAG, help="validate configuration and inputs, then stop"),
 )
 
+
 def _check_seed(seed: int) -> None:
     """numpy's generators take non-negative integer seeds."""
     if seed < 0:

@@ -452,20 +452,17 @@ class _StatsPool(LayerKind):
     """One output row per pooling row: mean and std over each of the row's
     windows of its source sequence, averaged over those windows.
 
-    The windows of all rows, in row order, are cut into blocks: runs of
-    consecutive windows of one width, of at most POOL_BLOCK_VALUES values.
-    Forward gathers a block once, window frame by window, as a float64
-    (width, k, dim) array, and takes every window's moments in four calls
-    (sum, centring, an einsum of the squares, the floored square root): the
-    float64 sums of one window's frames in frame order, each moment rounded
-    once to the engine dtype. That is 6 passes over the block, where one
-    call per window made 6 passes over each window. A row's statistics are
-    the sum of its windows' in window order, divided by its window count.
-    Backward gathers a block again as (k, width, dim), forms its gradient
-    contributions in three passes, and adds them window by window in row and
-    window order, so overlapping windows add into shared frames in the same
-    order as one window at a time. The tape keeps each window's mean,
-    variance and std.
+    The windows of all rows, in row order, go in blocks: runs of consecutive
+    windows of one width, of at most POOL_BLOCK_VALUES values. Forward
+    gathers a block once as float64 (width, k, dim) and makes 5 passes over
+    it (gather, cast, sum, centring, an einsum of the squares), where one
+    call per window made 3 passes but about 10 numpy calls per window; the
+    sums and their single rounding are those of one window at a time. A row
+    sums its windows' statistics in window order and divides by their count.
+    Backward forms a block's contributions in 4 passes (gather, centring, std
+    gate, mean share) and adds them window by window in row order, so
+    overlapping windows add into shared frames as one window at a time does.
+    The tape keeps each window's mean, variance and std.
     """
 
     frame_input = True
