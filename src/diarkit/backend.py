@@ -20,11 +20,15 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import scipy.linalg
 
-from .errors import FormatError, InvalidInputError
+from .errors import FormatError, Interval, InvalidInputError
 
 EMBED_MAGIC = b"XEMB"
 BACKEND_MAGIC = b"XBKD"
 CONV_PCA_FRACTION = 0.10
+PCA_FRACTION_DOMAIN = Interval("fraction", 0.0, 1.0, "(]")
+# a whitener keeps at least one direction; the upper bound, the embeddings'
+# dimension, is known only once they are read
+PCA_DIM_DOMAIN = Interval("n_components", 1)
 
 
 def length_normalize(vectors: np.ndarray) -> np.ndarray:
@@ -64,7 +68,7 @@ def fit_pca_whitener(vectors: np.ndarray, n_components: int | None = None) -> Wh
     n, d = x.shape
     if n < d + 1:
         raise InvalidInputError(f"whitening {d} dims needs more than {d} vectors, got {n}")
-    if n_components is not None and not 1 <= n_components <= d:
+    if n_components is not None and PCA_DIM_DOMAIN.check(n_components) > d:
         raise InvalidInputError(f"n_components must be in [1, {d}], got {n_components}")
     mean = x.mean(axis=0)
     cov = np.atleast_2d(np.cov(x, rowvar=False, ddof=1))  # 0-d for one column
@@ -80,21 +84,8 @@ def fit_pca_whitener(vectors: np.ndarray, n_components: int | None = None) -> Wh
     return Whitener(mean, transform)
 
 
-def check_pca_dim(n_components: int) -> None:
-    """A whitener keeps at least one direction; the upper bound, the
-    embeddings' dimension, is known only once they are read."""
-    if n_components < 1:
-        raise InvalidInputError(f"n_components must be at least 1, got {n_components}")
-
-
 def apply_whitener(w: Whitener, vectors: np.ndarray) -> np.ndarray:
     return (np.asarray(vectors, dtype=np.float64) - w.mean) @ w.transform.T
-
-
-def check_pca_fraction(fraction: float) -> None:
-    """The retained fraction of conversation PCA lies in (0, 1]."""
-    if not 0 < fraction <= 1:
-        raise InvalidInputError(f"fraction must be in (0, 1], got {fraction}")
 
 
 def conversation_pca(vectors: np.ndarray, fraction: float = CONV_PCA_FRACTION) -> tuple[np.ndarray, int]:
@@ -108,7 +99,7 @@ def conversation_pca(vectors: np.ndarray, fraction: float = CONV_PCA_FRACTION) -
     n, d = x.shape
     if n < 2:
         raise InvalidInputError("conversation PCA needs at least two segments")
-    check_pca_fraction(fraction)
+    PCA_FRACTION_DOMAIN.check(fraction)
     rank = min(max(1, math.ceil(fraction * n)), d)
     mean = x.mean(axis=0)
     centered = x - mean

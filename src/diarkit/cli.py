@@ -1,10 +1,12 @@
 """One binary, eight subcommands, wiring the modules into a pipeline.
 
 Every option can also come from a plain-text ``key=value`` config file
-(``--config``); explicit flags win. ``--dry-run`` stops after validating the
+(``--config``); explicit flags win. Each numeric option's valid range is
+declared once, as an ``Interval`` in its library module, and both the option
+and the library check it. ``--dry-run`` stops after validating the
 configuration and the input paths. Exit codes: 0 success, 2 usage or config
-error, 3 missing or malformed file, 4 invalid input, 5 diverged training,
-1 anything unexpected.
+error, 3 missing or malformed file, 4 invalid input, 5 diverged training, 1
+anything unexpected.
 
 Memory: on glibc, ``main`` and every worker first tell malloc to keep freed
 heap memory for reuse. Layer outputs, gradients and temporaries are numpy
@@ -28,23 +30,24 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import synthdata
+from . import synthdata, training
 from .backend import (
     CONV_PCA_FRACTION,
+    PCA_DIM_DOMAIN,
+    PCA_FRACTION_DOMAIN,
     EmbeddingRecord,
-    check_pca_dim,
-    check_pca_fraction,
     load_backend,
     read_embeddings,
     save_backend,
     write_embeddings,
 )
-from .clustering import GRID_SIZE, calibrate_threshold, check_folds, check_grid_size, check_threshold
+from .clustering import (FOLDS_DOMAIN, GRID_SIZE, GRID_SIZE_DOMAIN, THRESHOLD_DOMAIN,
+                         calibrate_threshold)
 from .der import (
+    COLLAR_DOMAIN,
     DEFAULT_COLLAR_S,
     by_conversation,
     build_hypothesis,
-    check_collar,
     compute_der,
     der_report,
     read_rttm,
@@ -52,10 +55,10 @@ from .der import (
     speaker_counts,
     write_rttm,
 )
-from .errors import FormatError, InvalidInputError, TrainingDivergedError
+from .errors import FormatError, Interval, InvalidInputError, TrainingDivergedError
 from .features import (
+    CMN_WINDOW_DOMAIN,
     CMN_WINDOW_FRAMES,
-    check_cmn_window,
     compute_mfcc,
     read_features,
     read_sad,
@@ -65,6 +68,8 @@ from .features import (
     write_features,
 )
 from .network import (
+    DROPOUT_DOMAIN,
+    LAYER_WIDTH_DOMAIN,
     DimOverrides,
     build_architecture,
     initialize_network,
@@ -80,8 +85,7 @@ from .pipeline import (
     utterance_embeddings,
     windowed_utterance_embeddings,
 )
-from .training import (TrainConfig, check_l2, check_learning_rate, check_momentum,
-                       check_window_shift, check_window_span, load_train_set, train)
+from .training import TrainConfig, check_window_span, load_train_set, train
 
 # train computes in and stores float32; a model file's own dtype decides how
 # the other commands run it
@@ -145,7 +149,7 @@ class _Opt:
     required: bool = False
     help: str = ""
     choices: tuple = ()
-    check: Optional[Callable] = None  # the library's validator of the converted value
+    domain: Optional[Interval] = None  # the library's declared range of the converted value
 
     @property
     def dest(self) -> str:
@@ -156,22 +160,14 @@ _COMMON = (
     _Opt("--config", str, help="key=value file supplying any unset option"),
     _Opt("--dry-run", _FLAG, help="validate configuration and inputs, then stop"),
 )
-
-
-def _check_seed(seed: int) -> None:
-    """numpy's generators take non-negative integer seeds."""
-    if seed < 0:
-        raise InvalidInputError(f"seed must be a non-negative integer, got {seed}")
-
-
 _SEED = _Opt("--seed", int, help="RNG seed (falls back to DIARKIT_SEED, then 0)",
-             check=_check_seed)
+             domain=training.SEED_DOMAIN)
 _JOBS = _Opt("--jobs", int, default=1,
              help=f"parallel workers for per-conversation stages, at most {MAX_JOBS}")
 _PCA_FRACTION = _Opt("--pca-fraction", float, CONV_PCA_FRACTION,
                      help="retained fraction for conversation-level PCA",
-                     check=check_pca_fraction)
-_COLLAR = _Opt("--collar", float, DEFAULT_COLLAR_S, check=check_collar)
+                     domain=PCA_FRACTION_DOMAIN)
+_COLLAR = _Opt("--collar", float, DEFAULT_COLLAR_S, domain=COLLAR_DOMAIN)
 
 _COMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
     "features": (
@@ -181,7 +177,7 @@ _COMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
             _Opt("--sad", required=True, help="speech regions, one 'conv start end' per line"),
             _Opt("--out", required=True, help="output directory for {conversation}.fea"),
             _Opt("--cmn-window", int, CMN_WINDOW_FRAMES, help="sliding CMN window in frames",
-                 check=check_cmn_window),
+                 domain=CMN_WINDOW_DOMAIN),
             _JOBS,
         ),
     ),
@@ -189,17 +185,21 @@ _COMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
         "generate a synthetic train/eval corpus",
         (
             _Opt("--out", required=True, help="corpus root directory"),
-            _Opt("--speakers", int, _SYNTH_DEFAULTS.n_speakers),
+            _Opt("--speakers", int, _SYNTH_DEFAULTS.n_speakers, domain=synthdata.SPEAKERS_DOMAIN),
             _Opt("--separation", float, _SYNTH_DEFAULTS.separation,
-                 help="radius of the speaker-mean sphere", check=synthdata.check_separation),
-            _Opt("--train-utts", int, _SYNTH_DEFAULTS.train_utts, help="utterances per speaker"),
-            _Opt("--train-utt-s", float, _SYNTH_DEFAULTS.train_utt_s, check=synthdata.check_positive),
-            _Opt("--convs", int, _SYNTH_DEFAULTS.n_convs),
-            _Opt("--conv-s", float, _SYNTH_DEFAULTS.conv_s, check=synthdata.check_positive),
-            _Opt("--turn-min", float, _SYNTH_DEFAULTS.turn_min_s, check=synthdata.check_turn_length),
-            _Opt("--turn-max", float, _SYNTH_DEFAULTS.turn_max_s, check=synthdata.check_turn_length),
-            _Opt("--speakers-per-conv", int, _SYNTH_DEFAULTS.speakers_per_conv),
-            _Opt("--smoothing", float, _SYNTH_DEFAULTS.smoothing, check=synthdata.check_smoothing),
+                 help="radius of the speaker-mean sphere", domain=synthdata.SEPARATION_DOMAIN),
+            _Opt("--train-utts", int, _SYNTH_DEFAULTS.train_utts, help="utterances per speaker",
+                 domain=synthdata.TRAIN_UTTS_DOMAIN),
+            _Opt("--train-utt-s", float, _SYNTH_DEFAULTS.train_utt_s,
+                 domain=synthdata.UTTERANCE_DOMAIN),
+            _Opt("--convs", int, _SYNTH_DEFAULTS.n_convs, domain=synthdata.CONVS_DOMAIN),
+            _Opt("--conv-s", float, _SYNTH_DEFAULTS.conv_s, domain=synthdata.CONV_S_DOMAIN),
+            _Opt("--turn-min", float, _SYNTH_DEFAULTS.turn_min_s, domain=synthdata.TURN_DOMAIN),
+            _Opt("--turn-max", float, _SYNTH_DEFAULTS.turn_max_s, domain=synthdata.TURN_DOMAIN),
+            _Opt("--speakers-per-conv", int, _SYNTH_DEFAULTS.speakers_per_conv,
+                 domain=synthdata.SPEAKERS_DOMAIN),
+            _Opt("--smoothing", float, _SYNTH_DEFAULTS.smoothing,
+                 domain=synthdata.SMOOTHING_DOMAIN),
             _Opt("--audio", _FLAG, help="also synthesize waveforms and derive features from them"),
             _SEED,
         ),
@@ -212,24 +212,30 @@ _COMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
             _Opt("--out", required=True, help="output model file"),
             _Opt("--arch", str, "ftdnn-msa", choices=("tdnn", "etdnn", "ftdnn", "ftdnn-msa")),
             _Opt("--taps", _parse_taps, help="comma-separated pooling taps (ftdnn-msa only)"),
-            _Opt("--epochs", int, _TRAIN_DEFAULTS.epochs),
-            _Opt("--batch-size", int, _TRAIN_DEFAULTS.batch_size),
-            _Opt("--lr-start", float, _TRAIN_DEFAULTS.lr_start, check=check_learning_rate),
-            _Opt("--lr-end", float, _TRAIN_DEFAULTS.lr_end, check=check_learning_rate),
-            _Opt("--momentum", float, _TRAIN_DEFAULTS.momentum, check=check_momentum),
-            _Opt("--l2", float, _TRAIN_DEFAULTS.l2_coeff, check=check_l2),
-            _Opt("--dropout", float, _TRAIN_DEFAULTS.dropout_prob),
-            _Opt("--ortho-interval", int, _TRAIN_DEFAULTS.ortho_interval),
-            _Opt("--window-frames", int, _TRAIN_DEFAULTS.window_frames),
-            _Opt("--window-shift", int, _TRAIN_DEFAULTS.window_shift, check=check_window_shift),
-            _Opt("--min-window-frames", int, _TRAIN_DEFAULTS.min_window_frames),
-            _Opt("--feat-dim", int, _DIM_DEFAULTS.feat_dim),
-            _Opt("--width", int, _DIM_DEFAULTS.width),
-            _Opt("--factor-width", int, _DIM_DEFAULTS.factor_width),
-            _Opt("--inner-dim", int, _DIM_DEFAULTS.inner_dim),
-            _Opt("--pool-width", int, _DIM_DEFAULTS.pool_width),
-            _Opt("--branch-dim", int, _DIM_DEFAULTS.branch_dim),
-            _Opt("--embed-dim", int, _DIM_DEFAULTS.embed_dim),
+            _Opt("--epochs", int, _TRAIN_DEFAULTS.epochs, domain=training.EPOCHS_DOMAIN),
+            _Opt("--batch-size", int, _TRAIN_DEFAULTS.batch_size,
+                 domain=training.BATCH_SIZE_DOMAIN),
+            _Opt("--lr-start", float, _TRAIN_DEFAULTS.lr_start,
+                 domain=training.LEARNING_RATE_DOMAIN),
+            _Opt("--lr-end", float, _TRAIN_DEFAULTS.lr_end, domain=training.LEARNING_RATE_DOMAIN),
+            _Opt("--momentum", float, _TRAIN_DEFAULTS.momentum, domain=training.MOMENTUM_DOMAIN),
+            _Opt("--l2", float, _TRAIN_DEFAULTS.l2_coeff, domain=training.L2_DOMAIN),
+            _Opt("--dropout", float, _TRAIN_DEFAULTS.dropout_prob, domain=DROPOUT_DOMAIN),
+            _Opt("--ortho-interval", int, _TRAIN_DEFAULTS.ortho_interval,
+                 domain=training.ORTHO_INTERVAL_DOMAIN),
+            _Opt("--window-frames", int, _TRAIN_DEFAULTS.window_frames,
+                 domain=training.WINDOW_FRAMES_DOMAIN),
+            _Opt("--window-shift", int, _TRAIN_DEFAULTS.window_shift,
+                 domain=training.WINDOW_SHIFT_DOMAIN),
+            _Opt("--min-window-frames", int, _TRAIN_DEFAULTS.min_window_frames,
+                 domain=training.MIN_WINDOW_FRAMES_DOMAIN),
+            _Opt("--feat-dim", int, _DIM_DEFAULTS.feat_dim, domain=LAYER_WIDTH_DOMAIN),
+            _Opt("--width", int, _DIM_DEFAULTS.width, domain=LAYER_WIDTH_DOMAIN),
+            _Opt("--factor-width", int, _DIM_DEFAULTS.factor_width, domain=LAYER_WIDTH_DOMAIN),
+            _Opt("--inner-dim", int, _DIM_DEFAULTS.inner_dim, domain=LAYER_WIDTH_DOMAIN),
+            _Opt("--pool-width", int, _DIM_DEFAULTS.pool_width, domain=LAYER_WIDTH_DOMAIN),
+            _Opt("--branch-dim", int, _DIM_DEFAULTS.branch_dim, domain=LAYER_WIDTH_DOMAIN),
+            _Opt("--embed-dim", int, _DIM_DEFAULTS.embed_dim, domain=LAYER_WIDTH_DOMAIN),
             _SEED,
         ),
     ),
@@ -252,7 +258,7 @@ _COMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
         (
             _Opt("--embeddings", required=True, help="archive of speaker-labeled embeddings"),
             _Opt("--out", required=True, help="output backend file"),
-            _Opt("--pca-dim", int, help="keep this many whitened dimensions", check=check_pca_dim),
+            _Opt("--pca-dim", int, help="keep this many whitened dimensions", domain=PCA_DIM_DOMAIN),
         ),
     ),
     "diarize": (
@@ -265,7 +271,7 @@ _COMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
             _Opt("--sad", required=True),
             _Opt("--out", required=True, help="output RTTM"),
             _Opt("--threshold", float, help="stop merging below this score",
-                 check=check_threshold),
+                 domain=THRESHOLD_DOMAIN),
             _Opt("--oracle-k", help="file of 'conversation num_speakers' lines; a count "
                                     "above a conversation's segments is capped at that count"),
             _PCA_FRACTION,
@@ -294,8 +300,8 @@ _COMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
             _Opt("--sad", required=True),
             _Opt("--ref", required=True),
             _Opt("--out", required=True, help="RTTM from each conversation's held-out fold"),
-            _Opt("--folds", int, 2, check=check_folds),
-            _Opt("--grid-size", int, GRID_SIZE, check=check_grid_size),
+            _Opt("--folds", int, 2, domain=FOLDS_DOMAIN),
+            _Opt("--grid-size", int, GRID_SIZE, domain=GRID_SIZE_DOMAIN),
             _PCA_FRACTION,
             _COLLAR,
         ),
@@ -348,9 +354,9 @@ def _convert(opt: _Opt, raw, source: str):
     if opt.choices and value not in opt.choices:
         raise _UsageError(
             f"{source} {opt.flag}: {value!r} is not one of {', '.join(opt.choices)}")
-    if opt.check is not None:
+    if opt.domain is not None:
         try:
-            opt.check(value)
+            opt.domain.check(value)
         except InvalidInputError as exc:
             raise InvalidInputError(f"{source} {opt.flag}: {exc}") from exc
     return value
@@ -393,10 +399,9 @@ def _resolve_seed(value: Optional[int]) -> int:
     except ValueError:
         raise _UsageError(f"DIARKIT_SEED must be an integer, got {env!r}") from None
     try:
-        _check_seed(seed)
+        return training.SEED_DOMAIN.check(seed)
     except InvalidInputError as exc:
         raise InvalidInputError(f"DIARKIT_SEED: {exc}") from None
-    return seed
 
 
 def _require_file(path, what: str) -> None:
@@ -526,14 +531,17 @@ def _cmd_train(ns) -> int:
         inner_dim=ns.inner_dim, pool_width=ns.pool_width,
         branch_dim=ns.branch_dim, embed_dim=ns.embed_dim,
     )
-    cfg = TrainConfig(
-        epochs=ns.epochs, batch_size=ns.batch_size, lr_start=ns.lr_start,
-        lr_end=ns.lr_end, momentum=ns.momentum, l2_coeff=ns.l2,
-        dropout_prob=ns.dropout, ortho_interval=ns.ortho_interval,
-        window_frames=ns.window_frames, window_shift=ns.window_shift,
-        min_window_frames=ns.min_window_frames,
-        seed=_resolve_seed(ns.seed),
-    )
+    seed = _resolve_seed(ns.seed)
+    try:  # each value is in its domain; what is left to fail is the two windows' order
+        cfg = TrainConfig(
+            epochs=ns.epochs, batch_size=ns.batch_size, lr_start=ns.lr_start,
+            lr_end=ns.lr_end, momentum=ns.momentum, l2_coeff=ns.l2,
+            dropout_prob=ns.dropout, ortho_interval=ns.ortho_interval,
+            window_frames=ns.window_frames, window_shift=ns.window_shift,
+            min_window_frames=ns.min_window_frames, seed=seed,
+        )
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"--min-window-frames, --window-frames: {exc}") from None
     _require_file(ns.manifest, "manifest")
     ts = load_train_set(ns.manifest)
     dims_seen = sorted({f.shape[1] for f in ts.features})

@@ -17,10 +17,14 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import Interval, InvalidInputError
 
 GRID_SIZE = 41
+GRID_SIZE_DOMAIN = Interval("threshold grid size", 1)
 GRID_SPREAD = 2.0  # grid spans mean +/- this many std devs of the dev scores
+FOLDS_DOMAIN = Interval("calibration folds", 2)
+# -inf makes every merge and +inf none; a NaN threshold orders against no score
+THRESHOLD_DOMAIN = Interval("clustering threshold", -math.inf, math.inf, "[]")
 
 
 class MergeStep(NamedTuple):
@@ -98,25 +102,9 @@ def _merges_above(steps: list[MergeStep], threshold: float) -> int:
     return next((i for i, st in enumerate(steps) if st.score < threshold), len(steps))
 
 
-def check_threshold(threshold: float) -> None:
-    """A NaN threshold orders against no score; +-inf are valid (no merge, every merge)."""
-    if math.isnan(threshold):
-        raise InvalidInputError("clustering threshold must not be NaN")
-
-
-def check_folds(folds: int) -> None:
-    if folds < 2:
-        raise InvalidInputError("calibration needs at least two folds")
-
-
-def check_grid_size(grid_size: int) -> None:
-    if grid_size < 1:
-        raise InvalidInputError(f"threshold grid needs at least one point, got {grid_size}")
-
-
 def cut_at_threshold(n: int, steps: list[MergeStep], threshold: float) -> np.ndarray:
     """Stop at the first merge whose average score falls below the threshold."""
-    check_threshold(threshold)
+    THRESHOLD_DOMAIN.check(threshold)
     return _labels_after(n, steps, _merges_above(steps, threshold))
 
 
@@ -174,6 +162,9 @@ def calibrate_threshold(
     threshold, so the tie rule gives it threshold -inf: every merge is made,
     and each of its held-out conversations is one speaker.
 
+    Means skip undefined (NaN) DERs: those are pure false alarm, which no
+    labeling changes. A fold with no defined dev DER gets threshold -inf too.
+
     der_fn(conv_id, labels) supplies the error of a candidate labeling; it is
     called once per distinct (conversation, labeling), since thresholds
     between the same two merge scores cut the same labels. Returns the labels
@@ -181,8 +172,8 @@ def calibrate_threshold(
     per fold.
     """
     ids = sorted(scores_by_conv)
-    check_folds(folds)
-    check_grid_size(grid_size)
+    FOLDS_DOMAIN.check(folds)
+    GRID_SIZE_DOMAIN.check(grid_size)
     if len(ids) < folds:
         raise InvalidInputError(f"need at least {folds} conversations for {folds} folds")
     traces = {cid: (np.shape(scores_by_conv[cid])[0], merge_sequence(scores_by_conv[cid]))
@@ -205,14 +196,18 @@ def calibrate_threshold(
         pooled = np.concatenate([np.empty(0)] + [
             scores_by_conv[cid][np.triu_indices(traces[cid][0], k=1)] for cid in dev])
         grid = threshold_grid(pooled, grid_size) if pooled.size else [-math.inf]
-        best_t, best_der = None, math.inf
-        for t in grid:
-            d = float(np.mean([der_at(cid, t) for cid in dev]))
-            if d < best_der:
-                best_t, best_der = float(t), d
+        curve = [(_defined_mean([der_at(cid, t) for cid in dev]), float(t)) for t in grid]
+        best_der, best_t = min((c for c in curve if not math.isnan(c[0])),
+                               default=(math.nan, -math.inf))
         evals = []
         for cid in held:
             labels_out[cid] = cut_at_threshold(*traces[cid], best_t)
             evals.append(der_at(cid, best_t))
-        reports.append(FoldReport(f, best_t, best_der, float(np.mean(evals))))
+        reports.append(FoldReport(f, best_t, best_der, _defined_mean(evals)))
     return labels_out, reports
+
+
+def _defined_mean(values: list[float]) -> float:
+    """Mean of the values that are not NaN; NaN when none is."""
+    defined = [v for v in values if not math.isnan(v)]
+    return float(np.mean(defined)) if defined else math.nan

@@ -17,17 +17,19 @@ hyp set) runs and the ref x hyp overlap matrix for the mapping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.optimize
 
-from .errors import FormatError, InvalidInputError
+from .errors import FormatError, Interval, InvalidInputError
 from .features import SadMark
 
 UNITS_PER_S = 10000  # 0.1 ms grid
 DEFAULT_COLLAR_S = 0.25
+COLLAR_DOMAIN = Interval("collar", 0.0)  # seconds
 
 
 class TimelineEntry(NamedTuple):
@@ -147,12 +149,6 @@ def optimal_speaker_mapping(
     return _scored_runs(_by_speaker(ref), _by_speaker(hyp), scored)[1]
 
 
-def check_collar(collar_s: float) -> None:
-    """A collar is a finite, nonnegative number of seconds."""
-    if not 0.0 <= collar_s < np.inf:
-        raise InvalidInputError(f"collar must be finite and nonnegative, got {collar_s}")
-
-
 def compute_der(
     ref: Sequence[TimelineEntry],
     hyp: Sequence[TimelineEntry],
@@ -169,15 +165,16 @@ def compute_der(
     speaker error is time where the optimally mapped labels disagree. The
     denominator is the scored reference speech time. When nothing is scored
     (no reference speech and no hypothesis in the scored regions, say SAD
-    lying wholly inside collars) every field is zero, der included; false
-    alarm with no scored reference speech has no DER and is invalid input.
+    lying wholly inside collars) every field is zero, der included. False
+    alarm with no scored reference speech is reported as such, with der NaN:
+    a ratio over no reference time is undefined.
     """
     conv = _validate_entries(ref, "reference")
     if hyp:
         hconv = _validate_entries(hyp, "hypothesis")
         if hconv != conv:
             raise InvalidInputError(f"hypothesis is for {hconv!r}, reference for {conv!r}")
-    check_collar(collar_s)
+    COLLAR_DOMAIN.check(collar_s)
     if not sad:
         raise InvalidInputError("no speech activity marks given")
     for m in sad:
@@ -204,11 +201,9 @@ def compute_der(
             fa += n
         elif r and h and not any(mapping.get(lab) in r for lab in h):
             err += n
-    if scored_time == 0:
-        if fa:
-            raise InvalidInputError(f"{conv}: no scorable reference speech")
-        return DerResult(0.0, 0.0, 0.0, 0.0, 0.0)
     u = UNITS_PER_S
+    if scored_time == 0:
+        return DerResult(0.0, 0.0, 0.0, fa / u, math.nan if fa else 0.0)
     # der is the ratio of the reported second-valued components, so the
     # identity der * scored == miss + fa + err survives the unit conversion
     return DerResult(scored_time / u, err / u, miss / u, fa / u,
@@ -341,9 +336,9 @@ def der_report(results: Mapping[str, DerResult],
     """Plain-text per-conversation table, a time-weighted total, and (when
     speaker counts are given) a breakdown over 2, 3, and 4-or-more speakers.
 
-    A conversation with no scored time weighs nothing in the total and its
-    group; a group with none is left out, and so is the report when no
-    conversation has any."""
+    A conversation with no scored time adds only its false alarm to the
+    total and its group, and its der prints as nan; a group with no scored
+    time is left out, and so is the report when no conversation has any."""
     if not results:
         raise InvalidInputError("no results to report")
     if not any(r.scored_time_s > 0 for r in results.values()):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fftpack import dct
 
-from .errors import FormatError, InvalidInputError
+from .errors import FormatError, Interval, InvalidInputError
 
 SAMPLE_RATE = 8000
 NUM_COEFFS = 23
@@ -35,10 +35,12 @@ FFT_SIZE = 256  # the least power of two that holds a frame
 PREEMPHASIS = 0.97
 ENERGY_FLOOR = 1e-10
 CMN_WINDOW_FRAMES = 300
+CMN_WINDOW_DOMAIN = Interval("CMN window", 1)  # frames
 
 SEGMENT_LENGTH_S = 1.5
 SEGMENT_SHIFT_S = 0.75
 SEGMENT_MIN_S = 0.5
+STRIDE_DOMAIN = Interval("window length and shift", 0.0, ends="()")
 
 FEATURE_MAGIC = b"FEA1"
 
@@ -123,12 +125,6 @@ def compute_mfcc(samples: np.ndarray) -> np.ndarray:
     return dct(log_energy, type=2, axis=1, norm="ortho")[:, :NUM_COEFFS]
 
 
-def check_cmn_window(window_frames: int) -> None:
-    """A CMN window holds at least one frame."""
-    if window_frames < 1:
-        raise InvalidInputError(f"CMN window must be at least one frame, got {window_frames}")
-
-
 def sliding_cmn(x: np.ndarray, window_frames: int = CMN_WINDOW_FRAMES) -> np.ndarray:
     """Subtract from each frame the mean of a centered window around it.
 
@@ -136,7 +132,7 @@ def sliding_cmn(x: np.ndarray, window_frames: int = CMN_WINDOW_FRAMES) -> np.nda
     utterances no longer than the window degrade to whole-utterance mean
     subtraction.
     """
-    check_cmn_window(window_frames)
+    CMN_WINDOW_DOMAIN.check(window_frames)
     total = x.shape[0]
     if total == 0:
         raise InvalidInputError("cannot normalize an empty feature matrix")
@@ -151,8 +147,8 @@ def stride_windows(start, end, length, shift, min_length):
     """Windows [s, min(s+length, end)) at the given stride, stopping once a
     window reaches the region end; windows shorter than min_length are
     dropped. Works uniformly in seconds or in frames."""
-    if shift <= 0 or length <= 0:
-        raise InvalidInputError("window length and shift must be positive")
+    STRIDE_DOMAIN.check(length)
+    STRIDE_DOMAIN.check(shift)
     out = []
     s = start
     while True:

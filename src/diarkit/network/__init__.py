@@ -2,6 +2,8 @@
 
 from .architectures import DEFAULT_MSA_TAPS, DimOverrides, build_architecture
 from .graph import (
+    DROPOUT_DOMAIN,
+    LAYER_WIDTH_DOMAIN,
     LayerSpec,
     Network,
     NetworkSpec,
@@ -25,7 +27,9 @@ from .model_io import load_network, save_network
 
 __all__ = [
     "DEFAULT_MSA_TAPS",
+    "DROPOUT_DOMAIN",
     "DimOverrides",
+    "LAYER_WIDTH_DOMAIN",
     "LayerSpec",
     "Network",
     "NetworkSpec",

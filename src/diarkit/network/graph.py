@@ -47,7 +47,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ..errors import InvalidInputError
+from ..errors import Interval, InvalidInputError
 from .layers import (
     VARIANCE_FLOOR,
     context_span,
@@ -69,6 +69,8 @@ DOT_BLOCK_ROWS = 64
 POOL_BLOCK_VALUES = 1 << 16
 
 INPUT_NAME = "input"
+LAYER_WIDTH_DOMAIN = Interval("layer width", 1)
+DROPOUT_DOMAIN = Interval("dropout_prob", 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -607,7 +609,7 @@ def validate_spec(spec: NetworkSpec) -> None:
             raise InvalidInputError(f"{ls.name}: unknown layer kind {ls.kind!r}")
         if ls.name in seen or ls.name == INPUT_NAME:
             raise InvalidInputError(f"duplicate or reserved layer name {ls.name!r}")
-        if ls.in_dim < 1 or ls.out_dim < 1:
+        if ls.in_dim not in LAYER_WIDTH_DOMAIN or ls.out_dim not in LAYER_WIDTH_DOMAIN:
             raise InvalidInputError(
                 f"{ls.name}: layer widths must be positive, got {ls.in_dim} -> {ls.out_dim}")
         for src in ls.inputs:
@@ -721,8 +723,7 @@ def forward_batch(
     if mode not in ("training", "inference"):
         raise InvalidInputError(f"unknown mode {mode!r}")
     training = mode == "training"
-    if not 0.0 <= dropout_prob < 1.0:
-        raise InvalidInputError(f"dropout probability must be in [0, 1), got {dropout_prob}")
+    DROPOUT_DOMAIN.check(dropout_prob)
     if dropout_prob and not training:
         dropout_prob = 0.0
     if dropout_prob and rng is None:

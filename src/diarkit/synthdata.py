@@ -24,7 +24,7 @@ import numpy as np
 import scipy.signal
 
 from .der import TimelineEntry, write_rttm, write_speaker_counts
-from .errors import InvalidInputError
+from .errors import Interval, InvalidInputError
 from .features import (
     FRAME_SHIFT_S,
     NUM_COEFFS,
@@ -34,10 +34,18 @@ from .features import (
     write_sad,
     write_wav,
 )
-from .training import ManifestEntry, write_manifest
+from .training import SEED_DOMAIN, ManifestEntry, write_manifest
 
 DEFAULT_SMOOTHING = 0.9
+SMOOTHING_DOMAIN = Interval("smoothing", 0.0, 1.0)  # a speaker's AR(1) coefficient
+SEPARATION_DOMAIN = Interval("separation", 0.0)  # radius of the speaker-mean sphere
+SPEAKERS_DOMAIN = Interval("speaker count", 2)  # of a population or a conversation
 MIN_TURN_S = 1.5  # every turn must admit at least one scoring segment
+TURN_DOMAIN = Interval("turn length", MIN_TURN_S, ends="()")  # seconds
+UTTERANCE_DOMAIN = Interval("utterance length", FRAME_SHIFT_S)  # seconds: one frame at least
+TRAIN_UTTS_DOMAIN = Interval("train_utts", 1)  # per speaker
+CONVS_DOMAIN = Interval("n_convs", 1)
+CONV_S_DOMAIN = Interval("conv_s", 0.0, ends="()")
 _FPS = int(round(1.0 / FRAME_SHIFT_S))
 
 
@@ -53,7 +61,7 @@ class SynthSpeaker:
             raise InvalidInputError("speaker mean and covariance shapes disagree")
         if not np.all(self.covariance > 0):
             raise InvalidInputError(f"{self.speaker_id}: covariance must be positive")
-        check_smoothing(self.smoothing)
+        SMOOTHING_DOMAIN.check(self.smoothing)
 
 
 @dataclass(frozen=True)
@@ -65,37 +73,13 @@ class SynthConversation:
     sad: list[SadMark]
 
 
-def check_smoothing(smoothing: float) -> None:
-    """The AR(1) coefficient of a speaker's frames is in [0, 1)."""
-    if not 0.0 <= smoothing < 1.0:
-        raise InvalidInputError(f"smoothing must be in [0, 1), got {smoothing}")
-
-
-def check_positive(value, name: str = "value") -> None:
-    """A count or a length in seconds is finite and positive."""
-    if not 0 < value < math.inf:
-        raise InvalidInputError(f"{name} must be finite and positive, got {value}")
-
-
-def check_turn_length(seconds: float) -> None:
-    """A turn-length bound is finite and admits at least one scoring segment."""
-    if not MIN_TURN_S < seconds < math.inf:
-        raise InvalidInputError(f"turn length must be finite and above {MIN_TURN_S} s, got {seconds}")
-
-
 def check_turns(total_s: float, turn_range_s: tuple[float, float]) -> None:
     """Two turn-length bounds lo <= hi, and room for one turn in total_s."""
     lo, hi = turn_range_s
-    check_turn_length(lo)
-    check_turn_length(hi)
+    TURN_DOMAIN.check(lo)
+    TURN_DOMAIN.check(hi)
     if lo > hi or total_s < lo:
         raise InvalidInputError(f"turn range {turn_range_s} is empty or longer than {total_s} s")
-
-
-def check_separation(separation: float) -> None:
-    """The radius of the speaker-mean sphere is finite and nonnegative."""
-    if not 0.0 <= separation < np.inf:
-        raise InvalidInputError(f"separation must be finite and nonnegative, got {separation}")
 
 
 def generate_speakers(
@@ -105,9 +89,8 @@ def generate_speakers(
     smoothing: float = DEFAULT_SMOOTHING,
 ) -> list[SynthSpeaker]:
     """Means drawn uniformly on the sphere of radius `separation`."""
-    if n < 2:
-        raise InvalidInputError(f"need at least 2 speakers, got {n}")
-    check_separation(separation)
+    SPEAKERS_DOMAIN.check(n)
+    SEPARATION_DOMAIN.check(separation)
     rng = np.random.default_rng(seed)
     out = []
     for i in range(n):
@@ -134,9 +117,8 @@ def _ar1_frames(rng: np.random.Generator, speaker: SynthSpeaker, frames: int) ->
 
 
 def generate_utterance(speaker: SynthSpeaker, duration_s: float, seed) -> np.ndarray:
+    UTTERANCE_DOMAIN.check(duration_s)
     frames = int(round(duration_s * _FPS))
-    if frames < 1:
-        raise InvalidInputError(f"utterance of {duration_s} s has no frames")
     rng = np.random.default_rng(seed)
     return _ar1_frames(rng, speaker, frames)
 
@@ -154,8 +136,7 @@ def generate_conversation(
     shorter than the minimum turn is absorbed into the final turn, so every
     turn admits at least one scoring segment. SAD covers the full duration.
     """
-    if len(speakers) < 2:
-        raise InvalidInputError("a conversation needs at least 2 speakers")
+    SPEAKERS_DOMAIN.check(len(speakers))
     check_turns(total_s, turn_range_s)
     ids = {s.speaker_id for s in speakers}
     if len(ids) != len(speakers):
@@ -234,13 +215,17 @@ class CorpusSpec:
     audio: bool = False
 
     def __post_init__(self):
+        SPEAKERS_DOMAIN.check(self.n_speakers)
+        SEPARATION_DOMAIN.check(self.separation)
+        TRAIN_UTTS_DOMAIN.check(self.train_utts)
+        UTTERANCE_DOMAIN.check(self.train_utt_s)
+        CONVS_DOMAIN.check(self.n_convs)
+        CONV_S_DOMAIN.check(self.conv_s)
+        SPEAKERS_DOMAIN.check(self.speakers_per_conv)
+        SMOOTHING_DOMAIN.check(self.smoothing)
+        SEED_DOMAIN.check(self.seed)
         if self.speakers_per_conv > self.n_speakers:
             raise InvalidInputError("more speakers per conversation than speakers")
-        if self.speakers_per_conv < 2:
-            raise InvalidInputError("conversations need at least 2 speakers")
-        for name in ("n_speakers", "train_utts", "train_utt_s", "n_convs", "conv_s"):
-            check_positive(getattr(self, name), name)
-        check_smoothing(self.smoothing)
         check_turns(self.conv_s, (self.turn_min_s, self.turn_max_s))
 
 

@@ -17,9 +17,10 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import FormatError, InvalidInputError, TrainingDivergedError
+from .errors import FormatError, Interval, InvalidInputError, TrainingDivergedError
 from .features import read_features, stride_windows
 from .network import (
+    DROPOUT_DOMAIN,
     Network,
     NetworkSpec,
     backward_batch,
@@ -30,26 +31,6 @@ from .network import (
 )
 
 
-def check_learning_rate(lr: float) -> None:
-    if not 0.0 < lr < math.inf:
-        raise InvalidInputError(f"learning rate must be positive and finite, got {lr}")
-
-
-def check_momentum(momentum: float) -> None:
-    if not 0.0 <= momentum < 1.0:
-        raise InvalidInputError(f"momentum must be in [0, 1), got {momentum}")
-
-
-def check_l2(coeff: float) -> None:
-    if not 0.0 <= coeff < math.inf:
-        raise InvalidInputError(f"L2 coefficient must be finite and nonnegative, got {coeff}")
-
-
-def check_window_shift(frames: int) -> None:
-    if frames < 1:
-        raise InvalidInputError(f"window shift must be a positive frame count, got {frames}")
-
-
 def check_window_span(spec: NetworkSpec, min_window_frames: int) -> None:
     """Every pooling window must keep frames after the network's receptive span."""
     span = receptive_span(spec)
@@ -58,6 +39,18 @@ def check_window_span(spec: NetworkSpec, min_window_frames: int) -> None:
             f"pooling windows of {min_window_frames} frames cannot cover a "
             f"{span}-frame receptive span"
         )
+
+
+EPOCHS_DOMAIN = Interval("epochs", 1)
+BATCH_SIZE_DOMAIN = Interval("batch_size", 1)
+LEARNING_RATE_DOMAIN = Interval("learning rate", 0.0, ends="()")
+MOMENTUM_DOMAIN = Interval("momentum", 0.0, 1.0)
+L2_DOMAIN = Interval("l2_coeff", 0.0)
+ORTHO_INTERVAL_DOMAIN = Interval("ortho_interval", 1)
+WINDOW_FRAMES_DOMAIN = Interval("window_frames", 1)
+WINDOW_SHIFT_DOMAIN = Interval("window_shift", 1)
+MIN_WINDOW_FRAMES_DOMAIN = Interval("min_window_frames", 1)
+SEED_DOMAIN = Interval("seed", 0)  # numpy's generators take non-negative integers
 
 
 @dataclass(frozen=True)
@@ -76,17 +69,21 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.ortho_interval < 1:
-            raise InvalidInputError("epochs, batch_size and ortho_interval must be positive")
-        check_learning_rate(self.lr_start)
-        check_learning_rate(self.lr_end)
-        check_momentum(self.momentum)
-        check_l2(self.l2_coeff)
-        if not 0.0 <= self.dropout_prob < 1.0:
-            raise InvalidInputError(f"dropout_prob must be in [0, 1), got {self.dropout_prob}")
-        check_window_shift(self.window_shift)
-        if not 0 < self.min_window_frames <= self.window_frames:
-            raise InvalidInputError("need 0 < min_window_frames <= window_frames")
+        EPOCHS_DOMAIN.check(self.epochs)
+        BATCH_SIZE_DOMAIN.check(self.batch_size)
+        LEARNING_RATE_DOMAIN.check(self.lr_start)
+        LEARNING_RATE_DOMAIN.check(self.lr_end)
+        MOMENTUM_DOMAIN.check(self.momentum)
+        L2_DOMAIN.check(self.l2_coeff)
+        DROPOUT_DOMAIN.check(self.dropout_prob)
+        ORTHO_INTERVAL_DOMAIN.check(self.ortho_interval)
+        WINDOW_FRAMES_DOMAIN.check(self.window_frames)
+        WINDOW_SHIFT_DOMAIN.check(self.window_shift)
+        MIN_WINDOW_FRAMES_DOMAIN.check(self.min_window_frames)
+        SEED_DOMAIN.check(self.seed)
+        if self.min_window_frames > self.window_frames:
+            raise InvalidInputError(f"min_window_frames {self.min_window_frames} exceeds "
+                                    f"window_frames {self.window_frames}")
 
 
 class ManifestEntry(NamedTuple):

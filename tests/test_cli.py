@@ -133,20 +133,65 @@ def test_invalid_input_is_exit_4(work, tmp_path, capsys):
     assert "ghost" in capsys.readouterr().err
 
 
+# Every numeric option with its invalid edge values: NaN and +-inf for a float
+# option where its domain excludes them, 0 and -1 for an int option where it
+# excludes them, plus values just outside a finite end. Written out by hand,
+# not read from the library's declarations.
 _BAD_OPTION_VALUES = [
-    ("score", "--collar", "nan"), ("score", "--collar", "inf"), ("calibrate", "--collar", "nan"),
-    ("diarize", "--threshold", "nan"), ("train", "--dropout", "1.0"),
-    ("train", "--dropout", "1.5"), ("train", "--dropout", "-0.5"),
-    ("synth", "--separation", "nan"), ("diarize", "--pca-fraction", "0"),
-    ("calibrate", "--pca-fraction", "0"), ("calibrate", "--folds", "1"),
-    ("calibrate", "--grid-size", "0"), ("synth", "--turn-min", "0"), ("synth", "--smoothing", "1.5"),
-    ("synth", "--turn-max", "nan"), ("synth", "--train-utt-s", "nan"), ("synth", "--conv-s", "inf"),
-    ("train", "--momentum", "nan"), ("train", "--momentum", "5"), ("train", "--l2", "nan"),
-    ("train", "--lr-start", "inf"), ("train", "--window-shift", "0"),
-    ("train", "--window-shift", "-5"), ("train", "--feat-dim", "20"), ("train", "--width", "0"),
-    ("train", "--min-window-frames", "10"), ("synth", "--seed", "-1"), ("train", "--seed", "-3"),
+    ("features", "--cmn-window", "0"), ("features", "--cmn-window", "-1"),
+    ("features", "--cmn-window", "-5"),
+    ("synth", "--speakers", "0"), ("synth", "--speakers", "-1"),
+    ("synth", "--separation", "nan"), ("synth", "--separation", "inf"),
+    ("synth", "--separation", "-inf"),
+    ("synth", "--train-utts", "0"), ("synth", "--train-utts", "-1"),
+    ("synth", "--train-utt-s", "nan"), ("synth", "--train-utt-s", "inf"),
+    ("synth", "--train-utt-s", "-inf"), ("synth", "--train-utt-s", "0.001"),
+    ("synth", "--convs", "0"), ("synth", "--convs", "-1"),
+    ("synth", "--conv-s", "nan"), ("synth", "--conv-s", "inf"), ("synth", "--conv-s", "-inf"),
+    ("synth", "--turn-min", "nan"), ("synth", "--turn-min", "inf"),
+    ("synth", "--turn-min", "-inf"), ("synth", "--turn-min", "0"),
+    ("synth", "--turn-max", "nan"), ("synth", "--turn-max", "inf"),
+    ("synth", "--turn-max", "-inf"),
+    ("synth", "--speakers-per-conv", "0"), ("synth", "--speakers-per-conv", "-1"),
+    ("synth", "--smoothing", "nan"), ("synth", "--smoothing", "inf"),
+    ("synth", "--smoothing", "-inf"), ("synth", "--smoothing", "1.5"),
+    ("synth", "--seed", "-1"),
+    ("train", "--epochs", "0"), ("train", "--epochs", "-1"),
+    ("train", "--batch-size", "0"), ("train", "--batch-size", "-1"),
+    ("train", "--lr-start", "nan"), ("train", "--lr-start", "inf"),
+    ("train", "--lr-start", "-inf"),
+    ("train", "--lr-end", "nan"), ("train", "--lr-end", "inf"), ("train", "--lr-end", "-inf"),
+    ("train", "--momentum", "nan"), ("train", "--momentum", "inf"),
+    ("train", "--momentum", "-inf"), ("train", "--momentum", "5"),
+    ("train", "--l2", "nan"), ("train", "--l2", "inf"), ("train", "--l2", "-inf"),
+    ("train", "--dropout", "nan"), ("train", "--dropout", "inf"), ("train", "--dropout", "-inf"),
+    ("train", "--dropout", "1.0"), ("train", "--dropout", "1.5"), ("train", "--dropout", "-0.5"),
+    ("train", "--ortho-interval", "0"), ("train", "--ortho-interval", "-1"),
+    ("train", "--window-frames", "0"), ("train", "--window-frames", "-1"),
+    ("train", "--window-frames", "10"),
+    ("train", "--window-shift", "0"), ("train", "--window-shift", "-1"),
+    ("train", "--window-shift", "-5"),
+    ("train", "--min-window-frames", "0"), ("train", "--min-window-frames", "-1"),
+    ("train", "--min-window-frames", "10"),
+    ("train", "--feat-dim", "0"), ("train", "--feat-dim", "-1"), ("train", "--feat-dim", "20"),
+    ("train", "--width", "0"), ("train", "--width", "-1"),
+    ("train", "--factor-width", "0"), ("train", "--factor-width", "-1"),
+    ("train", "--inner-dim", "0"), ("train", "--inner-dim", "-1"),
+    ("train", "--pool-width", "0"), ("train", "--pool-width", "-1"),
+    ("train", "--branch-dim", "0"), ("train", "--branch-dim", "-1"),
+    ("train", "--embed-dim", "0"), ("train", "--embed-dim", "-1"),
+    ("train", "--seed", "-1"), ("train", "--seed", "-3"),
     ("backend-fit", "--pca-dim", "0"), ("backend-fit", "--pca-dim", "-1"),
-    ("features", "--cmn-window", "0"), ("features", "--cmn-window", "-5"),
+    ("diarize", "--threshold", "nan"),
+    ("diarize", "--pca-fraction", "nan"), ("diarize", "--pca-fraction", "inf"),
+    ("diarize", "--pca-fraction", "-inf"), ("diarize", "--pca-fraction", "0"),
+    ("calibrate", "--folds", "0"), ("calibrate", "--folds", "-1"), ("calibrate", "--folds", "1"),
+    ("calibrate", "--grid-size", "0"), ("calibrate", "--grid-size", "-1"),
+    ("calibrate", "--pca-fraction", "nan"), ("calibrate", "--pca-fraction", "inf"),
+    ("calibrate", "--pca-fraction", "-inf"), ("calibrate", "--pca-fraction", "0"),
+    ("calibrate", "--collar", "nan"), ("calibrate", "--collar", "inf"),
+    ("calibrate", "--collar", "-inf"),
+    ("score", "--collar", "nan"), ("score", "--collar", "inf"), ("score", "--collar", "-inf"),
 ]
 
 
@@ -178,10 +223,22 @@ def test_bad_option_value_is_exit_4(work, tmp_path, capsys, monkeypatch, request
     if command == "features":
         audio = request.getfixturevalue("audio_corpus") / "eval"
         args += ["--wav-dir", str(audio / "wav"), "--sad", str(audio / "sad.lab")]
-    assert main([command, *args, flag, value, *(["--dry-run"] if dry_run else [])]) == 4
+    # --flag=value, since argparse would read a bare "-inf" as an option
+    assert main([command, *args, f"{flag}={value}", *(["--dry-run"] if dry_run else [])]) == 4
     assert flag.lstrip("-") in capsys.readouterr().err
     assert embedded == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--feat-dim", "--width", "--factor-width", "--inner-dim",
+                                  "--pool-width", "--branch-dim", "--embed-dim"])
+def test_zero_width_is_rejected_before_the_training_set_is_read(work, tmp_path, monkeypatch,
+                                                                 flag):
+    loads = []
+    monkeypatch.setattr(cli, "load_train_set", lambda path: loads.append(path))
+    assert main(["train", "--manifest", str(work["corpus"] / "train/manifest.txt"),
+                 "--out", str(tmp_path / "m.bin"), flag, "0", "--dry-run"]) == 4
+    assert loads == []
 
 
 def test_jobs_are_bounded(work, tmp_path, monkeypatch):
@@ -823,6 +880,48 @@ def test_calibrate_fold_without_segment_pairs(work, tmp_path, capsys):
     assert {e.conversation_id for e in entries} == {"conv000", "conv001"}
     assert {e.speaker for e in entries if e.conversation_id == "conv000"} == {"spk0"}
 
+
+
+def _pure_false_alarm_ref(work, tmp_path):
+    """The work reference with conv001's speech moved past its SAD, so that
+    conv001's scored regions hold hypothesis speech but no reference speech."""
+    ref = tmp_path / "ref.rttm"
+    lines = (work["corpus"] / "eval/ref.rttm").read_text().splitlines(keepends=True)
+    ref.write_text("".join(l for l in lines if l.split()[1] != "conv001")
+                   + "SPEAKER conv001 1 25.000 1.000 <NA> <NA> spk000 <NA> <NA>\n")
+    return ref
+
+
+def test_score_reports_pure_false_alarm(work, tmp_path, capsys):
+    """A pure-false-alarm conversation scores with der nan, and its false
+    alarm counts in the TOTAL numerator."""
+    ref = _pure_false_alarm_ref(work, tmp_path)
+    capsys.readouterr()
+    assert main(["score", "--ref", str(ref), "--hyp", str(work["hyp"]),
+                 "--sad", str(work["corpus"] / "eval/sad.lab")]) == 0
+    rows = {r.split()[0]: r.split()[1:] for r in capsys.readouterr().out.splitlines()[1:] if r}
+    scored, miss, fa, err, der = rows["conv001"]
+    assert (scored, miss, err, der) == ("0.000", "0.000", "0.000", "nan") and float(fa) > 0
+    total = [float(v) for v in rows["TOTAL"]]
+    parts = [[float(v) for v in rows[c]] for c in ("conv000", "conv002")]
+    assert total[2] == pytest.approx(float(fa) + sum(p[2] for p in parts), abs=2e-3)
+    assert total[4] == pytest.approx((total[1] + total[2] + total[3]) / total[0], abs=1e-4)
+
+
+def test_calibrate_skips_pure_false_alarm(work, tmp_path, capsys):
+    """conv001, pure false alarm, has no DER: fold 0, whose only dev
+    conversation it is, takes threshold -inf, and fold 1, which holds only it
+    out, has no eval DER. Every conversation still gets labels."""
+    ref, out = _pure_false_alarm_ref(work, tmp_path), tmp_path / "cal.rttm"
+    capsys.readouterr()
+    assert _calibrate(work, out, ref=ref) == 0
+    rows = [r.split() for r in capsys.readouterr().out.splitlines()[1:3]]
+    assert rows[0][:3] == ["0", "-inf", "nan"] and rows[0][3] != "nan"
+    assert rows[1][2] != "nan" and rows[1][3] == "nan"
+    entries = read_rttm(out)
+    assert {e.conversation_id for e in entries} == {"conv000", "conv001", "conv002"}
+    for conv in ("conv000", "conv002"):
+        assert {e.speaker for e in entries if e.conversation_id == conv} == {"spk0"}
 
 
 # ----------------------------------------------------------- front-end pin

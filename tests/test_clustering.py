@@ -2,6 +2,7 @@
 the original score matrix at every step."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -79,9 +80,9 @@ def test_threshold_is_inclusive():
 def test_nan_threshold_is_rejected_and_infinities_are_valid():
     # every score < nan is false, so a NaN threshold would merge everything
     s = np.array([[0.0, 5.0], [5.0, 0.0]])
-    with pytest.raises(InvalidInputError, match="NaN"):
+    with pytest.raises(InvalidInputError, match="got nan"):
         ahc(s, threshold=float("nan"))
-    with pytest.raises(InvalidInputError, match="NaN"):
+    with pytest.raises(InvalidInputError, match="got nan"):
         cut_at_threshold(2, merge_sequence(s), float("nan"))
     assert ahc(s, threshold=-float("inf")).tolist() == [0, 0]
     assert ahc(s, threshold=float("inf")).tolist() == [0, 1]
@@ -354,6 +355,28 @@ def test_calibration_validation():
         with pytest.raises(InvalidInputError, match="grid"):
             calibrate_threshold({"a": _sym(rng, 4), "b": _sym(rng, 4)},
                                 lambda c, l: 0.0, grid_size=grid_size)
+
+
+def test_calibration_means_skip_undefined_der():
+    """A NaN DER, pure false alarm, counts in no mean. The fold whose only dev
+    conversation has NaN DER takes threshold -inf, as a fold without pairs
+    does; the fold holding only that conversation out has NaN eval DER."""
+    rng = np.random.default_rng(28)
+    scores = {c: _sym(rng, 4) for c in ("a", "b", "c")}
+
+    def der(c, labels):
+        return math.nan if c == "b" else float(len(set(labels.tolist())))
+
+    labels, (f0, f1) = calibrate_threshold(scores, der, folds=2, grid_size=5)
+    assert f0.threshold == -math.inf and math.isnan(f0.dev_der)
+    assert f0.eval_der == 1.0 and labels["a"].tolist() == labels["c"].tolist() == [0, 0, 0, 0]
+    # fold 1: dev a and c, a mean over both; b alone is held out
+    pooled = np.concatenate([scores[c][np.triu_indices(4, k=1)] for c in ("a", "c")])
+    grid = threshold_grid(pooled, 5)
+    means = [(der("a", cut_at_threshold(4, merge_sequence(scores["a"]), t))
+              + der("c", cut_at_threshold(4, merge_sequence(scores["c"]), t))) / 2 for t in grid]
+    assert f1.dev_der == min(means) and f1.threshold == grid[int(np.argmin(means))]
+    assert math.isnan(f1.eval_der) and len(labels["b"]) == 4
 
 
 def test_calibration_fold_without_pairs_merges_everything():

@@ -53,7 +53,7 @@ def test_speakers_deterministic():
 
 @pytest.mark.parametrize("separation", [float("nan"), float("inf"), -float("inf")])
 def test_speakers_reject_bad_separation(separation):
-    with pytest.raises(InvalidInputError, match="separation must be finite"):
+    with pytest.raises(InvalidInputError, match=r"separation must be in \[0, inf\)"):
         generate_speakers(3, separation, seed=0)
 
 

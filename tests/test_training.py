@@ -297,6 +297,6 @@ def test_dropout_outside_unit_interval_is_rejected(p):
     with pytest.raises(InvalidInputError, match=r"dropout_prob must be in \[0, 1\)"):
         TrainConfig(dropout_prob=p)
     net = initialize_network(build_architecture("tdnn", 2, dims=SMALL), seed=0)
-    with pytest.raises(InvalidInputError, match=r"dropout probability must be in \[0, 1\)"):
+    with pytest.raises(InvalidInputError, match=r"dropout_prob must be in \[0, 1\)"):
         forward_batch(net, [np.zeros((60, 8))], mode="training", dropout_prob=p,
                       rng=np.random.default_rng(0))
