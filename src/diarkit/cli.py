@@ -500,20 +500,28 @@ def _cmd_features(ns) -> int:
 # --------------------------------------------------------------------- synth
 
 def _cmd_synth(ns) -> int:
-    spec = synthdata.CorpusSpec(
-        n_speakers=ns.speakers,
-        separation=ns.separation,
-        train_utts=ns.train_utts,
-        train_utt_s=ns.train_utt_s,
-        n_convs=ns.convs,
-        conv_s=ns.conv_s,
-        turn_min_s=ns.turn_min,
-        turn_max_s=ns.turn_max,
-        speakers_per_conv=ns.speakers_per_conv,
-        smoothing=ns.smoothing,
-        seed=_resolve_seed(ns.seed),
-        audio=ns.audio,
-    )
+    seed = _resolve_seed(ns.seed)
+    try:  # each value is in its domain; what is left to fail is two relations
+        synthdata.check_turns(ns.conv_s, (ns.turn_min, ns.turn_max))
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"--conv-s, --turn-min, --turn-max: {exc}") from None
+    try:
+        spec = synthdata.CorpusSpec(
+            n_speakers=ns.speakers,
+            separation=ns.separation,
+            train_utts=ns.train_utts,
+            train_utt_s=ns.train_utt_s,
+            n_convs=ns.convs,
+            conv_s=ns.conv_s,
+            turn_min_s=ns.turn_min,
+            turn_max_s=ns.turn_max,
+            speakers_per_conv=ns.speakers_per_conv,
+            smoothing=ns.smoothing,
+            seed=seed,
+            audio=ns.audio,
+        )
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"--speakers, --speakers-per-conv: {exc}") from None
     if ns.dry_run:
         print(f"dry run: corpus spec valid ({spec.n_speakers} speakers, {spec.n_convs} conversations)")
         return 0

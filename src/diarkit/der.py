@@ -338,18 +338,18 @@ def der_report(results: Mapping[str, DerResult],
 
     A conversation with no scored time adds only its false alarm to the
     total and its group, and its der prints as nan; a group with no scored
-    time is left out, and so is the report when no conversation has any."""
+    time is left out. A TOTAL with no scored time takes compute_der's rule:
+    der nan when there is false alarm, 0 when nothing is scored at all."""
     if not results:
         raise InvalidInputError("no results to report")
-    if not any(r.scored_time_s > 0 for r in results.values()):
-        raise InvalidInputError("no conversation has scored time")
 
     def weighted(rs: list[DerResult]) -> DerResult:
         scored = sum(r.scored_time_s for r in rs)
         err = sum(r.speaker_error_time_s for r in rs)
         miss = sum(r.missed_time_s for r in rs)
         fa = sum(r.false_alarm_time_s for r in rs)
-        return DerResult(scored, err, miss, fa, (err + miss + fa) / scored)
+        der = (err + miss + fa) / scored if scored else (math.nan if fa else 0.0)
+        return DerResult(scored, err, miss, fa, der)
 
     def fmt(name: str, r: DerResult) -> str:
         return (f"{name} {r.scored_time_s:.3f} {r.missed_time_s:.3f} "

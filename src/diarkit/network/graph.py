@@ -13,13 +13,20 @@ Initialization, validation, evaluation, model files and training read the
 table instead of branching on a kind's name; the one kind named outside it is
 the graph rule that the embedding and output layers are dense.
 
-The training tape keeps one entry per layer for the backward pass. It holds
-each frame-level activation once: the layer input is the forward value itself
-(or, after a skip connection, the combined input), and an entry adds only
-what no value holds, such as batch-norm moments, a dropout mask, or a
-factorized layer's inner activation. Backward splices nothing again (a
-convolution takes one product per context offset on row slices), and batch
-norm's gradient is in closed form, so its normalized input is never formed.
+The training tape keeps one entry per layer for the backward pass. An entry
+holds only what no forward value holds, such as batch-norm moments, a dropout
+mask, or a factorized layer's inner activation, and never the layer input:
+backward_batch hands each layer its input again, the forward value itself or,
+after a skip connection, the sum formed again from its two values (one
+addition, the same bits), so no skip sum outlives its layer's forward.
+backward_batch consumes the forward result. When it reaches a layer, every
+reader of that layer's output has run its backward, so it drops the output
+and the tape entry before the layer's own backward runs; each activation is
+held only while backward still reads it. A layer's backward owns its output
+gradient and may write into it: batch norm masks it and forms its input
+gradient there. Backward splices nothing again (a convolution takes one
+product per context offset on row slices), and batch norm's gradient is in
+closed form, so its normalized input is never formed.
 
 The engine computes in the dtype of the network's parameters (Network.dtype):
 forward_batch casts its input sequences to it, every layer output and
@@ -67,6 +74,9 @@ DOT_BLOCK_ROWS = 64
 # cache; blocks of 1 << 20 values took 40 % longer at the train workload's
 # shapes.
 POOL_BLOCK_VALUES = 1 << 16
+# Dropout draws its keep-mask in blocks of at most this many doubles (512 KB),
+# not as one float64 array twice the size of a float32 layer.
+DROPOUT_BLOCK_VALUES = 1 << 16
 
 INPUT_NAME = "input"
 LAYER_WIDTH_DOMAIN = Interval("layer width", 1)
@@ -203,12 +213,15 @@ class LayerKind:
     the inputs' (dim, level) and returns the output level. forward(ls, params,
     inputs, run) -> (output, tape entry); backward(ls, params, grad, tape
     entry) -> (parameter gradients, one gradient per input, which may be None
-    for the network input: backward_batch discards its gradient).
+    for the network input: backward_batch discards its gradient). backward
+    owns grad: nothing reads it afterwards, so it may overwrite it or return
+    it as an input gradient.
 
-    The graph adds the layer input to the entry as in_value. What forward
-    puts in the entry must be something backward cannot get from in_value or
-    the parameters: statistics per column, a dropout mask, an intermediate
-    activation, never a copy or rearrangement of the input.
+    backward_batch adds the layer input to the entry as in_value, forming a
+    skip sum again. What forward puts in the entry must be something backward
+    cannot get from in_value or the parameters: statistics per column, a
+    dropout mask, an intermediate activation, never a copy or rearrangement
+    of the input.
     """
 
     fills: dict[str, float] = {}
@@ -341,7 +354,9 @@ class _Dense(LayerKind):
         return {"W": (ls.out_dim, ls.in_dim), "b": (ls.out_dim,)}
 
     def forward(self, ls, p, xs, run):
-        return _like(xs[0], _data(xs[0]) @ p["W"].T + p["b"]), {}
+        y = _data(xs[0]) @ p["W"].T
+        y += p["b"]
+        return _like(xs[0], y), {}
 
     def backward(self, ls, p, g, cache):
         return {"W": g.T @ _data(cache["in_value"]), "b": g.sum(axis=0)}, [g @ p["W"]]
@@ -362,8 +377,8 @@ class _ReluBatchNorm(LayerKind):
     r = relu(x) - mu, x-hat / istd: column sums of g and of g * r give the
     beta and gamma gradients and both batch means of the input gradient, and
     dx = a g - a mean(g) - c r under the ReLU mask, with a and c per column.
-    It holds r and the input gradient, and with dropout the masked output
-    gradient.
+    It masks the output gradient and forms dx in that array, so it holds r,
+    then the ReLU mask. The keep-mask is drawn in row blocks (_keep_mask).
     """
 
     fills = {"gamma": 1.0, "beta": 0.0}
@@ -404,7 +419,7 @@ class _ReluBatchNorm(LayerKind):
             shift = p["beta"] - mu * scale
         keep = drop = None
         if run.dropout_prob > 0.0:
-            keep = run.rng.random(y.shape) >= run.dropout_prob
+            keep = _keep_mask(run.rng, y.shape, run.dropout_prob)
             drop = 1.0 / y.dtype.type(1.0 - run.dropout_prob)
             scale, shift = scale * drop, shift * drop
         y *= scale
@@ -416,7 +431,7 @@ class _ReluBatchNorm(LayerKind):
     def backward(self, ls, p, g, cache):
         drop = 1.0
         if cache["keep"] is not None:  # the output gradient is drop * g under the mask
-            g = g * cache["keep"]
+            g *= cache["keep"]
             drop = cache["scale"]
         x = _data(cache["in_value"])
         n = x.shape[0]
@@ -431,10 +446,23 @@ class _ReluBatchNorm(LayerKind):
         a_g = a * drop
         r *= a * istd * grads["gamma"] / n
         r += a_g * (sum_g / n)
-        dx = g * a_g
-        dx -= r
-        dx *= x > 0.0
-        return grads, [dx]
+        g *= a_g
+        g -= r
+        del r  # so the ReLU mask takes its place
+        g *= x > 0.0
+        return grads, [g]
+
+
+def _keep_mask(rng: np.random.Generator, shape: tuple[int, int], p: float) -> np.ndarray:
+    """rng.random(shape) >= p, drawn in blocks of rows of at most
+    DROPOUT_BLOCK_VALUES doubles. The generator fills an array in row-major
+    order, so the blocks take the same doubles in the same order as one draw."""
+    keep = np.empty(shape, bool)
+    n, d = shape
+    step = max(1, DROPOUT_BLOCK_VALUES // d)
+    for lo in range(0, n, step):
+        np.greater_equal(rng.random((min(step, n - lo), d)), p, out=keep[lo : lo + step])
+    return keep
 
 
 def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -690,6 +718,12 @@ def _add_skip(ls: LayerSpec, main: FrameBatch, skip: FrameBatch) -> FrameBatch:
     return FrameBatch(main.data + cropped, main.lengths, main.span)
 
 
+def _layer_input(ls: LayerSpec, values: dict):
+    """A layer's first input, with its skip source added when it has one."""
+    x = values[ls.inputs[0]]
+    return _add_skip(ls, x, values[ls.skip_from]) if ls.skip_from else x
+
+
 def forward_batch(
     net: Network,
     sequences,
@@ -790,13 +824,9 @@ def _apply_layers(
         for name, i in last_use.items():
             drop_after[i].append(name)
     for ls, drop in zip(layers, drop_after):
-        p = net.params[ls.name]
-        xs = [values[n] for n in ls.inputs]
-        if ls.skip_from:
-            xs[0] = _add_skip(ls, xs[0], values[ls.skip_from])
-        out, cache = LAYER_KINDS[ls.kind].forward(ls, p, xs, run)
+        xs = [_layer_input(ls, values)] + [values[n] for n in ls.inputs[1:]]
+        out, cache = LAYER_KINDS[ls.kind].forward(ls, net.params[ls.name], xs, run)
         if training:
-            cache["in_value"] = xs[0]
             tape[ls.name] = cache
         values[ls.name] = out
         xs = out = cache = None  # so a dropped value's memory is free at once
@@ -809,13 +839,17 @@ def backward_batch(net: Network, result: ForwardResult, logits_grad: np.ndarray)
     """Exact gradients of a scalar loss w.r.t. every parameter.
 
     result must come from forward_batch in training mode; batch-norm
-    gradients use the batch statistics recorded on its tape.
+    gradients use the batch statistics recorded on its tape. The call
+    consumes result: when it reaches a layer, in reverse order, every reader
+    of that layer's output has run its backward, so it drops the output and
+    the tape entry before the layer's own backward runs. result.logits stays,
+    and so does the network input. logits_grad is copied, never written.
     Returns {layer: {param: grad}}.
     """
-    if result.tape is None:
+    if not result.tape:
         raise InvalidInputError("backward needs a forward tape")
-    values = result.values
-    grads: dict[str, np.ndarray] = {net.spec.output_layer: np.asarray(logits_grad, dtype=net.dtype)}
+    values, tape = result.values, result.tape
+    grads: dict[str, np.ndarray] = {net.spec.output_layer: np.array(logits_grad, dtype=net.dtype)}
     param_grads: dict[str, dict[str, np.ndarray]] = {}
 
     def push(name: str, g: np.ndarray):
@@ -827,23 +861,32 @@ def backward_batch(net: Network, result: ForwardResult, logits_grad: np.ndarray)
             grads[name] = g
 
     for ls in reversed(net.spec.layers):
+        del values[ls.name]
+        cache = tape.pop(ls.name)
         g = grads.pop(ls.name, None)
         if g is None:
             continue
-        layer_grads, input_grads = LAYER_KINDS[ls.kind].backward(ls, net.params[ls.name], g,
-                                                                 result.tape[ls.name])
+        cache["in_value"] = _layer_input(ls, values)  # a skip sum is formed again
+        layer_grads, input_grads = LAYER_KINDS[ls.kind].backward(ls, net.params[ls.name], g, cache)
+        cache = g = None  # so a skip sum and the output gradient are free at once
         if layer_grads:
             param_grads[ls.name] = layer_grads
         for src, gx in zip(ls.inputs, input_grads):
             push(src, gx)
-        if ls.skip_from:  # the input gradient, onto the skip source's cropped rows
-            main, skip = values[ls.inputs[0]], values[ls.skip_from]
-            left = _skip_crop(ls, main.span, skip.span)
-            gskip = _like(skip, np.zeros_like(skip.data))
-            for gseq, gc in zip(gskip.split(), _like(main, input_grads[0]).split()):
-                gseq[left : left + gc.shape[0]] = gc
-            push(ls.skip_from, gskip.data)
+        if ls.skip_from:
+            push(ls.skip_from, _skip_grad(ls, values[ls.inputs[0]], values[ls.skip_from],
+                                          input_grads[0]))
     return param_grads
+
+
+def _skip_grad(ls: LayerSpec, main: FrameBatch, skip: FrameBatch, g: np.ndarray) -> np.ndarray:
+    """A skip source's gradient: the layer input's gradient g on the source's
+    center-cropped rows, zero on the rest."""
+    left = _skip_crop(ls, main.span, skip.span)
+    gskip = _like(skip, np.zeros_like(skip.data))
+    for gseq, gc in zip(gskip.split(), _like(main, g).split()):
+        gseq[left : left + gc.shape[0]] = gc
+    return gskip.data
 
 
 def extract_embeddings(net: Network, sequences, windows=None) -> np.ndarray:

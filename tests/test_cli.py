@@ -156,6 +156,7 @@ _BAD_OPTION_VALUES = [
     ("synth", "--smoothing", "nan"), ("synth", "--smoothing", "inf"),
     ("synth", "--smoothing", "-inf"), ("synth", "--smoothing", "1.5"),
     ("synth", "--seed", "-1"),
+    ("synth", "--conv-s", "1"), ("synth", "--turn-max", "2"), ("synth", "--speakers-per-conv", "4"),
     ("train", "--epochs", "0"), ("train", "--epochs", "-1"),
     ("train", "--batch-size", "0"), ("train", "--batch-size", "-1"),
     ("train", "--lr-start", "nan"), ("train", "--lr-start", "inf"),
@@ -906,6 +907,23 @@ def test_score_reports_pure_false_alarm(work, tmp_path, capsys):
     parts = [[float(v) for v in rows[c]] for c in ("conv000", "conv002")]
     assert total[2] == pytest.approx(float(fa) + sum(p[2] for p in parts), abs=2e-3)
     assert total[4] == pytest.approx((total[1] + total[2] + total[3]) / total[0], abs=1e-4)
+
+
+def test_score_reports_a_corpus_without_scored_reference_time(tmp_path, capsys):
+    """Reference speech at 5-6 s, hypothesis and SAD at 0-4 s: nothing of the
+    reference is scored, so the row and the TOTAL show the false alarm with
+    der nan, and score exits 0."""
+    ref, hyp, sad = tmp_path / "ref.rttm", tmp_path / "hyp.rttm", tmp_path / "sad.lab"
+    ref.write_text("SPEAKER c 1 5.000 1.000 <NA> <NA> spk0 <NA> <NA>\n")
+    hyp.write_text("SPEAKER c 1 0.000 4.000 <NA> <NA> a <NA> <NA>\n")
+    sad.write_text("c 0.000 4.000\n")
+    capsys.readouterr()
+    assert main(["score", "--ref", str(ref), "--hyp", str(hyp), "--sad", str(sad)]) == 0
+    assert capsys.readouterr().out.strip().splitlines() == [
+        "conversation scored miss fa spkerr der",
+        "c 0.000 0.000 4.000 0.000 nan",
+        "TOTAL 0.000 0.000 4.000 0.000 nan",
+    ]
 
 
 def test_calibrate_skips_pure_false_alarm(work, tmp_path, capsys):

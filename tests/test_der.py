@@ -568,8 +568,15 @@ def test_report_gives_unscored_conversations_no_weight():
     assert not any(l.startswith("GROUP-3spk") for l in lines)
     base = der_report(scored, {"conv1": 2, "conv3": 2}).splitlines()
     assert [l for l in lines if not l.startswith("conv2 ")] == base
-    with pytest.raises(InvalidInputError, match="no conversation has scored time"):
-        der_report({"conv2": empty, "conv4": empty})
+    # a corpus with no scored time takes compute_der's rule in its TOTAL
+    nothing = der_report({"conv2": empty, "conv4": empty}).splitlines()
+    assert nothing[1:] == ["conv2 0.000 0.000 0.000 0.000 0.0000",
+                           "conv4 0.000 0.000 0.000 0.000 0.0000",
+                           "TOTAL 0.000 0.000 0.000 0.000 0.0000"]
+    false_alarm = DerResult(0.0, 0.0, 0.0, 1.0, math.nan)
+    fa_only = der_report({"conv2": empty, "conv5": false_alarm}, {"conv2": 3, "conv5": 2})
+    assert fa_only.splitlines()[2:] == ["conv5 0.000 0.000 1.000 0.000 nan",
+                                        "TOTAL 0.000 0.000 1.000 0.000 nan"]
 
 
 def test_speaker_counts_and_grouping_helpers():
