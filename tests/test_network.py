@@ -1280,8 +1280,8 @@ def _tape_own_fraction(arch, **dropout):
 
 @pytest.mark.parametrize("arch", ["tdnn", "etdnn", "ftdnn", "ftdnn_msa"])
 def test_training_tape_holds_few_activation_copies(arch):
-    """The tape reads activations from the forward values; what it holds of
-    its own (combined skip inputs, factor bottlenecks) stays small."""
+    """The tape holds no layer input, a skip sum included; what it holds of
+    its own (factor bottlenecks, pooling statistics) stays small."""
     assert _tape_own_fraction(arch) < 0.5
 
 
