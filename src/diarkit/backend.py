@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import FormatError, Interval, InvalidInputError
 
@@ -119,6 +118,8 @@ def fit_plda(vectors: np.ndarray, labels) -> Plda:
     """Two-covariance PLDA via the generalized eigenproblem of the between and
     within scatters. The average class size corrects the between scatter for
     the noise leaked through the class means."""
+    import scipy.linalg
+
     x = np.asarray(vectors, dtype=np.float64)
     labels = np.asarray(labels)
     n, d = x.shape

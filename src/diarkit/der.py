@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .errors import FormatError, Interval, InvalidInputError
 from .features import SadMark
@@ -119,6 +118,8 @@ def _scored_runs(per_ref, per_hyp, scored):
     and the one-to-one hypothesis-label to reference-speaker map maximizing
     the total scored overlap; labels with no useful overlap stay unmapped.
     """
+    import scipy.optimize
+
     row = {s: i for i, s in enumerate(per_ref)}
     col = {s: j for j, s in enumerate(per_hyp)}
     overlap = np.zeros((len(row), len(col)))

@@ -22,7 +22,6 @@ import wave as _wave
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fftpack import dct
 
 from .errors import FormatError, Interval, InvalidInputError
 
@@ -98,6 +97,8 @@ def compute_mfcc(samples: np.ndarray) -> np.ndarray:
     Frames are centered at t*shift + shift/2 and taken from a reflectively
     padded signal, giving exactly round(num_samples / shift) rows.
     """
+    from scipy.fftpack import dct
+
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1:
         raise InvalidInputError("waveform must be a 1-D sample vector")

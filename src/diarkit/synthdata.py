@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.signal
 
 from .der import TimelineEntry, write_rttm, write_speaker_counts
 from .errors import Interval, InvalidInputError
@@ -107,6 +106,8 @@ def generate_speakers(
 def _ar1_frames(rng: np.random.Generator, speaker: SynthSpeaker, frames: int) -> np.ndarray:
     """Stationary AR(1) deviations around the speaker mean: the first frame
     carries full variance, later ones mix in sqrt(1-c^2)-scaled innovations."""
+    import scipy.signal
+
     c = speaker.smoothing
     sd = np.sqrt(speaker.covariance)
     eps = rng.normal(size=(frames, len(sd)))

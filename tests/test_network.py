@@ -1217,6 +1217,44 @@ def test_backward_frees_each_value_before_its_layer_runs(monkeypatch):
         backward_batch(net, res, np.ones(res.logits.shape))
 
 
+def vstack_skip_sum(ls, main, skip):
+    """Reference skip sum: stack the center-cropped skip rows, then add."""
+    left = graph._skip_crop(ls, main.span, skip.span)
+    cropped = np.vstack([seq_skip[left : left + seq_main.shape[0]]
+                         for seq_main, seq_skip in zip(main.split(), skip.split())])
+    return main.data + cropped
+
+
+# _add_skip's traced peak over its output's bytes. Summing each sequence into
+# its slice of one output array measured 1.0; stacking the cropped skip rows
+# first measured 2.0.
+SKIP_SUM_PEAK_BOUND = 1.1
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_skip_sum_matches_stacked_form_in_one_array(dtype):
+    """The skip sum at paper width (725) over eight ragged sequences equals
+    the stack-then-add form bit for bit, and allocates only its output."""
+    rng = np.random.default_rng(4)
+    lengths = (382, 370, 391, 360, 382, 377, 385, 366)
+    ls = LayerSpec("f", "dense", 725, 725, (0,), 0, ("m",), "s")
+    main = graph.FrameBatch(rng.normal(size=(sum(lengths), 725)).astype(dtype), lengths, 6)
+    skip_lengths = tuple(n + 4 for n in lengths)
+    skip = graph.FrameBatch(rng.normal(size=(sum(skip_lengths), 725)).astype(dtype),
+                            skip_lengths, 2)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        got = graph._add_skip(ls, main, skip)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.lengths == lengths and got.span == 6 and got.data.dtype == dtype
+    assert np.array_equal(got.data, vstack_skip_sum(ls, main, skip))
+    assert (peak - start) / got.data.nbytes <= SKIP_SUM_PEAK_BOUND
+
+
 # backward_batch's traced peak above its starting level, over the largest
 # frame-level value, in the test below: 1.72 to 1.75 measured, float64 and
 # float32, with and without dropout. Holding every value and tape entry to
