@@ -304,7 +304,6 @@ _COMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
             _Opt("--grid-size", int, GRID_SIZE, domain=GRID_SIZE_DOMAIN),
             _PCA_FRACTION,
             _COLLAR,
-            _JOBS,
         ),
     ),
 }
@@ -711,7 +710,7 @@ def _cmd_calibrate(ns) -> int:
     missing = sorted(set(marks_by) - set(ref_by))
     if missing:
         raise InvalidInputError(f"reference lacks conversations: {', '.join(missing)}")
-    scored = dict(zip(marks_by, _run_jobs(ns.jobs, _scored, tasks, initializer=_worker_init,
+    scored = dict(zip(marks_by, _run_jobs(1, _scored, tasks, initializer=_worker_init,
                                           initargs=(ns.model, ns.backend, ns.pca_fraction))))
 
     def der_fn(conv: str, labels) -> float:

@@ -713,13 +713,11 @@ def _add_skip(ls: LayerSpec, main: FrameBatch, skip: FrameBatch) -> FrameBatch:
     """The layer input plus its skip source, center-cropped per sequence onto
     the input's rows, summed sequence by sequence into one new array."""
     left = _skip_crop(ls, main.span, skip.span)
-    out = np.empty(main.data.shape, np.result_type(main.data, skip.data))
-    pos = 0
-    for seq_main, seq_skip in zip(main.split(), skip.split()):
-        n = seq_main.shape[0]
-        np.add(seq_main, seq_skip[left : left + n], out=out[pos : pos + n])
-        pos += n
-    return FrameBatch(out, main.lengths, main.span)
+    out = FrameBatch(np.empty(main.data.shape, np.result_type(main.data, skip.data)),
+                     main.lengths, main.span)
+    for seq_out, seq_main, seq_skip in zip(out.split(), main.split(), skip.split()):
+        np.add(seq_main, seq_skip[left : left + len(seq_main)], out=seq_out)
+    return out
 
 
 def _layer_input(ls: LayerSpec, values: dict):

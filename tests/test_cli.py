@@ -539,25 +539,6 @@ def test_calibrate_reports_and_writes(work, tmp_path, capsys):
     assert {e.conversation_id for e in read_rttm(out)} == {f"conv{i:03d}" for i in range(3)}
 
 
-def test_calibrate_jobs_identical_output(work, tmp_path, capsys):
-    """Scoring conversations in a pool of two workers writes the same RTTM
-    and prints the same fold table as scoring them in-process; a --jobs
-    above MAX_JOBS is a usage error."""
-    outputs = []
-    for jobs in ("1", "2"):
-        out = tmp_path / f"cal{jobs}.rttm"
-        capsys.readouterr()
-        assert main(["calibrate", *_conv_args(work), "--backend", str(work["backend"]),
-                     "--ref", str(work["corpus"] / "eval/ref.rttm"), "--out", str(out),
-                     "--jobs", jobs]) == 0
-        outputs.append((capsys.readouterr().out.replace(str(out), "OUT"), out.read_bytes()))
-    assert outputs[0] == outputs[1]
-    assert outputs[0][0].startswith("fold threshold dev_der eval_der\n")
-    assert main(["calibrate", *_conv_args(work), "--backend", str(work["backend"]),
-                 "--ref", str(work["corpus"] / "eval/ref.rttm"),
-                 "--out", str(tmp_path / "x.rttm"), "--jobs", str(cli.MAX_JOBS + 1)]) == 2
-
-
 # ------------------------------------------------------------- memory policy
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
@@ -646,15 +627,17 @@ IMPORT_RSS_BOUND_KIB = 60 * 1024
 
 
 def test_commands_load_only_the_scipy_they_call(work, tmp_path):
-    """Importing the CLI loads no scipy; train and diarize call none and load
-    none; score loads scipy.optimize for its speaker mapping, and not
-    scipy.signal or scipy.stats."""
+    """Importing the CLI loads no scipy; train, embed and diarize call none
+    and load none; score loads scipy.optimize for its speaker mapping, and
+    not scipy.signal or scipy.stats."""
     corpus, hyp = work["corpus"], tmp_path / "hyp.rttm"
     steps = [
         ["train", "--manifest", str(corpus / "train/manifest.txt"),
          "--out", str(tmp_path / "m.bin"), "--arch", "tdnn", "--feat-dim", "23",
          "--width", "8", "--pool-width", "12", "--epochs", "1", "--batch-size", "4",
          "--seed", "2"],
+        ["embed", "--model", str(work["model"]), "--manifest",
+         str(corpus / "train/manifest.txt"), "--window", "--out", str(tmp_path / "win.bin")],
         ["diarize", *_conv_args(work), "--backend", str(work["backend"]),
          "--oracle-k", str(corpus / "eval/oracle_k.txt"), "--out", str(hyp)],
         ["score", "--ref", str(corpus / "eval/ref.rttm"), "--hyp", str(hyp),
@@ -670,7 +653,7 @@ def test_commands_load_only_the_scipy_they_call(work, tmp_path):
     assert rss_kib < IMPORT_RSS_BOUND_KIB
     by_step = {name: (modules, code) for name, modules, code in ran}
     assert all(code == 0 for _, code in by_step.values())
-    assert by_step["train"][0] == by_step["diarize"][0] == []
+    assert by_step["train"][0] == by_step["embed"][0] == by_step["diarize"][0] == []
     scored = by_step["score"][0]
     assert "scipy.optimize" in scored
     assert not any(m.split(".")[:2] in (["scipy", "signal"], ["scipy", "stats"]) for m in scored)
