@@ -138,18 +138,6 @@ def _scored_runs(per_ref, per_hyp, scored):
                       for i, j in zip(rows, cols) if overlap[i, j] > 0}
 
 
-def optimal_speaker_mapping(
-    ref: Sequence[TimelineEntry],
-    hyp: Sequence[TimelineEntry],
-    scored_regions: Sequence[tuple[float, float]],
-) -> dict[str, str]:
-    """One-to-one hypothesis-label to reference-speaker map maximizing the
-    total overlap inside the scored regions; labels with no useful overlap
-    stay unmapped."""
-    scored = _merge([(_q(a), _q(b)) for a, b in scored_regions])
-    return _scored_runs(_by_speaker(ref), _by_speaker(hyp), scored)[1]
-
-
 def compute_der(
     ref: Sequence[TimelineEntry],
     hyp: Sequence[TimelineEntry],

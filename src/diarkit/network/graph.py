@@ -11,7 +11,9 @@ LAYER_KINDS is the one place that defines a layer kind: its parameter shapes,
 batch-norm buffers, frame span, spec checks, forward and backward pass.
 Initialization, validation, evaluation, model files and training read the
 table instead of branching on a kind's name; the one kind named outside it is
-the graph rule that the embedding and output layers are dense.
+the graph rule that the embedding and output layers are dense. Both
+convolution kinds are chains of spliced maps over each sequence, W for tdnn
+and M then F for factorized_tdnn, with one forward and one backward pass.
 
 The training tape keeps one entry per layer for the backward pass. An entry
 holds only what no forward value holds, such as batch-norm moments, a dropout
@@ -184,27 +186,10 @@ def _like(value, data: np.ndarray):
     return FrameBatch(data, value.lengths, value.span) if isinstance(value, FrameBatch) else data
 
 
-def _check_lengths(name: str, lengths: tuple[int, ...], span: int) -> None:
-    shortest = min(lengths)
-    if shortest <= span:
-        raise InvalidInputError(
-            f"{name}: need more than {span} frames, shortest sequence has {shortest}"
-        )
-
-
-def _output_batch(ls: LayerSpec, x: FrameBatch, span: int, dtype) -> FrameBatch:
-    """A convolution's output, uninitialized, one block of rows per sequence."""
-    lengths = tuple(n - span for n in x.lengths)
-    return FrameBatch(np.empty((sum(lengths), ls.out_dim), dtype), lengths, x.span + span)
-
-
-def _split_rows(g: np.ndarray, x: FrameBatch, span: int) -> list[np.ndarray]:
-    """A convolution's output gradient, split into its sequences."""
-    return FrameBatch(g, tuple(n - span for n in x.lengths)).split()
-
-
 class LayerKind:
     """One layer kind; the base has a single input, no parameters, no span.
+    Both convolution kinds, tdnn and factorized_tdnn, are spliced-map chains
+    (_Tdnn), which share one forward and one backward pass.
 
     shapes(ls) lists the parameters in canonical order. Those in fills start
     at that constant, the rest are fan-in uniform weights, and those in
@@ -247,14 +232,35 @@ class LayerKind:
 
 
 class _Tdnn(LayerKind):
+    """A chain of spliced maps over each sequence, then a bias: tdnn and,
+    through _FactorizedTdnn, factorized_tdnn. maps(ls) lists each map's
+    parameter, context and input width in order; tdnn has one, W over the
+    layer context. The parameter shapes, in canonical order with b last, the
+    span and the tape all follow from that list.
+
+    Forward splices each sequence and multiplies it through the chain; the
+    last product goes straight into the sequence's output rows, then the bias
+    is added. The tape keeps each sequence's inner activations, the inputs of
+    every map but the first: none for tdnn. Backward walks the maps in reverse
+    with spliced_map_grads. A layer reading only the network input, which
+    backward_batch gives no gradient, forms no input gradient and returns
+    None for it.
+    """
+
     fills = {"b": 0.0}
     frame_input = True
 
+    def maps(self, ls) -> list[tuple[str, tuple[int, ...], int]]:
+        return [("W", ls.context, ls.in_dim)]
+
     def shapes(self, ls):
-        return {"W": (ls.out_dim, ls.in_dim * len(ls.context)), "b": (ls.out_dim,)}
+        maps = self.maps(ls)
+        outs = [dim for _, _, dim in maps[1:]] + [ls.out_dim]
+        shapes = {name: (out, dim * len(ctx)) for (name, ctx, dim), out in zip(maps, outs)}
+        return {**shapes, "b": (ls.out_dim,)}
 
     def span(self, ls):
-        return context_span(ls.context)
+        return sum(context_span(ctx) for _, ctx, _ in self.maps(ls))
 
     def check(self, ls, sources):
         level = super().check(ls, sources)
@@ -264,48 +270,51 @@ class _Tdnn(LayerKind):
     def forward(self, ls, p, xs, run):
         x = xs[0]
         span = self.span(ls)
-        _check_lengths(ls.name, x.lengths, span)
-        wt = p["W"].T
-        out = _output_batch(ls, x, span, p["b"].dtype)
+        if min(x.lengths) <= span:
+            raise InvalidInputError(
+                f"{ls.name}: need more than {span} frames, shortest sequence has {min(x.lengths)}"
+            )
+        lengths = tuple(n - span for n in x.lengths)
+        out = FrameBatch(np.empty((sum(lengths), ls.out_dim), p["b"].dtype), lengths, x.span + span)
+        *inner_maps, (ctx, wt) = [(c, p[name].T) for name, c, _ in self.maps(ls)]
+        inner = []
         for seq, rows in zip(x.split(), out.split()):
-            np.matmul(splice(seq, ls.context), wt, out=rows)
+            hs = []
+            for c, w in inner_maps:
+                seq = splice(seq, c) @ w
+                hs.append(seq)
+            np.matmul(splice(seq, ctx), wt, out=rows)
+            inner.append(hs)
         out.data += p["b"]
-        return out, {}
-
-    @staticmethod
-    def _input_grad(ls, x: FrameBatch):
-        """The zeroed input gradient and its per-sequence slices. A layer
-        reading only the network input, which backward_batch gives no
-        gradient, gets None and a None per sequence instead."""
-        if ls.inputs == (INPUT_NAME,) and not ls.skip_from:
-            return None, [None] * x.batch_size
-        gx = _like(x, np.zeros_like(x.data))
-        return gx, gx.split()
+        return out, {"inner": inner}
 
     def backward(self, ls, p, g, cache):
         x = cache["in_value"]
-        gW = np.zeros_like(p["W"])
-        gb = g.sum(axis=0)
-        gx, gx_split = self._input_grad(ls, x)
-        for seq, gs, gseq in zip(x.split(), _split_rows(g, x, self.span(ls)), gx_split):
-            spliced_map_grads(seq, gs, p["W"], ls.context, gW, gseq)
-        return {"W": gW, "b": gb}, [_data(gx)]
+        maps = self.maps(ls)
+        grads = {name: np.zeros_like(p[name]) for name, _, _ in maps}
+        grads["b"] = g.sum(axis=0)
+        gx = None if ls.inputs == (INPUT_NAME,) and not ls.skip_from else np.zeros_like(x.data)
+        gx_split = [None] * x.batch_size if gx is None else FrameBatch(gx, x.lengths).split()
+        g_split = FrameBatch(g, tuple(n - self.span(ls) for n in x.lengths)).split()
+        for seq, hs, gs, gseq in zip(x.split(), cache["inner"], g_split, gx_split):
+            ins = [seq, *hs]
+            for i in reversed(range(len(maps))):
+                name, ctx, _ = maps[i]
+                gin = np.zeros_like(ins[i]) if i else gseq
+                spliced_map_grads(ins[i], gs, p[name], ctx, grads[name], gin)
+                gs = gin
+        return grads, [gx]
 
 
 class _FactorizedTdnn(_Tdnn):
-    """Two chained spliced maps, M over the first factor context and F over
-    the second; M is the factor held semi-orthogonal. The tape keeps the
-    inner activation h of each sequence."""
+    """Two chained spliced maps, M over the first factor context into
+    inner_dim and F over the second; M is the factor held semi-orthogonal."""
 
     semi_orthogonal = ("M",)
 
-    def shapes(self, ls):
+    def maps(self, ls):
         c1, c2 = factor_contexts(ls.context)
-        return {
-            "M": (ls.inner_dim, ls.in_dim * len(c1)),
-            "F": (ls.out_dim, ls.inner_dim * len(c2)),
-            "b": (ls.out_dim,),
-        }
+        return [("M", c1, ls.in_dim), ("F", c2, ls.inner_dim)]
 
     def check(self, ls, sources):
         level = super().check(ls, sources)
@@ -316,35 +325,6 @@ class _FactorizedTdnn(_Tdnn):
                 f"{ls.in_dim}x{len(c1)} -> {ls.out_dim}"
             )
         return level
-
-    def forward(self, ls, p, xs, run):
-        x = xs[0]
-        c1, c2 = factor_contexts(ls.context)
-        span = self.span(ls)
-        _check_lengths(ls.name, x.lengths, span)
-        mt, ft = p["M"].T, p["F"].T
-        out = _output_batch(ls, x, span, p["b"].dtype)
-        hs = []
-        for seq, rows in zip(x.split(), out.split()):
-            h = splice(seq, c1) @ mt
-            np.matmul(splice(h, c2), ft, out=rows)
-            hs.append(h)
-        out.data += p["b"]
-        return out, {"h": hs}
-
-    def backward(self, ls, p, g, cache):
-        x = cache["in_value"]
-        c1, c2 = factor_contexts(ls.context)
-        gM = np.zeros_like(p["M"])
-        gF = np.zeros_like(p["F"])
-        gb = g.sum(axis=0)
-        gx, gx_split = self._input_grad(ls, x)
-        gs_split = _split_rows(g, x, self.span(ls))
-        for seq, h, gs, gseq in zip(x.split(), cache["h"], gs_split, gx_split):
-            gh = np.zeros_like(h)
-            spliced_map_grads(h, gs, p["F"], c2, gF, gh)
-            spliced_map_grads(seq, gh, p["M"], c1, gM, gseq)
-        return {"M": gM, "F": gF, "b": gb}, [_data(gx)]
 
 
 class _Dense(LayerKind):

@@ -35,6 +35,7 @@ from diarkit.network import (
 )
 from diarkit.network.graph import LAYER_KINDS
 from diarkit.training import ManifestEntry, TrainConfig, build_train_set, train
+from der_mapping import optimal_speaker_mapping
 from embedding_reference import stats_pool
 from gradcheck_reference import check_gradients, condition_for_fd
 from plda_reference import plda_score
@@ -257,7 +258,7 @@ def test_der_scorer_hand_cases_and_invariances():
         ref_tl, marks = _random_timeline(rng)
         hyp_tl, _ = _random_timeline(rng)
         total_s = max(marks[0].end_s, hyp_tl[-1].end_s)
-        mapping = der.optimal_speaker_mapping(ref_tl, hyp_tl, [(0.0, total_s)])
+        mapping = optimal_speaker_mapping(ref_tl, hyp_tl, [(0.0, total_s)])
         refs, hyps, overlap = _raster_overlap(ref_tl, hyp_tl, total_s)
         achieved = sum(overlap[refs.index(r), hyps.index(h)] for h, r in mapping.items())
         padded = list(range(len(refs))) + [None] * len(hyps)

@@ -17,7 +17,6 @@ from diarkit.der import (
     by_conversation,
     compute_der,
     der_report,
-    optimal_speaker_mapping,
     read_rttm,
     read_speaker_counts,
     speaker_counts,
@@ -25,6 +24,7 @@ from diarkit.der import (
 )
 from diarkit.errors import FormatError, InvalidInputError
 from diarkit.features import SadMark, Segment
+from der_mapping import optimal_speaker_mapping
 
 
 def _tl(conv, *spans):

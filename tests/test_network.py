@@ -559,12 +559,14 @@ def test_inference_frees_each_value_after_its_last_reader(monkeypatch):
         forward_batch(net, seqs, mode="training", keep=())
 
 
-@pytest.mark.parametrize("arch", ["tdnn", "ftdnn"])
+@pytest.mark.parametrize("arch", ["tdnn", "etdnn", "ftdnn", "ftdnn_msa"])
 def test_backward_skips_the_network_input_gradient(arch):
     """A layer reading only the network input returns None for its input
     gradient, which backward_batch would discard; the others return arrays.
     Each layer gets its tape entry and its input, a skip sum formed again,
-    as backward_batch passes them."""
+    as backward_batch passes them. Between them the architectures run the
+    spliced-map backward of tdnn and factorized_tdnn layers with and without
+    an input gradient."""
     net = initialize_network(build_architecture(arch, 4, dims=REDUCED), seed=0)
     x = np.random.default_rng(10).normal(size=(80, 23))
     res = forward_batch(net, [x], mode="training")
