@@ -710,8 +710,8 @@ def _cmd_calibrate(ns) -> int:
     missing = sorted(set(marks_by) - set(ref_by))
     if missing:
         raise InvalidInputError(f"reference lacks conversations: {', '.join(missing)}")
-    scored = dict(zip(marks_by, _run_jobs(1, _scored, tasks, initializer=_worker_init,
-                                          initargs=(ns.model, ns.backend, ns.pca_fraction))))
+    _worker_init(ns.model, ns.backend, ns.pca_fraction)
+    scored = dict(zip(marks_by, map(_scored, tasks)))
 
     def der_fn(conv: str, labels) -> float:
         hyp = build_hypothesis(scored[conv][0], labels.tolist())

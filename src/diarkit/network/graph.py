@@ -95,8 +95,8 @@ class LayerSpec:
     inner_dim: int = 0
     inputs: tuple[str, ...] = (INPUT_NAME,)
     skip_from: str = ""
-    # a skip source is added to the layer input; not a field, but model files
-    # write it and perfbench's flop count (workloads.forward_flop) reads it
+    # a skip source is added to the layer input; not a field, and read only by
+    # perfbench's flop count (workloads.forward_flop)
     skip_mode = "sum"
 
 

@@ -1,18 +1,14 @@
 """Binary model files.
 
-Layout, format 2: magic ``XVEC``, u32 format version 2, the parameter dtype
-as two ASCII bytes (``f4`` for float32, ``f8`` for float64), a
-u64-length-prefixed canonical text block describing the layer graph, then one
-u64-length-prefixed blob of little-endian values in that dtype per parameter
-(and per batch-norm running moment), in spec order. Format 1 is the same
-without the dtype record; its blobs are float64.
+Layout: magic ``XVEC``, u32 format version 3, the parameter dtype as two
+ASCII bytes (``f4`` for float32, ``f8`` for float64), a u64-length-prefixed
+canonical text block describing the layer graph, then one u64-length-prefixed
+blob of little-endian values in that dtype per parameter (and per batch-norm
+running moment), in spec order. Files of any other version are rejected.
 
-A float64 network is written in format 1, so its file is byte for byte what
-earlier versions wrote; any other network is written in format 2. Both load,
-each in its own dtype. Shapes are implied by the graph: the layer-kind table
-in graph.py (LAYER_KINDS) gives every parameter's shape and every buffer, so
-blobs carry no shape headers; save followed by load is bit-exact. A layer
-line's last column, its skip mode, must read ``sum``.
+Shapes are implied by the graph: the layer-kind table in graph.py
+(LAYER_KINDS) gives every parameter's shape and every buffer, so blobs carry
+no shape headers; save followed by load is bit-exact, in either dtype.
 """
 
 from __future__ import annotations
@@ -32,8 +28,8 @@ from .graph import (
 )
 
 MODEL_MAGIC = b"XVEC"
-MODEL_FORMAT_VERSION = 2
-# dtype record -> parameter dtype; format 1 files are implicitly "f8"
+MODEL_FORMAT_VERSION = 3
+# dtype record -> parameter dtype
 MODEL_DTYPES = {"f4": np.dtype(np.float32), "f8": np.dtype(np.float64)}
 
 
@@ -54,8 +50,7 @@ def spec_to_text(spec: NetworkSpec) -> str:
     for ls in spec.layers:
         lines.append(
             f"layer {ls.name} {ls.kind} {ls.in_dim} {ls.out_dim} "
-            f"{_csv(ls.context)} {ls.inner_dim} {_csv(ls.inputs)} "
-            f"{ls.skip_from or '-'} {ls.skip_mode}"
+            f"{_csv(ls.context)} {ls.inner_dim} {_csv(ls.inputs)} {ls.skip_from or '-'}"
         )
     return "\n".join(lines) + "\n"
 
@@ -70,10 +65,8 @@ def spec_from_text(text: str) -> NetworkSpec:
         fields = ln.split(" ")
         try:
             if fields[0] == "layer":
-                if len(fields) != 10:
+                if len(fields) != 9:
                     raise ValueError("bad field count")
-                if fields[9] != LayerSpec.skip_mode:
-                    raise ValueError(f"skip mode {fields[9]!r} is not {LayerSpec.skip_mode!r}")
                 layers.append(
                     LayerSpec(
                         name=fields[1],
@@ -114,11 +107,7 @@ def save_network(net: Network, path) -> None:
         raise InvalidInputError(f"model files hold float32 or float64 parameters, not {net.dtype}")
     text = spec_to_text(net.spec).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        if code == "f8":  # format 1
-            fh.write(struct.pack("<I", 1))
-        else:
-            fh.write(struct.pack("<I", MODEL_FORMAT_VERSION) + code.encode("ascii"))
+        fh.write(MODEL_MAGIC + struct.pack("<I", MODEL_FORMAT_VERSION) + code.encode("ascii"))
         fh.write(struct.pack("<Q", len(text)))
         fh.write(text)
         for ls in net.spec.layers:  # params, then buffers, layer by layer
@@ -146,14 +135,11 @@ def load_network(path) -> Network:
     if take(4, "magic") != MODEL_MAGIC:
         raise FormatError(f"{path}: not a model file (bad magic)")
     (version,) = struct.unpack("<I", take(4, "version"))
-    if version == 1:
-        code = "f8"
-    elif version == MODEL_FORMAT_VERSION:
-        code = take(2, "dtype").decode("ascii", errors="replace")
-        if code not in MODEL_DTYPES:
-            raise FormatError(f"{path}: unknown parameter dtype {code!r}")
-    else:
+    if version != MODEL_FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported model format version {version}")
+    code = take(2, "dtype").decode("ascii", errors="replace")
+    if code not in MODEL_DTYPES:
+        raise FormatError(f"{path}: unknown parameter dtype {code!r}")
     dtype = MODEL_DTYPES[code]
     (text_len,) = struct.unpack("<Q", take(8, "spec length"))
     try:

@@ -33,6 +33,7 @@ from diarkit.network import (
     save_network,
 )
 from diarkit.training import TrainConfig, load_train_set, train
+from blas_kernels import PIN_KERNELS
 
 
 @pytest.fixture(scope="module")
@@ -713,8 +714,8 @@ def _calibrate(work, out, sad=None, feats=None, ref=None):
 @pytest.fixture(scope="module")
 def work64(work):
     """The work corpus with a float64 model, made through the library the way
-    `diarkit train` made the work model before training ran in float32, so it
-    is saved in model format 1; and the back-end fit on its embeddings."""
+    `diarkit train` made the work model before training ran in float32, so its
+    model file holds float64 blobs; and the back-end fit on its embeddings."""
     root = work["root"] / "float64"
     manifest = work["corpus"] / "train/manifest.txt"
     ts = load_train_set(manifest)
@@ -745,14 +746,14 @@ WORK_OUTPUT_SHA256 = {
     "diarize-threshold": "c2c6df154389dbe37492576794a821c2e49a6a228d80af2b4efe1bcc1cb1844a",
     "calibrate": "dd025053995e6bff53ab616e2ebf70f76feb735dfd143de3871395f97f8c57ea",
     "embed": "bfefb345fe484adc5c8bbc96e1c50e97896e7749703df0b55496be58fb44e4b1",
-    "model": "40f512f033bf1b719f0c77c32b0ba8a3c94f57414bafb6aa7b826da6c065888e",
+    "model": "63697a54476b89adddc96701a7d44adbe59a311548e001231510ffc9ae43802b",
 }
 FLOAT64_WORK_OUTPUT_SHA256 = {
     "diarize-oracle-k": "70ff4cc211eeb6aced388a9a83dd9a9a6686a22deb92ec15717aec0efc246445",
     "diarize-threshold": "c2c6df154389dbe37492576794a821c2e49a6a228d80af2b4efe1bcc1cb1844a",
     "calibrate": "302371276f3f05c5a2a2a378cc90c427b4f4b760422f0521f304383b623765af",
     "embed": "3a995615704381f51d2e93740908aa23aad29aa0d5632d45815c80a24b34f1a4",
-    "model": "48c23400f52fc224125f61a14bb7514d93c1fc4cda856fd4e6b6dc76a95c956f",
+    "model": "c5963f32bff7db474d54883a236aa90cccafead4bf8c1dc1dece8f955a6db369",
 }
 
 
@@ -778,16 +779,17 @@ def _output_digest(work, tmp_path, capsys, name):
 
 @pytest.mark.parametrize("name", sorted(WORK_OUTPUT_SHA256))
 def test_work_outputs_are_pinned(work, tmp_path, capsys, name):
-    assert _output_digest(work, tmp_path, capsys, name) == WORK_OUTPUT_SHA256[name]
+    assert _output_digest(work, tmp_path, capsys, name) == WORK_OUTPUT_SHA256[name], PIN_KERNELS
 
 
 @pytest.mark.parametrize("name", sorted(FLOAT64_WORK_OUTPUT_SHA256))
 def test_float64_model_outputs_are_pinned(work64, tmp_path, capsys, name):
-    assert _output_digest(work64, tmp_path, capsys, name) == FLOAT64_WORK_OUTPUT_SHA256[name]
+    digest = _output_digest(work64, tmp_path, capsys, name)
+    assert digest == FLOAT64_WORK_OUTPUT_SHA256[name], PIN_KERNELS
 
 
 def test_train_writes_a_float32_model(work):
-    assert work["model"].read_bytes()[4:10] == struct.pack("<I", 2) + b"f4"
+    assert work["model"].read_bytes()[4:10] == struct.pack("<I", 3) + b"f4"
     assert load_network(work["model"]).dtype == np.float32
 
 
@@ -800,17 +802,20 @@ def test_bad_model_dtype_is_exit_3(work, tmp_path, capsys):
     assert "unknown parameter dtype 'f2'" in capsys.readouterr().err
 
 
-def test_model_with_a_concat_skip_column_is_exit_3(work, tmp_path, capsys):
-    """Skips only add: a model file whose skip-mode column reads anything but
-    sum is rejected."""
+def test_model_with_a_tenth_layer_column_is_exit_3(work, tmp_path, capsys):
+    """A layer line has nine fields: one with a tenth, such as the skip-mode
+    column of format 2, is rejected."""
     raw = work["model"].read_bytes()
     (length,) = struct.unpack("<Q", raw[10:18])
-    text = raw[18 : 18 + length].decode().replace(" sum\n", " concat\n", 1).encode()
-    bad = tmp_path / "concat.bin"
+    lines = raw[18 : 18 + length].decode().split("\n")
+    first = next(i for i, ln in enumerate(lines) if ln.startswith("layer "))
+    lines[first] += " sum"
+    text = "\n".join(lines).encode()
+    bad = tmp_path / "tenth.bin"
     bad.write_bytes(raw[:10] + struct.pack("<Q", len(text)) + text + raw[18 + length :])
     assert main(["embed", *_conv_args({**work, "model": bad}),
                  "--out", str(tmp_path / "x.emb")]) == 3
-    assert "skip mode 'concat'" in capsys.readouterr().err
+    assert f"{lines[first]!r}: bad field count" in capsys.readouterr().err
     assert not (tmp_path / "x.emb").exists()
 
 
@@ -1042,4 +1047,4 @@ def test_front_end_outputs_are_pinned(audio_corpus, tmp_path, capsys, name):
     else:
         digest = _tree_digest(audio_corpus / {"wav": "eval/wav", "synth-eval-feats": "eval/feats",
                                               "synth-train-feats": "train/feats"}[name])
-    assert digest == FRONT_END_SHA256[name]
+    assert digest == FRONT_END_SHA256[name], PIN_KERNELS

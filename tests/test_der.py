@@ -24,6 +24,7 @@ from diarkit.der import (
 )
 from diarkit.errors import FormatError, InvalidInputError
 from diarkit.features import SadMark, Segment
+from blas_kernels import PIN_KERNELS
 from der_mapping import optimal_speaker_mapping
 
 
@@ -276,7 +277,7 @@ def test_der_results_are_pinned():
     lines = [_pinned_line(*_pinned_case(rng, (0.0, 0.1, 0.25, 0.5)[i % 4])) for i in range(240)]
     assert sum(l.startswith("raise") for l in lines) < 40
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == DER_RESULTS_SHA256
+    assert digest == DER_RESULTS_SHA256, PIN_KERNELS
 
 
 # ------------------------------------------------------- raster DER oracle

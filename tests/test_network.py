@@ -1,8 +1,12 @@
 """Network stack: splicing, layer math, graph behavior, gradients, model files."""
 
 import hashlib
+import os
+import platform
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -36,10 +40,10 @@ from diarkit.network import (
     validate_spec,
 )
 from diarkit.network.layers import spliced_map_grads
-from diarkit.network.model_io import spec_to_text
 from diarkit.training import TrainConfig, init_velocity, train_step
 import batchnorm_reference
 import pooling_reference
+from blas_kernels import PIN_KERNELS, openblas_core
 from embedding_reference import extract_embedding, stats_pool
 from gradcheck_reference import check_gradients, condition_for_fd, fd_gradients, relative_errors
 from orthogonal_reference import svd_semi_orthogonalize
@@ -906,6 +910,36 @@ def test_relative_errors_floor():
 
 # ------------------------------------------------------------ model files
 
+def _spec_text(spec):
+    """The spec block: three header lines, then one line of nine fields per
+    layer."""
+    def csv(items):
+        return ",".join(str(i) for i in items) or "-"
+    lines = [f"embedding {spec.embedding_layer}", f"speakers {spec.num_speakers}",
+             f"taps {csv(spec.msa_taps)}"]
+    lines += [" ".join(("layer", ls.name, ls.kind, str(ls.in_dim), str(ls.out_dim),
+                        csv(ls.context), str(ls.inner_dim), csv(ls.inputs),
+                        ls.skip_from or "-"))
+              for ls in spec.layers]
+    return "\n".join(lines) + "\n"
+
+
+def _model_bytes(net):
+    """A model file as the one layout lays it out, built here field by field:
+    magic, u32 version 3, the dtype record, the length-prefixed spec block,
+    then each parameter and running moment as a length-prefixed blob."""
+    code = {np.dtype(np.float32): b"f4", np.dtype(np.float64): b"f8"}[net.dtype]
+    text = _spec_text(net.spec).encode("utf-8")
+    parts = [b"XVEC", struct.pack("<I", 3), code, struct.pack("<Q", len(text)), text]
+    for ls in net.spec.layers:
+        arrays = [net.params[ls.name][n] for n in param_shapes(ls)]
+        arrays += [net.buffers[ls.name][n] for n in graph.LAYER_KINDS[ls.kind].buffers]
+        for arr in arrays:
+            blob = arr.astype("<" + code.decode()).tobytes()
+            parts += [struct.pack("<Q", len(blob)), blob]
+    return b"".join(parts)
+
+
 def test_model_roundtrip_bit_exact(tmp_path):
     spec = build_architecture("ftdnn_msa", 5, dims=REDUCED, taps=("frame7", "frame9"))
     for dtype in (np.float64, np.float32):
@@ -914,6 +948,7 @@ def test_model_roundtrip_bit_exact(tmp_path):
         forward_batch(net, [rng.normal(size=(60, 23))], mode="training")  # move buffers
         path = tmp_path / f"model-{net.dtype}.xvec"
         save_network(net, path)
+        assert path.read_bytes() == _model_bytes(net)
         loaded = load_network(path)
         assert loaded.spec == net.spec
         assert loaded.dtype == dtype
@@ -943,13 +978,13 @@ def test_model_file_errors(tmp_path):
     bad.write_bytes(raw + b"\x00" * 8)
     with pytest.raises(FormatError):
         load_network(bad)
-    bad.write_bytes(raw[:4] + struct.pack("<I", 3) + raw[8:])
-    with pytest.raises(FormatError, match="version 3"):
+    bad.write_bytes(raw[:4] + struct.pack("<I", 4) + raw[8:])
+    with pytest.raises(FormatError, match="version 4"):
         load_network(bad)
 
     save_network(net.astype(np.float32), path)
     raw = path.read_bytes()
-    assert raw[4:10] == struct.pack("<I", 2) + b"f4"
+    assert raw[4:10] == struct.pack("<I", 3) + b"f4"
     for record in (b"f2", b"i4", b"\xff4"):
         bad.write_bytes(raw[:8] + record + raw[10:])
         with pytest.raises(FormatError, match="dtype"):
@@ -961,37 +996,17 @@ def test_model_file_errors(tmp_path):
         save_network(net.astype(np.float16), path)
 
 
-def _format_1_bytes(net):
-    """A model file as format 1 lays it out, built here field by field."""
-    text = spec_to_text(net.spec).encode("utf-8")
-    parts = [b"XVEC", struct.pack("<I", 1), struct.pack("<Q", len(text)), text]
-    for ls in net.spec.layers:
-        arrays = [net.params[ls.name][n] for n in param_shapes(ls)]
-        arrays += [net.buffers[ls.name][n] for n in graph.LAYER_KINDS[ls.kind].buffers]
-        for arr in arrays:
-            blob = arr.astype("<f8").tobytes()
-            parts += [struct.pack("<Q", len(blob)), blob]
-    return b"".join(parts)
-
-
-def test_format_1_file_loads_as_float64(tmp_path):
-    """A float64 model file from before the dtype record loads as float64 and
-    embeds bit for bit as the network it came from; save_network still
-    writes a float64 network in that layout."""
-    spec = build_architecture("ftdnn_msa", 4, dims=REDUCED)
-    net = initialize_network(spec, seed=9)
-    rng = np.random.default_rng(31)
-    seqs = [rng.normal(size=(n, 23)) for n in (70, 90)]
-    forward_batch(net, seqs, mode="training")  # move buffers
-    path = tmp_path / "v1.xvec"
-    path.write_bytes(_format_1_bytes(net))
-    loaded = load_network(path)
-    assert loaded.dtype == np.float64
-    rows = [(0, [(0, 70)]), (1, [(0, 60), (30, 90)]), (1, [(10, 50)])]
-    assert np.array_equal(extract_embeddings(loaded, seqs, windows=rows),
-                          extract_embeddings(net, seqs, windows=rows))
-    save_network(net, tmp_path / "saved.xvec")
-    assert (tmp_path / "saved.xvec").read_bytes() == path.read_bytes()
+@pytest.mark.parametrize("version", [1, 2])
+def test_model_files_of_earlier_versions_are_rejected(tmp_path, version):
+    """Files that earlier versions wrote, format 1 (float64, no dtype record)
+    and format 2 (a dtype record, and a tenth, skip-mode column on each layer
+    line), are rejected by their version number."""
+    raw = _model_bytes(initialize_network(build_architecture("tdnn", 3, dims=REDUCED), seed=0))
+    header = struct.pack("<I", version) + (b"f8" if version == 2 else b"")
+    path = tmp_path / f"v{version}.xvec"
+    path.write_bytes(raw[:4] + header + raw[10:])
+    with pytest.raises(FormatError, match=f"version {version}$"):
+        load_network(path)
 
 
 def test_float32_model_file_is_half_the_size(tmp_path):
@@ -1002,31 +1017,47 @@ def test_float32_model_file_is_half_the_size(tmp_path):
     assert 0.5 < f4 / f8 < 0.51  # the spec text and the length prefixes stay
 
 
-def _stock(arch, skip_mode):
-    """A reduced stock spec whose model-file layer lines all end in skip_mode,
-    the skip column the pins below are keyed by."""
-    spec = build_architecture(arch, 4, dims=REDUCED)
-    lines = [ln for ln in spec_to_text(spec).splitlines() if ln.startswith("layer ")]
-    assert {ln.split()[-1] for ln in lines} == {skip_mode}
-    return spec
+@pytest.mark.skipif(platform.machine() != "x86_64" or openblas_core() == "unknown",
+                    reason="needs numpy's bundled OpenBLAS on x86-64")
+def test_pin_message_names_the_kernels_the_process_runs():
+    """The sha256 pins' message reads the core OpenBLAS chose at load time,
+    which OPENBLAS_CORETYPE overrides for the one child it is set in."""
+    child = subprocess.run(
+        [sys.executable, "-c", "import blas_kernels; print(blas_kernels.PIN_KERNELS)"],
+        cwd=os.path.dirname(__file__), env={**os.environ, "OPENBLAS_CORETYPE": "Haswell"},
+        capture_output=True, text=True, check=True)
+    assert child.stdout.strip().endswith("this run uses Haswell")
+    assert PIN_KERNELS.endswith(f"this run uses {openblas_core()}")
+
+
+def _stock(arch):
+    """A reduced stock spec, as the pins below build it."""
+    return build_architecture(arch, 4, dims=REDUCED)
+
+
+def _stock_id(arch, *rest):
+    """The test id of a case on _stock(arch): the architecture, "sum" (every
+    skip adds), then any other key, so each pin keeps the id its digests are
+    logged under."""
+    return "-".join((arch, "sum", *map(str, rest)))
 
 
 # Pin the initial draw order and the file layout. Factor matrices pass through
 # a symmetric eigendecomposition (LAPACK syevd), so another LAPACK build may
 # move their last bits and these hashes.
 INIT_MODEL_SHA256 = {
-    ("tdnn", "sum"): "1183977f0c896a2c4f23c643a9885ec208beaf716cbc897390be33bafd735fec",
-    ("etdnn", "sum"): "5bc6207a75f7fde2320dbb37f4a483886522dbc3018d7219a5ec079a0411af1d",
-    ("ftdnn", "sum"): "105cf554f35cbb4f3db8aeb9ca3264170369f9a88e868512824a77fa5182006e",
-    ("ftdnn_msa", "sum"): "502ea980ec8e99fdcf3880838e524660733c2046c6d5805b9ba8ccc62227192b",
+    "tdnn": "e522ae9bb2f12c6e4b67487ad71227a2908dcebf4a6a96c52fee1bf62167ba48",
+    "etdnn": "612d37f2c1688725aa95a0febe4e0d61fd79b255dcdccefe9d7fe048195c9e7f",
+    "ftdnn": "1561d56300aa1456c4bbb493b0bd73e9de3d73ee83e23511c3873d6f13621879",
+    "ftdnn_msa": "d9b12347fccfa3436c8dd19020e8d35b78c432dae279a4dc4cc7ddbf35cfe4d0",
 }
 
 
-@pytest.mark.parametrize("arch,skip_mode", sorted(INIT_MODEL_SHA256))
-def test_initial_model_bytes_are_pinned(tmp_path, arch, skip_mode):
+@pytest.mark.parametrize("arch", sorted(INIT_MODEL_SHA256), ids=_stock_id)
+def test_initial_model_bytes_are_pinned(tmp_path, arch):
     path = tmp_path / "init.xvec"
-    save_network(initialize_network(_stock(arch, skip_mode), seed=0), path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == INIT_MODEL_SHA256[arch, skip_mode]
+    save_network(initialize_network(_stock(arch), seed=0), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == INIT_MODEL_SHA256[arch], PIN_KERNELS
 
 
 def test_initialization_bounds_and_determinism():
@@ -1044,10 +1075,10 @@ def test_initialization_bounds_and_determinism():
     assert ortho_residual(a.params["frame2"]["M"]) < 1e-10
 
 
-def _trained_case(arch, skip_mode, dropout, dtype=np.float64):
+def _trained_case(arch, dropout, dtype=np.float64):
     """Three seeded training steps on a ragged batch (the last re-projects the
     factors), then inference embeddings of rows that share sequences."""
-    net = initialize_network(_stock(arch, skip_mode), seed=0).astype(dtype)
+    net = initialize_network(_stock(arch), seed=0).astype(dtype)
     rng = np.random.default_rng(21)
     seqs = [rng.normal(0.1 * i, 1.0 + 0.1 * i, size=(n, 23))
             for i, n in enumerate((96, 81, 110, 88))]
@@ -1064,52 +1095,53 @@ def _trained_case(arch, skip_mode, dropout, dtype=np.float64):
 # Pin every bit of training and inference: the model after three steps and
 # the embeddings it gives. The LAPACK caveat above applies.
 TRAINED_SHA256 = {
-    ("tdnn", "sum", 0.0): (
-        "3b56e2497526b31f4364d3e080bb9a6ef30f6b5f15b53fafaed08e5bfd2b7a69",
+    ("tdnn", 0.0): (
+        "7ddf7f1dea6009542dfc401073034913d15aa912091df9759947d2f77dd9571a",
         "b030256267ca6fb660892b6872324059c99a1c88938380d6eff8a2a64d8a446b",
     ),
-    ("etdnn", "sum", 0.0): (
-        "186515fab213cd9643d1bafc793ecfd435c40e159768279420ef370b05b08547",
+    ("etdnn", 0.0): (
+        "68ab5449c7511bdd0c46e1f1dafdc9261ee1dd00facf67866e22b2ec058fe42d",
         "01487f00621730470ea8e5091c7af47b00f5e378574273c8caf0ef65a9bcb5ed",
     ),
-    ("ftdnn", "sum", 0.0): (
-        "614676a035b53de7cf75622ad726a7d9b2278cbf99f302d731a71b997e2bca4d",
+    ("ftdnn", 0.0): (
+        "dff43359c8b5095a5423c85850a5d02521b61eee91372e4a5fdfc25da0e0fc6a",
         "11257c4606a3ec0b3f5fe8ce8e8e617052ed7ac0d6a0685e69946292536751d5",
     ),
-    ("ftdnn_msa", "sum", 0.0): (
-        "d6e81ca62013e2e90a2cb19364bac25e7eb2b58106e3a7703f1feb293afee889",
+    ("ftdnn_msa", 0.0): (
+        "93e43bf90f3f6fe0023bfe3043a2bd3ccb905ecc16db126175a8c62b00f54998",
         "2b84f060e0c09b70a6cf0659cfada1acdcecec40d99a0f86994936f98163aca2",
     ),
-    ("ftdnn_msa", "sum", 0.2): (
-        "d81d22305ef04b7961328eef6de531da3f26699184318cb7eb9d78c6aebc4a3c",
+    ("ftdnn_msa", 0.2): (
+        "dd83116df56446b18c159ce8ed0ba8591f8ff53c95c48aced0c6e945090ff555",
         "5d6c0607c2cd14599f9232cf2b7162f92a0a54a0ec28cb301681cc96d5ea63ef",
     ),
 }
 
 
-@pytest.mark.parametrize("arch,skip_mode,dropout", sorted(TRAINED_SHA256))
-def test_trained_model_and_embeddings_are_pinned(tmp_path, arch, skip_mode, dropout):
-    net, emb = _trained_case(arch, skip_mode, dropout)
+@pytest.mark.parametrize("arch,dropout", sorted(TRAINED_SHA256),
+                         ids=[_stock_id(*key) for key in sorted(TRAINED_SHA256)])
+def test_trained_model_and_embeddings_are_pinned(tmp_path, arch, dropout):
+    net, emb = _trained_case(arch, dropout)
     path = tmp_path / "trained.xvec"
     save_network(net, path)
     got = (hashlib.sha256(path.read_bytes()).hexdigest(),
            hashlib.sha256(np.ascontiguousarray(emb).tobytes()).hexdigest())
-    assert got == TRAINED_SHA256[arch, skip_mode, dropout]
+    assert got == TRAINED_SHA256[arch, dropout], PIN_KERNELS
 
 
 # The same pin for the float32 engine that ``diarkit train`` runs, on the
 # factorized networks, whose factors are projected in float64 and rounded once.
 TRAINED_F32_SHA256 = {
     ("ftdnn", 0.0): (
-        "a6cbeaf5fc3bdf8ea1f36c0e44f97b0f170bc798b7541219688a081de16612ce",
+        "0c3ab6c976d1f4fd98ff93149f349ebe9771ff89f0c49d68d36434492811a83b",
         "32024a6ea6cb28923412a4832b1efaf1548d169601a29128296778325ebbf041",
     ),
     ("ftdnn_msa", 0.0): (
-        "b3e5577465dc11e3da9fe5b0bec895dcf094c61e02b45e68c962378f2ca7c187",
+        "67d77c6eb1432811b1268339ed487fcde746a70217d0f581dcb7fcb8cece54bb",
         "f94f8dc0fa0c72fef979d33be2b64762338433e5fd1d4dfe0459560e0046d6e0",
     ),
     ("ftdnn_msa", 0.2): (
-        "d3331a417af1562ba98c6b2803780a997a433a1590b3f0882060392934082c40",
+        "39aa16a1211334744383120a7c185482e15e13109edc7ab4fef684b8bb9459dc",
         "61123bef9b8c353cc8a36fe65dbfda45d5c5a5d156f55a6d2bdac14ab4b7b60d",
     ),
 }
@@ -1117,12 +1149,12 @@ TRAINED_F32_SHA256 = {
 
 @pytest.mark.parametrize("arch,dropout", sorted(TRAINED_F32_SHA256))
 def test_float32_trained_model_and_embeddings_are_pinned(tmp_path, arch, dropout):
-    net, emb = _trained_case(arch, "sum", dropout, dtype=np.float32)
+    net, emb = _trained_case(arch, dropout, dtype=np.float32)
     path = tmp_path / "trained.xvec"
     save_network(net, path)
     got = (hashlib.sha256(path.read_bytes()).hexdigest(),
            hashlib.sha256(np.ascontiguousarray(emb).tobytes()).hexdigest())
-    assert got == TRAINED_F32_SHA256[arch, dropout]
+    assert got == TRAINED_F32_SHA256[arch, dropout], PIN_KERNELS
 
 
 # The seed-0 factor matrices at the paper widths, as ``diarkit train`` starts
@@ -1140,7 +1172,7 @@ def test_paper_width_float32_factors_are_pinned(arch):
     digest = hashlib.sha256()
     for m in net.astype(np.float32).factor_matrices():
         digest.update(np.ascontiguousarray(m).tobytes())
-    assert digest.hexdigest() == PAPER_F32_FACTORS_SHA256[arch]
+    assert digest.hexdigest() == PAPER_F32_FACTORS_SHA256[arch], PIN_KERNELS
 
 
 # Pin every bit of inference apart from training: seed-0 networks whose
@@ -1176,7 +1208,8 @@ def test_inference_is_pinned(arch, dtype):
     seqs = [rng.normal(0.1 * i, 1.0 + 0.1 * i, size=(n, 23)) for i, n in enumerate((96, 81, 110))]
     emb = extract_embeddings(net, seqs, windows=F32_ROWS)
     assert emb.dtype == dtype
-    assert hashlib.sha256(np.ascontiguousarray(emb).tobytes()).hexdigest() == INFERENCE_SHA256[arch, dtype]
+    digest = hashlib.sha256(np.ascontiguousarray(emb).tobytes()).hexdigest()
+    assert digest == INFERENCE_SHA256[arch, dtype], PIN_KERNELS
 
 
 def test_backward_frees_each_value_before_its_layer_runs(monkeypatch):
@@ -1455,10 +1488,10 @@ F32_ROWS = [(0, [(0, 60)]), (0, [(20, 80), (40, 96)]), (2, [(0, 110)]),
             (1, [(10, 81)]), (2, [(30, 90)])]
 
 
-def _float32_case(arch, skip_mode):
+def _float32_case(arch):
     """A float32 network whose running moments have moved, the float64
     network with the same values, and float32-representable ragged input."""
-    spec = _stock(arch, skip_mode)
+    spec = _stock(arch)
     rng = np.random.default_rng(0)
     seqs = [rng.normal(0.1 * i, 1.0 + 0.1 * i, size=(n, 23)).astype(np.float32)
             for i, n in enumerate((96, 81, 110))]
@@ -1472,13 +1505,12 @@ def _relative(a, ref):
     return float(np.linalg.norm(a.astype(np.float64) - ref) / np.linalg.norm(ref))
 
 
-@pytest.mark.parametrize("arch,skip_mode", [("tdnn", "sum"), ("etdnn", "sum"), ("ftdnn", "sum"),
-                                            ("ftdnn_msa", "sum")])
-def test_float32_engine_matches_float64(arch, skip_mode):
+@pytest.mark.parametrize("arch", ["tdnn", "etdnn", "ftdnn", "ftdnn_msa"], ids=_stock_id)
+def test_float32_engine_matches_float64(arch):
     """Logits, embeddings and every parameter gradient of the float32 engine
     against the float64 engine on the same values, with pooling rows that
     share a sequence."""
-    net32, net64, seqs = _float32_case(arch, skip_mode)
+    net32, net64, seqs = _float32_case(arch)
     res32 = forward_batch(net32, seqs, mode="training", windows=F32_ROWS)
     res64 = forward_batch(net64, seqs, mode="training", windows=F32_ROWS)
     grad_out = np.random.default_rng(4).choice([-1.0, 1.0], size=res64.logits.shape)
