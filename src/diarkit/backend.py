@@ -19,7 +19,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import FormatError, Interval, InvalidInputError
+from .binfile import BinaryReader
+from .errors import Interval, InvalidInputError
 
 EMBED_MAGIC = b"XEMB"
 BACKEND_MAGIC = b"XBKD"
@@ -204,41 +205,26 @@ def write_embeddings(path, records: Sequence[EmbeddingRecord]) -> None:
 
 
 def read_embeddings(path) -> list[EmbeddingRecord]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != EMBED_MAGIC:
-        raise FormatError(f"{path}: not an embedding archive (bad magic)")
-    pos = 4
-    if len(raw) < pos + 8:
-        raise FormatError(f"{path}: truncated embedding archive")
-    count, dim = struct.unpack_from("<II", raw, pos)
-    pos += 8
+    reader = BinaryReader(path, EMBED_MAGIC, "embedding archive")
+    count, dim = reader.unpack("<II", "header")
+    if count < 1 or dim < 1:
+        raise reader.error(f"header gives {count} embeddings of {dim} values; "
+                           f"an archive needs at least one of each")
     out = []
     for i in range(count):
-        if len(raw) < pos + 2:
-            raise FormatError(f"{path}: truncated at record {i}")
-        (hlen,) = struct.unpack_from("<H", raw, pos)
-        pos += 2
-        end = pos + hlen + 4 * dim
-        if len(raw) < end:
-            raise FormatError(f"{path}: truncated at record {i}")
-        try:
-            head = raw[pos:pos + hlen].decode("utf-8")
-        except UnicodeDecodeError:
-            raise FormatError(f"{path}: record {i} header is not UTF-8") from None
+        (hlen,) = reader.unpack("<H", f"record {i} header length")
+        head = reader.text(hlen, f"record {i} header")
         fields = head.split()
         if len(fields) not in (3, 4):
-            raise FormatError(f"{path}: record {i} header {head!r} is malformed")
+            raise reader.error(f"record {i} header {head!r} is malformed")
         try:
             start, stop = float(fields[1]), float(fields[2])
         except ValueError:
-            raise FormatError(f"{path}: record {i} header {head!r} is malformed") from None
-        vec = np.frombuffer(raw, dtype="<f4", count=dim, offset=pos + hlen).astype(np.float64)
+            raise reader.error(f"record {i} header {head!r} is malformed") from None
+        vec = reader.values("<f4", dim, f"record {i} vector").astype(np.float64)
         speaker = fields[3] if len(fields) == 4 else ""
         out.append(EmbeddingRecord(fields[0], start, stop, speaker, vec))
-        pos = end
-    if pos != len(raw):
-        raise FormatError(f"{path}: {len(raw) - pos} trailing bytes")
+    reader.close()
     return out
 
 
@@ -259,20 +245,14 @@ def save_backend(path, whitener: Whitener, plda: Plda) -> None:
 
 
 def load_backend(path) -> tuple[Whitener, Plda]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != BACKEND_MAGIC:
-        raise FormatError(f"{path}: not a backend file (bad magic)")
-    if len(raw) < 12:
-        raise FormatError(f"{path}: truncated backend file")
-    d, k = struct.unpack_from("<II", raw, 4)
-    sizes = (d, k * d, k, k * k, k)
-    if len(raw) != 12 + 8 * sum(sizes):
-        raise FormatError(f"{path}: backend file has wrong length for dims {d}x{k}")
-    pos, parts = 12, []
-    for size in sizes:
-        parts.append(np.frombuffer(raw, dtype="<f8", count=size, offset=pos).copy())
-        pos += 8 * size
+    reader = BinaryReader(path, BACKEND_MAGIC, "backend file")
+    d, k = reader.unpack("<II", "header")
+    if not 1 <= k <= d:
+        raise reader.error(f"backend dims d={d}, k={k}: need 1 <= k <= d")
+    names = ("whitener mean", "whitener transform", "PLDA mean", "PLDA transform", "PLDA psi")
+    parts = [reader.values("<f8", size, name).astype(np.float64)
+             for name, size in zip(names, (d, k * d, k, k * k, k))]
+    reader.close()
     whitener = Whitener(parts[0], parts[1].reshape(k, d))
     plda = Plda(parts[2], parts[3].reshape(k, k), parts[4])
     return whitener, plda

@@ -82,7 +82,6 @@ from .pipeline import (
     diarize_conversation,
     fit_backend,
     speech_span,
-    utterance_embeddings,
     windowed_utterance_embeddings,
 )
 from .training import TrainConfig, check_window_span, load_train_set, train
@@ -240,14 +239,15 @@ _COMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
         ),
     ),
     "embed": (
-        "extract embeddings, either per manifest utterance or per SAD segment",
+        "extract embeddings, either of each manifest utterance's sliding windows (for "
+        "back-end training) or per SAD segment",
         (
             _Opt("--model", required=True),
             _Opt("--out", required=True, help="output embedding archive"),
-            _Opt("--manifest", help="labeled utterances (one embedding each)"),
+            _Opt("--manifest", help="labeled utterances, embedded window by window"),
             _Opt("--window", _FLAG,
-                 help="with --manifest: embed sliding windows of each utterance "
-                      "instead of the whole thing (for backend training)"),
+                 help="required with --manifest: embed sliding windows of each utterance, "
+                      "cut as diarize cuts segments"),
             _Opt("--features", help="feature directory (segment mode, with --sad)"),
             _Opt("--sad", help="speech regions (segment mode, with --features)"),
             _JOBS,
@@ -589,6 +589,9 @@ def _cmd_embed(ns) -> int:
         raise _UsageError("diarkit embed: use either --manifest or --features with --sad")
     if segment_mode and (ns.features is None or ns.sad is None):
         raise _UsageError("diarkit embed: segment mode needs both --features and --sad")
+    if ns.window == segment_mode:
+        raise _UsageError("diarkit embed: --manifest needs --window, and segment mode "
+                          "takes no --window")
     _require_file(ns.model, "model")
 
     if not segment_mode:
@@ -596,11 +599,8 @@ def _cmd_embed(ns) -> int:
         if ns.dry_run:
             print("dry run: manifest mode")
             return 0
-        extract = windowed_utterance_embeddings if ns.window else utterance_embeddings
-        records = extract(load_network(ns.model), ns.manifest)
+        records = windowed_utterance_embeddings(load_network(ns.model), ns.manifest)
     else:
-        if ns.window:
-            raise _UsageError("diarkit embed: --window only applies to --manifest mode")
         tasks = _conversation_tasks(ns.sad, ns.features)
         if ns.dry_run:
             print(f"dry run: {len(tasks)} conversations validated")

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .binfile import BinaryReader
 from .errors import FormatError, Interval, InvalidInputError
 
 SAMPLE_RATE = 8000
@@ -268,19 +269,8 @@ def write_features(path, feats: np.ndarray) -> None:
 
 def read_features(path) -> np.ndarray:
     """The file's (frames, dim) matrix as a writable native float32 array."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != FEATURE_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}")
-        header = fh.read(8)
-        if len(header) != 8:
-            raise FormatError(f"{path}: truncated header")
-        num_frames, dim = struct.unpack("<II", header)
-        payload = fh.read()
-    expected = 4 * num_frames * dim
-    if len(payload) != expected:
-        raise FormatError(f"{path}: expected {expected} payload bytes, got {len(payload)}")
-    values = np.frombuffer(payload, dtype="<f4").reshape(num_frames, dim)
-    if not np.isfinite(values).all():
-        raise FormatError(f"{path}: non-finite feature values")
-    return values.astype(np.float32)
+    reader = BinaryReader(path, FEATURE_MAGIC, "feature file")
+    num_frames, dim = reader.unpack("<II", "header")
+    values = reader.values("<f4", num_frames * dim, "feature matrix")
+    reader.close()
+    return values.reshape(num_frames, dim).astype(np.float32)

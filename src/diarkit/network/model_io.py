@@ -17,6 +17,7 @@ import struct
 
 import numpy as np
 
+from ..binfile import BinaryReader
 from ..errors import FormatError, InvalidInputError
 from .graph import (
     LAYER_KINDS,
@@ -120,33 +121,16 @@ def save_network(net: Network, path) -> None:
 
 
 def load_network(path) -> Network:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    pos = 0
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal pos
-        if pos + n > len(raw):
-            raise FormatError(f"{path}: truncated model file ({what})")
-        chunk = raw[pos : pos + n]
-        pos += n
-        return chunk
-
-    if take(4, "magic") != MODEL_MAGIC:
-        raise FormatError(f"{path}: not a model file (bad magic)")
-    (version,) = struct.unpack("<I", take(4, "version"))
+    reader = BinaryReader(path, MODEL_MAGIC, "model file")
+    (version,) = reader.unpack("<I", "version")
     if version != MODEL_FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported model format version {version}")
-    code = take(2, "dtype").decode("ascii", errors="replace")
+        raise reader.error(f"unsupported model format version {version}")
+    code = str(reader.take(2, "dtype"), "ascii", errors="replace")
     if code not in MODEL_DTYPES:
-        raise FormatError(f"{path}: unknown parameter dtype {code!r}")
+        raise reader.error(f"unknown parameter dtype {code!r}")
     dtype = MODEL_DTYPES[code]
-    (text_len,) = struct.unpack("<Q", take(8, "spec length"))
-    try:
-        text = take(text_len, "spec block").decode("utf-8")
-    except UnicodeDecodeError:
-        raise FormatError(f"{path}: model spec block is not UTF-8") from None
-    spec = spec_from_text(text)
+    (text_len,) = reader.unpack("<Q", "spec length")
+    spec = spec_from_text(reader.text(text_len, "model spec block"))
 
     params: dict[str, dict[str, np.ndarray]] = {ls.name: {} for ls in spec.layers}
     buffers: dict[str, dict[str, np.ndarray]] = {}
@@ -157,17 +141,12 @@ def load_network(path) -> Network:
             buffers[ls.name] = {}
             targets += [(buffers[ls.name], n, (ls.out_dim,)) for n in kind_buffers]
         for store, aname, shape in targets:
-            (blob_len,) = struct.unpack("<Q", take(8, f"{ls.name}.{aname} length"))
-            expected = int(np.prod(shape)) * dtype.itemsize
-            if blob_len != expected:
-                raise FormatError(
-                    f"{path}: {ls.name}.{aname} holds {blob_len} bytes, expected {expected}"
-                )
-            blob = take(blob_len, f"{ls.name}.{aname}")
-            arr = np.frombuffer(blob, dtype="<" + code).reshape(shape).astype(dtype)
-            if not np.all(np.isfinite(arr)):
-                raise FormatError(f"{path}: {ls.name}.{aname} contains non-finite values")
-            store[aname] = arr
-    if pos != len(raw):
-        raise FormatError(f"{path}: {len(raw) - pos} trailing bytes after the last parameter")
+            what = f"{ls.name}.{aname}"
+            (blob_len,) = reader.unpack("<Q", f"{what} length")
+            count = int(np.prod(shape))
+            if blob_len != count * dtype.itemsize:
+                raise reader.error(
+                    f"{what} holds {blob_len} bytes, expected {count * dtype.itemsize}")
+            store[aname] = reader.values("<" + code, count, what).reshape(shape).astype(dtype)
+    reader.close()
     return Network(spec, params, buffers)

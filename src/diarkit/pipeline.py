@@ -31,21 +31,6 @@ from .network import Network, extract_embeddings, receptive_span
 from .training import load_manifest_features
 
 
-def utterance_embeddings(net: Network, manifest_path) -> list[EmbeddingRecord]:
-    """One whole-utterance embedding per manifest entry, labeled by speaker."""
-    entries, feats = load_manifest_features(manifest_path)
-    span = receptive_span(net.spec)
-    for e, f in zip(entries, feats):
-        if f.shape[0] <= span:
-            raise InvalidInputError(
-                f"utterance {e.utterance_id} has {f.shape[0]} frames, "
-                f"needs more than {span}")
-    vecs = extract_embeddings(net, feats)
-    return [EmbeddingRecord(e.utterance_id, 0.0, f.shape[0] * FRAME_SHIFT_S,
-                            e.speaker_id, v)
-            for e, f, v in zip(entries, feats, vecs)]
-
-
 def windowed_utterance_embeddings(net: Network, manifest_path) -> list[EmbeddingRecord]:
     """Labeled embeddings of each utterance's sliding windows.
 
@@ -143,7 +128,12 @@ def conversation_scores(vectors: np.ndarray, whitener: Whitener, plda: Plda,
     """Pair score matrix for one conversation's segment embeddings:
     length-normalize, whiten, denoise in the conversation subspace, project
     through the PLDA diagonalizer, score all pairs. Fewer than two vectors
-    (one segment, or a `speech_span`) leave no pair: a 1 x 1 zero matrix."""
+    (one segment, or a `speech_span`) leave no pair: a 1 x 1 zero matrix.
+    The embeddings must be as wide as the whitener's input."""
+    width = whitener.transform.shape[1]
+    if vectors.shape[1] != width:
+        raise InvalidInputError(f"the embeddings have {vectors.shape[1]} dimensions, "
+                                f"but the back-end takes {width}")
     if len(vectors) < 2:
         return np.zeros((1, 1))
     x = apply_whitener(whitener, length_normalize(vectors))

@@ -331,13 +331,27 @@ def test_embeddings_bad_magic(tmp_path):
         read_embeddings(path)
 
 
+def _embedding_field_ends(raw):
+    """Where each field of an embedding archive ends: the magic, the count,
+    the dimension, then each record's header length, header and vector."""
+    count, dim = struct.unpack_from("<II", raw, 4)
+    ends, pos = [4, 8, 12], 12
+    for _ in range(count):
+        (hlen,) = struct.unpack_from("<H", raw, pos)
+        pos += 2 + hlen + 4 * dim
+        ends += [pos - hlen - 4 * dim, pos - 4 * dim, pos]
+    assert pos == len(raw)
+    return ends
+
+
 def test_embeddings_truncated(tmp_path):
     path = tmp_path / "emb.bin"
     write_embeddings(path, _records())
     raw = path.read_bytes()
-    path.write_bytes(raw[:-10])
-    with pytest.raises(FormatError):
-        read_embeddings(path)
+    for cut in [len(raw) - 10] + _embedding_field_ends(raw)[:-1]:
+        path.write_bytes(raw[:cut])
+        with pytest.raises(FormatError, match="truncated embedding archive"):
+            read_embeddings(path)
 
 
 def test_embeddings_trailing_bytes(tmp_path):
@@ -357,6 +371,21 @@ def test_embeddings_malformed_header(tmp_path):
     path.write_bytes(payload)
     with pytest.raises(FormatError):
         read_embeddings(path)
+
+
+def test_embeddings_read_rejects_empty_and_non_finite(tmp_path):
+    path = tmp_path / "emb.bin"
+    for count, dim in ((0, 6), (1, 0), (0, 0)):
+        path.write_bytes(EMBED_MAGIC + struct.pack("<II", count, dim)
+                         + (struct.pack("<H", 11) + b"c 0.000 1.0" if count else b""))
+        with pytest.raises(FormatError, match=f"{count} embeddings of {dim} values"):
+            read_embeddings(path)
+    for bad in (np.nan, np.inf, -np.inf):
+        records = _records()
+        records[1].vector[3] = bad
+        write_embeddings(path, records)
+        with pytest.raises(FormatError, match="record 1 vector contains non-finite values"):
+            read_embeddings(path)
 
 
 def test_embeddings_reject_empty_and_ragged(tmp_path):
@@ -433,6 +462,25 @@ def test_backend_file_errors(tmp_path):
     bad.write_bytes(BACKEND_MAGIC + raw[4:10])
     with pytest.raises(FormatError):
         load_backend(bad)
+    d, k = 6, 4
+    # cut after the magic, each dimension, and each array but the last
+    for cut in (4, 8, 12, 12 + 8 * d, 12 + 8 * (d + k * d), 12 + 8 * (d + k * d + k),
+                12 + 8 * (d + k * d + k + k * k)):
+        bad.write_bytes(raw[:cut])
+        with pytest.raises(FormatError, match="truncated backend file"):
+            load_backend(bad)
+    # a NaN in each array: the whitener mean, the whitener transform, the
+    # PLDA mean, the PLDA transform and psi
+    for value, offset in ((np.nan, 0), (np.inf, d), (np.nan, d + k * d),
+                          (-np.inf, d + k * d + k), (np.nan, d + k * d + k + k * k)):
+        pos = 12 + 8 * offset
+        bad.write_bytes(raw[:pos] + struct.pack("<d", value) + raw[pos + 8:])
+        with pytest.raises(FormatError, match="contains non-finite values"):
+            load_backend(bad)
+    for d_bad, k_bad in ((0, 0), (6, 0), (4, 6)):
+        bad.write_bytes(BACKEND_MAGIC + struct.pack("<II", d_bad, k_bad) + raw[12:])
+        with pytest.raises(FormatError, match=f"d={d_bad}, k={k_bad}"):
+            load_backend(bad)
 
 
 def test_backend_save_rejects_dim_mismatch(tmp_path):

@@ -20,20 +20,31 @@ import pytest
 
 import diarkit
 from diarkit import cli
-from diarkit.backend import read_embeddings
+from diarkit.backend import EMBED_MAGIC, EmbeddingRecord, read_embeddings, write_embeddings
 from diarkit.cli import main
 from diarkit.der import read_rttm
 from diarkit.errors import TrainingDivergedError
-from diarkit.features import read_sad
+from diarkit.features import FRAME_SHIFT_S, read_sad
 from diarkit.network import (
     DimOverrides,
     build_architecture,
+    extract_embeddings,
     initialize_network,
     load_network,
     save_network,
 )
-from diarkit.training import TrainConfig, load_train_set, train
+from diarkit.training import TrainConfig, load_manifest_features, load_train_set, train
 from blas_kernels import PIN_KERNELS
+
+
+def _utterance_archive(model, manifest, out):
+    """One whole-utterance embedding per manifest entry, labeled by speaker.
+    The pinned diarize and calibrate outputs rest on back-ends fit on these."""
+    entries, feats = load_manifest_features(manifest)
+    vecs = extract_embeddings(load_network(model), feats)
+    write_embeddings(out, [EmbeddingRecord(e.utterance_id, 0.0, f.shape[0] * FRAME_SHIFT_S,
+                                           e.speaker_id, v)
+                           for e, f, v in zip(entries, feats, vecs)])
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +62,7 @@ def work(tmp_path_factory):
                  "--width", "8", "--pool-width", "12", "--epochs", "1",
                  "--batch-size", "4", "--seed", "2"]) == 0
     emb = root / "train_emb.bin"
-    assert main(["embed", "--model", str(model), "--manifest",
-                 str(corpus / "train/manifest.txt"), "--out", str(emb)]) == 0
+    _utterance_archive(model, corpus / "train/manifest.txt", emb)
     backend = root / "backend.bin"
     assert main(["backend-fit", "--embeddings", str(emb), "--out", str(backend)]) == 0
     hyp = root / "hyp.rttm"
@@ -337,7 +347,7 @@ def test_diarize_requires_exactly_one_stop_rule(work, capsys):
                         str(work["corpus"] / "eval/oracle_k.txt")]) == 2
 
 
-def test_embed_mode_selection(work):
+def test_embed_mode_selection(work, capsys):
     assert main(["embed", "--model", str(work["model"]),
                  "--out", str(work["root"] / "x.bin")]) == 2
     assert main(["embed", "--model", str(work["model"]),
@@ -347,6 +357,11 @@ def test_embed_mode_selection(work):
                  "--features", str(work["corpus"] / "eval/feats"),
                  "--sad", str(work["corpus"] / "eval/sad.lab"),
                  "--out", str(work["root"] / "x.bin")]) == 2  # --window needs --manifest
+    assert main(["embed", "--model", str(work["model"]),
+                 "--manifest", str(work["corpus"] / "train/manifest.txt"),
+                 "--out", str(work["root"] / "x.bin")]) == 2  # --manifest needs --window
+    assert "--manifest needs --window" in capsys.readouterr().err
+    assert not (work["root"] / "x.bin").exists()
 
 
 def test_embed_window_mode(work, tmp_path):
@@ -727,8 +742,7 @@ def work64(work):
     model = root / "model.bin"
     save_network(net, model)
     emb, backend = root / "train_emb.bin", root / "backend.bin"
-    assert main(["embed", "--model", str(model), "--manifest", str(manifest),
-                 "--out", str(emb)]) == 0
+    _utterance_archive(model, manifest, emb)
     assert main(["backend-fit", "--embeddings", str(emb), "--out", str(backend)]) == 0
     return {**work, "model": model, "backend": backend}
 
@@ -819,6 +833,66 @@ def test_model_with_a_tenth_layer_column_is_exit_3(work, tmp_path, capsys):
     assert not (tmp_path / "x.emb").exists()
 
 
+@pytest.mark.parametrize("bad", ["empty", "nan", "inf"])
+def test_bad_embedding_archive_is_exit_3(tmp_path, capsys, bad):
+    emb, out = tmp_path / "emb.bin", tmp_path / "b.bin"
+    if bad == "empty":
+        emb.write_bytes(EMBED_MAGIC + struct.pack("<II", 0, 8))
+        message = "header gives 0 embeddings of 8 values"
+    else:
+        rng = np.random.default_rng(0)
+        records = [EmbeddingRecord(f"u{i}", 0.0, 1.5, f"s{i % 3}", rng.normal(size=8))
+                   for i in range(12)]
+        records[3].vector[5] = float(bad)
+        write_embeddings(emb, records)
+        message = "record 3 vector contains non-finite values"
+    assert main(["backend-fit", "--embeddings", str(emb), "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "d=k=0", "k=0", "k>d"])
+def test_bad_backend_file_is_exit_3(work, tmp_path, capsys, bad):
+    """Each bad header comes with as many values as its dims call for."""
+    raw = work["backend"].read_bytes()
+    assert struct.unpack_from("<I", raw, 4) == (8,)
+    raw, message = {
+        "nan": (raw[:12] + struct.pack("<d", np.nan) + raw[20:],
+                "whitener mean contains non-finite values"),
+        "d=k=0": (raw[:4] + struct.pack("<II", 0, 0), "d=0, k=0: need 1 <= k <= d"),
+        "k=0": (raw[:4] + struct.pack("<II", 8, 0) + raw[12 : 12 + 8 * 8],
+                "d=8, k=0: need 1 <= k <= d"),
+        "k>d": (raw[:4] + struct.pack("<II", 8, 9) + np.eye(1, 8 + 72 + 9 + 81 + 9).tobytes(),
+                "d=8, k=9: need 1 <= k <= d"),
+    }[bad]
+    backend, out = tmp_path / "bad.bin", tmp_path / "x.rttm"
+    backend.write_bytes(raw)
+    assert main(["diarize", *_conv_args(work), "--backend", str(backend), "--out", str(out),
+                 "--threshold", "0.0"]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["diarize-jobs-1", "diarize-jobs-2", "calibrate"])
+def test_backend_of_another_width_is_exit_4(work, tmp_path, capsys, command):
+    """A back-end fit on width-10 embeddings, given a width-8 model."""
+    rng = np.random.default_rng(0)
+    emb, backend = tmp_path / "emb10.bin", tmp_path / "backend10.bin"
+    write_embeddings(emb, [EmbeddingRecord(f"u{i}", 0.0, 1.5, f"s{i % 4}", rng.normal(size=10))
+                           for i in range(40)])
+    assert main(["backend-fit", "--embeddings", str(emb), "--out", str(backend)]) == 0
+    capsys.readouterr()
+    wide, out = {**work, "backend": backend}, tmp_path / "out.rttm"
+    if command == "calibrate":
+        assert _calibrate(wide, out) == 4
+    else:
+        assert main(["diarize", *_conv_args(wide), "--backend", str(backend), "--out", str(out),
+                     "--threshold", "0.0", "--jobs", command[-1]]) == 4
+    err = capsys.readouterr().err
+    assert "the embeddings have 8 dimensions, but the back-end takes 10" in err
+    assert not out.exists()
+
+
 def _one_dimensional_embeddings(work, tmp_path, centre: bool):
     """Train a net with a 1-D embedding and embed the training utterances.
     Its embeddings have one sign; centre shifts the embedding layer's bias
@@ -829,14 +903,13 @@ def _one_dimensional_embeddings(work, tmp_path, centre: bool):
                  "--feat-dim", "23", "--width", "8", "--factor-width", "8", "--inner-dim", "4",
                  "--pool-width", "12", "--branch-dim", "4", "--embed-dim", "1",
                  "--epochs", "1", "--batch-size", "4", "--seed", "2"]) == 0
-    embed = ["embed", "--model", str(model), "--manifest", manifest, "--out", str(emb)]
-    assert main(embed) == 0
+    _utterance_archive(model, manifest, emb)
     if centre:
         net = load_network(model)
         values = [r.vector[0] for r in read_embeddings(emb)]
         net.params["segment1"]["b"] -= net.dtype.type(np.median(values))
         save_network(net, model)
-        assert main(embed) == 0
+        _utterance_archive(model, manifest, emb)
     records = read_embeddings(emb)
     assert {r.vector.shape for r in records} == {(1,)}
     return emb, np.array([r.vector[0] for r in records])

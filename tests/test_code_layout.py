@@ -33,3 +33,22 @@ def test_every_public_definition_is_used_outside_the_tests():
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
               and not node.name.startswith("_") and node.name not in used]
     assert not unused, "only the tests use " + ", ".join(unused)
+
+
+def test_binary_fields_are_read_by_the_one_reader():
+    """struct.unpack and struct.unpack_from are called only in binfile.py, so
+    every binary file gets the same truncation, trailing-byte and finiteness
+    checks."""
+    readers = {"unpack", "unpack_from"}
+    calls = []
+    for path, tree in _trees(sorted((ROOT / "src" / "diarkit").rglob("*.py"))):
+        if path.name == "binfile.py":
+            continue
+        for node in ast.walk(tree):
+            named = (isinstance(node, ast.Attribute) and node.attr in readers
+                     and isinstance(node.value, ast.Name) and node.value.id == "struct")
+            imported = (isinstance(node, ast.ImportFrom) and node.module == "struct"
+                        and any(a.name in readers for a in node.names))
+            if named or imported:
+                calls.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not calls, "struct read outside binfile.py at " + ", ".join(calls)

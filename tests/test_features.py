@@ -218,15 +218,37 @@ class TestFeatureIo:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.fea"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="bad magic"):
             features.read_features(path)
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "x.fea"
+        features.write_features(path, np.zeros((4, 3)))
+        raw = path.read_bytes()
+        # cut after the magic, the frame count and the dimension, inside the
+        # payload, and one byte short of the end
+        for cut in (4, 8, 12, 30, len(raw) - 1):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(FormatError, match="truncated"):
+                features.read_features(path)
+        path.write_bytes(b"")
+        with pytest.raises(FormatError, match="bad magic"):
+            features.read_features(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "x.fea"
+        features.write_features(path, np.zeros((4, 3)))
+        path.write_bytes(path.read_bytes() + b"\x00" * 3)
+        with pytest.raises(FormatError, match="3 trailing bytes"):
+            features.read_features(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values(self, tmp_path, bad):
+        path = tmp_path / "x.fea"
         feats = np.zeros((4, 3))
+        feats[2, 1] = bad
         features.write_features(path, feats)
-        path.write_bytes(path.read_bytes()[:-5])
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="non-finite"):
             features.read_features(path)
 
 

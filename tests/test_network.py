@@ -981,6 +981,25 @@ def test_model_file_errors(tmp_path):
     bad.write_bytes(raw[:4] + struct.pack("<I", 4) + raw[8:])
     with pytest.raises(FormatError, match="version 4"):
         load_network(bad)
+    # cut after the magic, the version, the dtype, the spec length, the spec
+    # block, and each blob's length and values but the last
+    (text_len,) = struct.unpack_from("<Q", raw, 10)
+    ends, pos = [4, 8, 10, 18, 18 + text_len], 18 + text_len
+    while pos < len(raw):
+        (blob_len,) = struct.unpack_from("<Q", raw, pos)
+        pos += 8 + blob_len
+        ends += [pos - blob_len, pos]
+    for cut in ends[:-1]:
+        bad.write_bytes(raw[:cut])
+        with pytest.raises(FormatError, match="truncated model file"):
+            load_network(bad)
+    last = len(raw) - 8  # the last blob's last value
+    bad.write_bytes(raw[:last] + struct.pack("<d", np.nan))
+    with pytest.raises(FormatError, match="contains non-finite values"):
+        load_network(bad)
+    bad.write_bytes(raw[:18] + b"\xff" + raw[19:])
+    with pytest.raises(FormatError, match="spec block is not UTF-8"):
+        load_network(bad)
 
     save_network(net.astype(np.float32), path)
     raw = path.read_bytes()

@@ -20,7 +20,6 @@ from diarkit.pipeline import (
     diarize_conversation,
     fit_backend,
     speech_span,
-    utterance_embeddings,
     windowed_utterance_embeddings,
 )
 from diarkit.training import ManifestEntry, load_train_set, write_manifest
@@ -176,26 +175,6 @@ def test_features_stay_float32_from_file_to_network(tmp_path):
         assert segs == [] and vecs.shape == (0, 8) and vecs.dtype == net.dtype
 
 
-def test_utterance_embeddings_from_manifest(tmp_path):
-    net = _toy_net()
-    rng = np.random.default_rng(9)
-    entries, arrays = [], []
-    for i, spk in enumerate(["alice", "bob", "alice"]):
-        arr = rng.normal(size=(120 + 10 * i, 6))
-        write_features(tmp_path / f"u{i}.fea", arr)
-        entries.append(ManifestEntry(f"utt{i}", spk, f"u{i}.fea"))  # relative
-        arrays.append(arr)
-    write_manifest(tmp_path / "manifest.txt", entries)
-
-    recs = utterance_embeddings(net, tmp_path / "manifest.txt")
-    assert [r.conversation_id for r in recs] == ["utt0", "utt1", "utt2"]
-    assert [r.speaker for r in recs] == ["alice", "bob", "alice"]
-    assert recs[0].end_s == pytest.approx(1.2)
-    # float32 storage on disk, so compare loosely against the in-memory pass
-    ref = extract_embedding(net, arrays[1].astype(np.float32).astype(np.float64))
-    assert np.allclose(recs[1].vector, ref, rtol=0, atol=1e-10)
-
-
 def test_windowed_utterance_embeddings(tmp_path):
     net = _toy_net()
     rng = np.random.default_rng(13)
@@ -224,16 +203,6 @@ def test_windowed_utterance_embeddings_reject_short_utterance(tmp_path):
                                         ManifestEntry("b", "s2", "u1.fea")])
     with pytest.raises(InvalidInputError, match="^b: no usable segments within the features$"):
         windowed_utterance_embeddings(net, tmp_path / "m.txt")
-
-
-def test_utterance_embeddings_reject_short_utterance(tmp_path):
-    net = _toy_net()
-    write_features(tmp_path / "u0.fea", np.zeros((14, 6)))
-    write_features(tmp_path / "u1.fea", np.zeros((100, 6)))
-    write_manifest(tmp_path / "m.txt", [ManifestEntry("a", "s1", "u0.fea"),
-                                        ManifestEntry("b", "s2", "u1.fea")])
-    with pytest.raises(InvalidInputError):
-        utterance_embeddings(net, tmp_path / "m.txt")
 
 
 # ------------------------------------------------------------------ backend
@@ -295,6 +264,18 @@ def test_conversation_scores_without_pairs():
     for rows in (vecs[:1], vecs[:0]):
         s = conversation_scores(rows, whitener, plda)
         assert s.shape == (1, 1) and s[0, 0] == 0.0
+
+
+def test_conversation_scores_reject_another_width():
+    """Embeddings of another model's width are rejected, even when they form
+    no pair."""
+    rng = np.random.default_rng(35)
+    whitener, plda, vecs = _two_blob_setup(rng)
+    wider = np.hstack([vecs, vecs[:, :2]])
+    for rows in (wider, wider[:1], wider[:0]):
+        with pytest.raises(InvalidInputError, match=f"have {wider.shape[1]} dimensions, "
+                                                    f"but the back-end takes {vecs.shape[1]}"):
+            conversation_scores(rows, whitener, plda)
 
 
 # ----------------------------------------------------------------- diarize
