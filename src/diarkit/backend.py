@@ -253,6 +253,8 @@ def load_backend(path) -> tuple[Whitener, Plda]:
     parts = [reader.values("<f8", size, name).astype(np.float64)
              for name, size in zip(names, (d, k * d, k, k * k, k))]
     reader.close()
+    if np.any(parts[4] < 0):  # a speaker variance; fit_plda writes none below 0
+        raise reader.error(f"PLDA psi must be >= 0, got {float(parts[4].min())!r}")
     whitener = Whitener(parts[0], parts[1].reshape(k, d))
     plda = Plda(parts[2], parts[3].reshape(k, k), parts[4])
     return whitener, plda

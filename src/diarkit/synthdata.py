@@ -10,6 +10,14 @@ annotation noise.
 Everything is generated straight in feature space for speed; the optional
 audio mode renders each turn as a speaker-specific sine mixture so the wav
 front end can be exercised end to end.
+
+The smoothing is numpy's own, and no scipy is loaded: y[t] = c * y[t-1] +
+u[t], one multiply and one add per value, the same roundings as
+scipy.signal.lfilter([1], [1, -c], u, axis=0). write_corpus draws every
+block's noise first (each utterance and each conversation turn, each from its
+own generator, in a fixed order), then steps all the blocks of up to
+SMOOTH_BLOCK_VALUES values together, so the Python steps follow the longest
+block, not the number of blocks.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ import math
 import os
 import zlib
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,6 +54,7 @@ TRAIN_UTTS_DOMAIN = Interval("train_utts", 1)  # per speaker
 CONVS_DOMAIN = Interval("n_convs", 1)
 CONV_S_DOMAIN = Interval("conv_s", 0.0, ends="()")
 _FPS = int(round(1.0 / FRAME_SHIFT_S))
+SMOOTH_BLOCK_VALUES = 1 << 20  # values one AR(1) recursion holds (8 MB)
 
 
 @dataclass(frozen=True)
@@ -103,40 +112,91 @@ def generate_speakers(
     return out
 
 
-def _ar1_frames(rng: np.random.Generator, speaker: SynthSpeaker, frames: int) -> np.ndarray:
-    """Stationary AR(1) deviations around the speaker mean: the first frame
-    carries full variance, later ones mix in sqrt(1-c^2)-scaled innovations."""
-    import scipy.signal
-
-    c = speaker.smoothing
-    sd = np.sqrt(speaker.covariance)
-    eps = rng.normal(size=(frames, len(sd)))
-    u = eps * (sd * math.sqrt(1.0 - c * c))
-    u[0] = eps[0] * sd
-    dev = scipy.signal.lfilter([1.0], [1.0, -c], u, axis=0)
-    return speaker.mean + dev
+_Block = tuple[SynthSpeaker, np.ndarray]  # (speaker, noise) before the recursion, frames after
 
 
-def generate_utterance(speaker: SynthSpeaker, duration_s: float, seed) -> np.ndarray:
+class _Recursion:
+    """Blocks of noise made into stationary AR(1) frames by one recursion.
+
+    add() scales each block into one block-major buffer as it comes, so no
+    block's noise is held twice: by the speaker's standard deviation on the
+    first frame, and by that times sqrt(1-c^2) on later ones. That is the
+    input u. The frames are the speaker mean plus y[t] = c * y[t-1] + u[t],
+    one multiply and one add per value, the roundings of
+    scipy.signal.lfilter([1], [1, -c], u, axis=0).
+
+    frames() steps all blocks together, so the Python steps follow the
+    longest block, not the number of blocks. It ranks the blocks longest
+    first and packs them without padding: packed row first[t] + r holds step
+    t of the block ranked r, and step t covers the first active[t] ranks.
+    """
+
+    def __init__(self, rows: int, dim: int):
+        self.values = np.empty((rows, dim))
+        self.speakers: list[SynthSpeaker] = []
+        self.lengths: list[int] = []
+        self.rows = 0
+
+    def add(self, speaker: SynthSpeaker, noise: np.ndarray) -> None:
+        c, sd = speaker.smoothing, np.sqrt(speaker.covariance)
+        u = self.values[self.rows:self.rows + len(noise)]
+        np.multiply(noise, sd * math.sqrt(1.0 - c * c), out=u)
+        u[0] = noise[0] * sd
+        self.speakers.append(speaker)
+        self.lengths.append(len(noise))
+        self.rows += len(noise)
+
+    def frames(self, dtype=np.float64) -> Iterator[_Block]:
+        """Each block's (speaker, frames) in the order added, the frames
+        rounded to `dtype` once, from the float64 sum."""
+        lengths, values = self.lengths, self.values[:self.rows]
+        starts = np.cumsum([0] + lengths)
+        order = np.argsort([-n for n in lengths], kind="stable")
+        active = len(lengths) - np.cumsum(np.bincount(lengths))[:-1]  # blocks longer than t
+        first = np.concatenate(([0], np.cumsum(active)))
+        step_of = np.repeat(np.arange(len(active)), active)
+        src = starts[order][np.arange(first[-1]) - first[step_of]] + step_of  # of each packed row
+        packed = values.take(src, axis=0)
+
+        coef = np.repeat([self.speakers[j].smoothing for j in order], values.shape[1])
+        coef = coef.reshape(len(order), -1)  # full rows: no broadcast in the step
+        scaled = np.empty_like(coef)
+        at, active = first.tolist(), active.tolist()
+        y, k = packed[:active[0]], -1
+        for t in range(1, len(active)):
+            if active[t] != k:  # a block ended: step fewer rows
+                k = active[t]
+                c, cy, y = coef[:k], scaled[:k], y[:k]
+            y_prev, y = y, packed[at[t]:at[t + 1]]
+            np.multiply(c, y_prev, cy)
+            np.add(y, cy, y)
+
+        dst = np.empty_like(src)
+        dst[src] = np.arange(len(src))
+        packed.take(dst, axis=0, out=values, mode="clip")  # clip: raise would buffer
+        del packed
+        for spk, lo, hi in zip(self.speakers, starts, starts[1:]):
+            out = np.empty((hi - lo, values.shape[1]), dtype)
+            yield spk, np.add(spk.mean, values[lo:hi], out=out)
+
+
+def _utterance(speaker: SynthSpeaker, duration_s: float, seed) -> list[_Block]:
+    """An utterance's one block."""
     UTTERANCE_DOMAIN.check(duration_s)
-    frames = int(round(duration_s * _FPS))
     rng = np.random.default_rng(seed)
-    return _ar1_frames(rng, speaker, frames)
+    return [(speaker, rng.normal(size=(int(round(duration_s * _FPS)), len(speaker.mean))))]
 
 
-def generate_conversation(
+def _turns(
     speakers: Sequence[SynthSpeaker],
     total_s: float,
     turn_range_s: tuple[float, float],
     seed,
-    conversation_id: str = "conv",
-) -> SynthConversation:
-    """Random no-immediate-repeat turn taking with frame-exact references.
-
-    Turn lengths are uniform over the range on the 10 ms frame grid; a tail
-    shorter than the minimum turn is absorbed into the final turn, so every
-    turn admits at least one scoring segment. SAD covers the full duration.
-    """
+) -> list[_Block]:
+    """A conversation's blocks, one per turn, from random no-immediate-repeat
+    turn taking. Turn lengths are uniform over the range on the 10 ms frame
+    grid; a tail shorter than the minimum turn is absorbed into the final
+    turn, so every turn admits at least one scoring segment."""
     SPEAKERS_DOMAIN.check(len(speakers))
     check_turns(total_s, turn_range_s)
     ids = {s.speaker_id for s in speakers}
@@ -159,19 +219,52 @@ def generate_conversation(
         turns_f.append((idx, dur))
         t += dur
         prev = idx
+    return [(speakers[idx], rng.normal(size=(dur, len(speakers[idx].mean))))
+            for idx, dur in turns_f]
 
-    blocks, reference, turns = [], [], []
+
+def _conversation(conversation_id: str, turns: Sequence[_Block]) -> SynthConversation:
+    """The conversation of smoothed turns, in order, with frame-exact
+    references; SAD covers the full duration."""
+    reference, spoken = [], []
     t = 0
-    for idx, dur in turns_f:
-        spk = speakers[idx]
-        blocks.append(_ar1_frames(rng, spk, dur))
+    for spk, frames in turns:
+        dur = len(frames)
         reference.append(TimelineEntry(conversation_id, t / _FPS, (t + dur) / _FPS,
                                        spk.speaker_id))
-        turns.append((spk.speaker_id, dur / _FPS))
+        spoken.append((spk.speaker_id, dur / _FPS))
         t += dur
-    features = np.vstack(blocks)
-    sad = [SadMark(conversation_id, 0.0, total_f / _FPS)]
-    return SynthConversation(conversation_id, turns, reference, features, sad)
+    features = np.vstack([frames for _, frames in turns])
+    sad = [SadMark(conversation_id, 0.0, t / _FPS)]
+    return SynthConversation(conversation_id, spoken, reference, features, sad)
+
+
+def _smooth_items(items: Iterable[tuple[object, list[_Block]]]
+                  ) -> Iterator[tuple[object, list[_Block]]]:
+    """(key, blocks) items in order, each with its blocks smoothed to float32
+    frames, as feature files hold them. Whole items share one recursion of
+    at most SMOOTH_BLOCK_VALUES values (or one item, if it is larger), so
+    memory does not grow with the corpus."""
+    keys, rec = [], None
+    for key, blocks in items:
+        rows, dim = sum(len(noise) for _, noise in blocks), blocks[0][1].shape[1]
+        if rec is not None and rec.rows + rows > len(rec.values):
+            yield from _regroup(keys, rec.frames(np.float32))
+            rec = None  # freed before the next one is made
+        if rec is None:
+            keys, rec = [], _Recursion(max(rows, SMOOTH_BLOCK_VALUES // dim), dim)
+        for spk, noise in blocks:
+            rec.add(spk, noise)
+        keys.append((key, len(blocks)))
+    yield from _regroup(keys, rec.frames(np.float32))
+
+
+def _regroup(keys: list[tuple[object, int]], smoothed: Iterator[_Block]
+             ) -> Iterator[tuple[object, list[_Block]]]:
+    """Each key with its next n smoothed blocks; returning drops `smoothed`
+    and with it the recursion's buffers."""
+    for key, n in keys:
+        yield key, [next(smoothed) for _ in range(n)]
 
 
 # ----------------------------------------------------------------- audio mode
@@ -253,31 +346,34 @@ def write_corpus(out_dir, spec: CorpusSpec) -> dict[str, str]:
         spec.n_speakers, spec.separation,
         seed=speaker_seed, smoothing=spec.smoothing)
 
-    entries = []
     utt_seeds = train_seed.spawn(spec.n_speakers * spec.train_utts)
-    for i, spk in enumerate(speakers):
-        for j in range(spec.train_utts):
-            utt_id = f"{spk.speaker_id}-u{j:02d}"
-            rel = os.path.join("feats", f"{utt_id}.fea")
-            feats = generate_utterance(spk, spec.train_utt_s,
-                                       seed=utt_seeds[i * spec.train_utts + j])
-            write_features(os.path.join(root, "train", rel), feats)
-            entries.append(ManifestEntry(utt_id, spk.speaker_id, rel))
-    manifest_path = os.path.join(root, "train", "manifest.txt")
-    write_manifest(manifest_path, entries)
+    cast_rng = np.random.default_rng(eval_seed)
+    conv_seeds = eval_seed.spawn(spec.n_convs)
 
+    def draws():  # every block's noise, each item's from its own generator
+        for i, spk in enumerate(speakers):
+            for j in range(spec.train_utts):
+                utt_id = f"{spk.speaker_id}-u{j:02d}"
+                rel = os.path.join("feats", f"{utt_id}.fea")
+                yield (ManifestEntry(utt_id, spk.speaker_id, rel),
+                       _utterance(spk, spec.train_utt_s, utt_seeds[i * spec.train_utts + j]))
+        for i in range(spec.n_convs):
+            cast_idx = cast_rng.choice(spec.n_speakers, size=spec.speakers_per_conv, replace=False)
+            cast = [speakers[k] for k in sorted(cast_idx)]
+            yield (f"conv{i:03d}", cast), _turns(cast, spec.conv_s,
+                                                 (spec.turn_min_s, spec.turn_max_s), conv_seeds[i])
+
+    entries: list[ManifestEntry] = []
     reference: list[TimelineEntry] = []
     sad_marks: list[SadMark] = []
     counts: dict[str, int] = {}
-    cast_rng = np.random.default_rng(eval_seed)
-    conv_seeds = eval_seed.spawn(spec.n_convs)
-    for i in range(spec.n_convs):
-        conv_id = f"conv{i:03d}"
-        cast_idx = cast_rng.choice(spec.n_speakers, size=spec.speakers_per_conv, replace=False)
-        cast = [speakers[k] for k in sorted(cast_idx)]
-        conv = generate_conversation(cast, spec.conv_s,
-                                     (spec.turn_min_s, spec.turn_max_s),
-                                     seed=conv_seeds[i], conversation_id=conv_id)
+    for key, turns in _smooth_items(draws()):
+        if isinstance(key, ManifestEntry):
+            write_features(os.path.join(root, "train", key.path), turns[0][1])
+            entries.append(key)
+            continue
+        conv_id, cast = key
+        conv = _conversation(conv_id, turns)
         write_features(os.path.join(eval_feats, f"{conv_id}.fea"), conv.features)
         if spec.audio:
             write_wav(os.path.join(root, "eval", "wav", f"{conv_id}.wav"),
@@ -286,6 +382,8 @@ def write_corpus(out_dir, spec: CorpusSpec) -> dict[str, str]:
         sad_marks.extend(conv.sad)
         counts[conv_id] = len({spk for spk, _ in conv.turns})
 
+    manifest_path = os.path.join(root, "train", "manifest.txt")
+    write_manifest(manifest_path, entries)
     ref_path = os.path.join(root, "eval", "ref.rttm")
     sad_path = os.path.join(root, "eval", "sad.lab")
     oracle_path = os.path.join(root, "eval", "oracle_k.txt")

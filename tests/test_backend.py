@@ -483,6 +483,23 @@ def test_backend_file_errors(tmp_path):
             load_backend(bad)
 
 
+@pytest.mark.parametrize("psi", [-1.0, -0.5, -1e-300])
+def test_backend_rejects_negative_psi(tmp_path, psi):
+    """A negative speaker variance is a bad file: scoring would divide by
+    psi + 1 = 0 or take the log of 2 psi + 1 < 0."""
+    whitener, plda = _fitted_backend()
+    path = tmp_path / "backend.bin"
+    save_backend(path, whitener, Plda(plda.mean, plda.transform,
+                                      np.concatenate([plda.psi[:-1], [psi]])))
+    with pytest.raises(FormatError, match=rf"backend.bin: PLDA psi must be >= 0, got {psi!r}"):
+        load_backend(path)
+    # psi = 0 (a dimension with no speaker variance) and -0.0 still load
+    for zero in (0.0, -0.0):
+        save_backend(path, whitener, Plda(plda.mean, plda.transform,
+                                          np.concatenate([plda.psi[:-1], [zero]])))
+        assert load_backend(path)[1].psi[-1] == 0.0
+
+
 def test_backend_save_rejects_dim_mismatch(tmp_path):
     whitener, plda = _fitted_backend()
     shrunk = Plda(plda.mean[:3], plda.transform[:3, :3], plda.psi[:3])

@@ -52,3 +52,20 @@ def test_binary_fields_are_read_by_the_one_reader():
             if named or imported:
                 calls.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert not calls, "struct read outside binfile.py at " + ", ".join(calls)
+
+
+def test_no_scipy_signal_in_the_package():
+    """The AR(1) smoothing is numpy's: nothing in src/diarkit imports
+    scipy.signal, whose import costs about 70 MB and a second of start-up."""
+    imports = []
+    for path, tree in _trees(sorted((ROOT / "src" / "diarkit").rglob("*.py"))):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            if any(n == "scipy.signal" or n.startswith("scipy.signal.") for n in names):
+                imports.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not imports, "scipy.signal imported at " + ", ".join(imports)

@@ -2,24 +2,29 @@
 closed-form variance of a stationary AR(1) sample mean, reference exactness,
 and corpus determinism on disk."""
 
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from diarkit import synthdata
 from diarkit.der import read_rttm, read_speaker_counts
 from diarkit.errors import InvalidInputError
 from diarkit.features import compute_mfcc, read_features, read_sad
 from diarkit.synthdata import (
     CorpusSpec,
     SynthSpeaker,
+    _Recursion,
     conversation_audio,
-    generate_conversation,
     generate_speakers,
-    generate_utterance,
     write_corpus,
 )
 from diarkit.training import load_train_set
+
+from blas_kernels import PIN_KERNELS
+from synth_alone import generate_conversation, generate_utterance, smooth
 
 
 # ------------------------------------------------------------------- speakers
@@ -102,6 +107,62 @@ def test_utterance_deterministic():
     a = generate_utterance(spk, 2.0, seed=9)
     b = generate_utterance(spk, 2.0, seed=9)
     assert np.array_equal(a, b)
+
+
+# ------------------------------------------------------- the AR(1) recursion
+
+def _lfilter_frames(speaker, noise):
+    """The smoothing as scipy.signal computes it, the oracle of the recursion."""
+    import scipy.signal
+
+    c, sd = speaker.smoothing, np.sqrt(speaker.covariance)
+    u = noise * (sd * math.sqrt(1.0 - c * c))
+    u[0] = noise[0] * sd
+    return speaker.mean + scipy.signal.lfilter([1.0], [1.0, -c], u, axis=0)
+
+
+def _random_speaker(rng, name, smoothing):
+    return SynthSpeaker(name, rng.normal(size=23), rng.uniform(0.25, 4.0, size=23), smoothing)
+
+
+@pytest.mark.parametrize("frames", [1, 2, 150, 1200])
+@pytest.mark.parametrize("c", [0.0, 1e-9, 0.3, 0.9, 0.999999])
+def test_recursion_matches_lfilter_byte_for_byte(c, frames):
+    rng = np.random.default_rng(frames)
+    spk = _random_speaker(rng, "x", c)
+    noise = rng.normal(size=(frames, 23))
+    (got_spk, got), = smooth([(spk, noise)])
+    assert got_spk is spk and got.dtype == np.float64
+    assert got.tobytes() == _lfilter_frames(spk, noise).tobytes()
+
+
+def test_ragged_batch_matches_lfilter_and_each_block_alone():
+    """Blocks of mixed lengths and smoothing in one recursion: each block
+    equals the oracle, and the same block smoothed alone."""
+    rng = np.random.default_rng(11)
+    speakers = [_random_speaker(rng, f"s{i}", c)
+                for i, c in enumerate([0.0, 1e-9, 0.3, 0.9, 0.999999])]
+    lengths = [150, 1, 1200, 2, 333, 150, 1, 600, 7, 1200, 2]
+    blocks = [(speakers[i % 5], rng.normal(size=(n, 23))) for i, n in enumerate(lengths)]
+    batch = list(smooth(blocks))
+    assert [len(frames) for _, frames in batch] == lengths
+    for (spk, noise), (got_spk, got) in zip(blocks, batch):
+        assert got_spk is spk
+        assert got.tobytes() == _lfilter_frames(spk, noise).tobytes()
+        (_, alone), = smooth([(spk, noise)])
+        assert np.array_equal(alone, got)
+
+
+def test_float32_frames_round_the_float64_sum_once():
+    rng = np.random.default_rng(12)
+    blocks = [(_random_speaker(rng, f"s{i}", c), rng.normal(size=(n, 23)))
+              for i, (c, n) in enumerate([(0.9, 300), (0.5, 41), (0.0, 1)])]
+    rec = _Recursion(400, 23)  # room to spare, as a corpus batch has
+    for spk, noise in blocks:
+        rec.add(spk, noise)
+    for (spk, noise), (_, got) in zip(blocks, rec.frames(np.float32)):
+        assert got.dtype == np.float32
+        assert got.tobytes() == _lfilter_frames(spk, noise).astype(np.float32).tobytes()
 
 
 # -------------------------------------------------------------- conversations
@@ -235,6 +296,41 @@ def test_corpus_audio_mode(tmp_path):
     write_corpus(tmp_path / "audio", _tiny_spec(audio=True))
     wavs = sorted((tmp_path / "audio" / "eval" / "wav").iterdir())
     assert [w.name for w in wavs] == ["conv000.wav", "conv001.wav", "conv002.wav"]
+
+
+# Every byte write_corpus lays down for two small specs, taken before the
+# AR(1) smoothing moved from scipy.signal.lfilter to synthdata's own
+# recursion. generate_speakers normalizes through np.linalg.norm, which goes
+# through BLAS, so other kernels may move the last bits of the means.
+CORPUS_SHA256 = {
+    "features": "dcb04e6da198761b6e508130ce899084b7a0de436a3650019b50323dd32e055b",
+    "audio": "d533a9fa194e8a2cb6439a8b9ba01ac493f39d0df61e60dcce82562c502e8e37",
+}
+
+
+def _corpus_digest(root):
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(path.relative_to(root).as_posix().encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("mode", ["features", "audio"])
+def test_corpus_bytes_are_pinned(tmp_path, mode):
+    spec = (_tiny_spec(seed=1) if mode == "features"
+            else replace(_tiny_spec(seed=2, audio=True), smoothing=0.5))
+    write_corpus(tmp_path / mode, spec)
+    assert _corpus_digest(tmp_path / mode) == CORPUS_SHA256[mode], PIN_KERNELS
+
+
+def test_corpus_bytes_do_not_depend_on_the_batch_size(tmp_path, monkeypatch):
+    """One recursion per utterance or conversation writes what one recursion
+    over the whole corpus writes."""
+    spec = _tiny_spec(seed=1)
+    write_corpus(tmp_path / "whole", spec)
+    monkeypatch.setattr(synthdata, "SMOOTH_BLOCK_VALUES", 1)
+    write_corpus(tmp_path / "each", spec)
+    assert _corpus_digest(tmp_path / "each") == _corpus_digest(tmp_path / "whole")
 
 
 def test_corpus_spec_validation():
