@@ -150,33 +150,40 @@ class _Recursion:
         """Each block's (speaker, frames) in the order added, the frames
         rounded to `dtype` once, from the float64 sum."""
         lengths, values = self.lengths, self.values[:self.rows]
+        dim = values.shape[1]
         starts = np.cumsum([0] + lengths)
         order = np.argsort([-n for n in lengths], kind="stable")
-        active = len(lengths) - np.cumsum(np.bincount(lengths))[:-1]  # blocks longer than t
-        first = np.concatenate(([0], np.cumsum(active)))
-        step_of = np.repeat(np.arange(len(active)), active)
-        src = starts[order][np.arange(first[-1]) - first[step_of]] + step_of  # of each packed row
+        # runs of steps over which the same blocks are active: they change
+        # only where a block ends
+        ends = sorted(set(lengths))
+        runs = list(zip([0] + ends, ends,
+                        (len(lengths) - np.searchsorted(np.sort(lengths), [0] + ends,
+                                                        side="right")).tolist()))
+        src = np.concatenate([(starts[order[:k]] + np.arange(a, b)[:, None]).ravel()
+                              for a, b, k in runs])  # the block row each packed row takes
         packed = values.take(src, axis=0)
 
-        coef = np.repeat([self.speakers[j].smoothing for j in order], values.shape[1])
-        coef = coef.reshape(len(order), -1)  # full rows: no broadcast in the step
+        coef = np.repeat([self.speakers[j].smoothing for j in order], dim)
+        coef = coef.reshape(len(order), dim)  # full rows: no broadcast in the step
         scaled = np.empty_like(coef)
-        at, active = first.tolist(), active.tolist()
-        y, k = packed[:active[0]], -1
-        for t in range(1, len(active)):
-            if active[t] != k:  # a block ended: step fewer rows
-                k = active[t]
-                c, cy, y = coef[:k], scaled[:k], y[:k]
-            y_prev, y = y, packed[at[t]:at[t + 1]]
-            np.multiply(c, y_prev, cy)
-            np.add(y, cy, y)
+        at, y = 0, None
+        for a, b, k in runs:
+            steps = packed[at:at + (b - a) * k].reshape(b - a, k, dim)
+            at += (b - a) * k
+            c, cy = coef[:k], scaled[:k]
+            rows = iter(steps)
+            y = next(rows) if y is None else y[:k]  # step 0 is u itself
+            for row in rows:
+                np.multiply(c, y, cy)
+                np.add(row, cy, row)
+                y = row
 
         dst = np.empty_like(src)
         dst[src] = np.arange(len(src))
         packed.take(dst, axis=0, out=values, mode="clip")  # clip: raise would buffer
-        del packed
+        del packed, y
         for spk, lo, hi in zip(self.speakers, starts, starts[1:]):
-            out = np.empty((hi - lo, values.shape[1]), dtype)
+            out = np.empty((hi - lo, dim), dtype)
             yield spk, np.add(spk.mean, values[lo:hi], out=out)
 
 
