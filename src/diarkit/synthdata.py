@@ -127,8 +127,9 @@ class _Recursion:
 
     frames() steps all blocks together, so the Python steps follow the
     longest block, not the number of blocks. It ranks the blocks longest
-    first and packs them without padding: packed row first[t] + r holds step
-    t of the block ranked r, and step t covers the first active[t] ranks.
+    first and packs them step by step without padding: a step holds one row
+    of each block still active, in rank order, and each run of steps between
+    two block ends is one (steps, blocks, dim) array.
     """
 
     def __init__(self, rows: int, dim: int):
@@ -153,12 +154,10 @@ class _Recursion:
         dim = values.shape[1]
         starts = np.cumsum([0] + lengths)
         order = np.argsort([-n for n in lengths], kind="stable")
-        # runs of steps over which the same blocks are active: they change
-        # only where a block ends
-        ends = sorted(set(lengths))
-        runs = list(zip([0] + ends, ends,
-                        (len(lengths) - np.searchsorted(np.sort(lengths), [0] + ends,
-                                                        side="right")).tolist()))
+        bounds = [0] + sorted(set(lengths))  # the active blocks change where one ends
+        ascending = np.sort(lengths)
+        runs = [(a, b, len(lengths) - int(np.searchsorted(ascending, a, side="right")))
+                for a, b in zip(bounds, bounds[1:])]  # (first step, end step, blocks active)
         src = np.concatenate([(starts[order[:k]] + np.arange(a, b)[:, None]).ravel()
                               for a, b, k in runs])  # the block row each packed row takes
         packed = values.take(src, axis=0)
@@ -181,7 +180,7 @@ class _Recursion:
         dst = np.empty_like(src)
         dst[src] = np.arange(len(src))
         packed.take(dst, axis=0, out=values, mode="clip")  # clip: raise would buffer
-        del packed, y
+        del packed, y  # y views packed
         for spk, lo, hi in zip(self.speakers, starts, starts[1:]):
             out = np.empty((hi - lo, dim), dtype)
             yield spk, np.add(spk.mean, values[lo:hi], out=out)
