@@ -552,7 +552,7 @@ def _cmd_train(ns) -> int:
         raise InvalidInputError(f"--min-window-frames, --window-frames: {exc}") from None
     _require_file(ns.manifest, "manifest")
     ts = load_train_set(ns.manifest)
-    dims_seen = sorted({f.shape[1] for f in ts.features})
+    dims_seen = sorted({dim for _, dim in ts.shapes})
     if dims_seen != [ns.feat_dim]:
         raise InvalidInputError(f"--feat-dim {ns.feat_dim} does not match the "
                                 f"features' dimension {', '.join(map(str, dims_seen))}")

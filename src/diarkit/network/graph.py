@@ -47,6 +47,15 @@ outputs, all >= 0, so it cannot cancel; a second column sum, of the centred
 rows, measures that mean's rounding, and the shift takes it out; its sums of
 squares and of products are partial sums over blocks of DOT_BLOCK_ROWS rows,
 so their rounding grows with the block, not with the batch.
+
+extract_embeddings runs in two stages, so its memory follows a chunk of
+frames, not the conversation. The layers that read frame-level values, up to
+and including statistics pooling, run over chunks of at most
+EMBED_CHUNK_FRAMES input frames: a chunk holds whole pooling rows and never
+splits a window, a lone row longer than the budget is a chunk of its own, and
+input under the budget is one chunk. The segment-level layers then run once
+over every chunk's pooled rows, so no dense product sees only a chunk's few
+rows.
 """
 
 from __future__ import annotations
@@ -76,6 +85,12 @@ DOT_BLOCK_ROWS = 64
 # cache; blocks of 1 << 20 values took 40 % longer at the train workload's
 # shapes.
 POOL_BLOCK_VALUES = 1 << 16
+# extract_embeddings runs the frame-level layers and pooling over chunks of at
+# most this many input frames (_chunks), 82 s of speech, so its memory follows
+# the chunk, not the conversation. One SAD run through a paper-width float32
+# ftdnn-msa, in a process holding 124 MB before the call, peaked at 237 MB RSS
+# for 6,000 frames and 312 MB for 60,000 (1,030 MB in one pass).
+EMBED_CHUNK_FRAMES = 1 << 13
 # Dropout draws its keep-mask in blocks of at most this many doubles (512 KB),
 # not as one float64 array twice the size of a float32 layer.
 DROPOUT_BLOCK_VALUES = 1 << 16
@@ -213,6 +228,7 @@ class LayerKind:
     semi_orthogonal: tuple[str, ...] = ()
     buffers: dict[str, float] = {}
     frame_input = False  # True when the input must be frame-level
+    pools = False  # True when it turns frame-level input into segment-level rows
 
     def shapes(self, ls: LayerSpec) -> dict[str, tuple[int, ...]]:
         return {}
@@ -476,6 +492,7 @@ class _StatsPool(LayerKind):
     """
 
     frame_input = True
+    pools = True
 
     def check(self, ls, sources):
         super().check(ls, sources)
@@ -746,6 +763,16 @@ def forward_batch(
         raise InvalidInputError("dropout needs a random generator")
     if keep is not None and training:
         raise InvalidInputError("a forward tape needs every value")
+    seqs = _sequences(net, sequences)
+    rows = _pooling_rows(windows, tuple(s.shape[0] for s in seqs))
+    values: dict[str, object] = {INPUT_NAME: _input_batch(net, seqs)}
+    run = _Pass(net.buffers, rows, training, dropout_prob, rng)
+    tape = _apply_layers(net, values, run, net.spec.layers, keep=keep)
+    return ForwardResult(values[net.spec.output_layer], values, tape)
+
+
+def _sequences(net: Network, sequences) -> list[np.ndarray]:
+    """The input sequences as arrays, each (T, in_dim); at least one."""
     seqs = [np.asarray(s) for s in sequences]
     if not seqs:
         raise InvalidInputError("empty batch")
@@ -753,47 +780,42 @@ def forward_batch(
     for s in seqs:
         if s.ndim != 2 or s.shape[1] != in_dim:
             raise InvalidInputError(f"expected (T, {in_dim}) sequences, got {s.shape}")
+    return seqs
 
-    values: dict[str, object] = {
-        INPUT_NAME: FrameBatch(np.vstack(seqs, dtype=net.dtype), tuple(s.shape[0] for s in seqs), 0)
-    }
-    tape = _apply_layers(net, values, windows, training, dropout_prob, rng, keep=keep)
-    return ForwardResult(values[net.spec.output_layer], values, tape)
+
+def _input_batch(net: Network, seqs: list[np.ndarray]) -> FrameBatch:
+    return FrameBatch(np.vstack(seqs, dtype=net.dtype), tuple(s.shape[0] for s in seqs), 0)
 
 
 def _pooling_rows(windows, lengths: tuple[int, ...]) -> list:
     """The windows argument of forward_batch, with its default filled in."""
     if windows is None:
         return [(i, [(0, n)]) for i, n in enumerate(lengths)]
+    if not windows:
+        raise InvalidInputError("no pooling rows")
     for row in windows:
         ok = len(row) == 2 and isinstance(row[0], (int, np.integer)) and 0 <= row[0] < len(lengths)
-        if not (ok and len(row[1]) > 0):
-            raise InvalidInputError(f"pooling row {row!r} is not (sequence index, windows)")
+        if not (ok and len(row[1]) > 0 and all(0 <= a < b <= lengths[row[0]] for a, b in row[1])):
+            raise InvalidInputError(
+                f"pooling row {row!r} is not (sequence index, windows within the sequence)")
     return windows
 
 
 def _apply_layers(
     net: Network,
     values: dict,
-    windows,
-    training: bool,
-    dropout_prob: float,
-    rng,
-    start: int = 0,
+    run: _Pass,
+    layers,
     keep=None,
 ) -> Optional[dict[str, dict]]:
-    """Evaluate the layer stack in place, from layer index start onward, and
-    return the tape of a training pass (None in inference).
+    """Evaluate layers, in order, in place, and return the tape of a training
+    pass (None in inference).
 
-    values must already hold the outputs of everything before start (at least
-    the input batch). Splitting this out of forward_batch lets gradient
-    checking rerun only the part of the graph a perturbed parameter can reach.
-    keep is forward_batch's.
+    values must already hold every value the layers read from outside
+    themselves: the input batch for the whole stack, the pooled rows for
+    extract_embeddings' segment-level layers. keep is forward_batch's.
     """
-    rows = _pooling_rows(windows, values[INPUT_NAME].lengths)
-    run = _Pass(net.buffers, rows, training, dropout_prob, rng)
-    tape: Optional[dict[str, dict]] = {} if training else None
-    layers = net.spec.layers[start:]
+    tape: Optional[dict[str, dict]] = {} if run.training else None
     drop_after: list[list[str]] = [[] for _ in layers]
     if keep is not None:
         kept = set(keep) | {net.spec.output_layer}
@@ -808,7 +830,7 @@ def _apply_layers(
     for ls, drop in zip(layers, drop_after):
         xs = [_layer_input(ls, values)] + [values[n] for n in ls.inputs[1:]]
         out, cache = LAYER_KINDS[ls.kind].forward(ls, net.params[ls.name], xs, run)
-        if training:
+        if tape is not None:
             tape[ls.name] = cache
         values[ls.name] = out
         xs = out = cache = None  # so a dropped value's memory is free at once
@@ -875,7 +897,84 @@ def extract_embeddings(net: Network, sequences, windows=None) -> np.ndarray:
     """One embedding per pooling row (windows as in forward_batch; by default
     one row per whole sequence): the designated layer's pre-activation output,
     computed in inference mode (running batch-norm moments, no dropout), in
-    the network's dtype."""
+    the network's dtype.
+
+    The frame-level layers and pooling run chunk by chunk (_chunks), each
+    chunk at most EMBED_CHUNK_FRAMES input frames; the segment-level layers
+    then run once over every chunk's pooled rows. That is exact: in inference
+    frame-level row j depends only on input frames [j, j + span], so a window
+    pools the same numbers in its chunk as in its whole sequence, and the
+    dense products see the same rows as one pass over everything.
+    """
+    seqs = _sequences(net, sequences)
+    rows = _pooling_rows(windows, tuple(s.shape[0] for s in seqs))
+    frame_stage, segment_stage = _stages(net.spec)
+    pools = [ls.name for ls in frame_stage if LAYER_KINDS[ls.kind].pools]
+    parts = []
+    for pieces, chunk_rows in _chunks([s.shape[0] for s in seqs], rows):
+        values = {INPUT_NAME: _input_batch(net, [seqs[i][a:b] for i, (a, b) in pieces.items()])}
+        _apply_layers(net, values, _Pass(net.buffers, chunk_rows, False, 0.0, None),
+                      frame_stage, keep=pools)
+        parts.append([values[name] for name in pools])
+    # one chunk's pooled rows are taken as they are, not copied
+    values = {name: pooled[0] if len(pooled) == 1 else np.concatenate(pooled)
+              for name, pooled in zip(pools, zip(*parts))}
+    parts = None  # so each pooled array is free once its last reader has run
     layer = net.spec.embedding_layer
-    result = forward_batch(net, sequences, mode="inference", windows=windows, keep=(layer,))
-    return np.array(result.values[layer])
+    _apply_layers(net, values, _Pass(net.buffers, None, False, 0.0, None), segment_stage,
+                  keep=(layer,))
+    return np.array(values[layer])
+
+
+def _stages(spec: NetworkSpec) -> tuple[list[LayerSpec], list[LayerSpec]]:
+    """The layers that read frame-level values, ending with the pooling
+    layers, and the segment-level layers after them, each in spec order."""
+    frame_level = {INPUT_NAME}
+    frame, segment = [], []
+    for ls in spec.layers:
+        if ls.inputs[0] in frame_level:
+            frame.append(ls)
+            if not LAYER_KINDS[ls.kind].pools:
+                frame_level.add(ls.name)
+        else:
+            segment.append(ls)
+    return frame, segment
+
+
+def _chunks(lengths: list[int], rows: list) -> list[tuple[dict[int, tuple[int, int]], list]]:
+    """The pooling rows, in order, cut into chunks of at most
+    EMBED_CHUNK_FRAMES input frames. Each chunk is (pieces, rows): pieces maps
+    a sequence to the frames lo..hi-1 the chunk takes of it, in sequence
+    order; the chunk's rows index the pieces, their windows shifted by lo.
+
+    A chunk holds whole rows, so it never splits a window. It takes a
+    sequence of at most EMBED_CHUNK_FRAMES frames whole; of a longer one it
+    takes the stretch from its rows' first window start to their last window
+    end. A row whose stretch alone is longer than the budget is its own
+    chunk, and input under the budget is one chunk of whole sequences. A
+    sequence that no row names is left out.
+    """
+    chunks: list[tuple[dict[int, tuple[int, int]], list]] = []
+    frames = 0
+    for i, wins in rows:
+        if lengths[i] <= EMBED_CHUNK_FRAMES:
+            own = (0, lengths[i])
+        else:
+            own = (min(a for a, _ in wins), max(b for _, b in wins))
+        pieces, held = chunks[-1] if chunks else ({}, [])
+        lo, hi = pieces.get(i, own)
+        merged = (min(lo, own[0]), max(hi, own[1]))
+        grown = frames + merged[1] - merged[0] - (hi - lo if i in pieces else 0)
+        if not held or grown > EMBED_CHUNK_FRAMES:
+            pieces, held, merged, grown = {}, [], own, own[1] - own[0]
+            chunks.append((pieces, held))
+        pieces[i], frames = merged, grown
+        held.append((i, wins))
+    out = []
+    for pieces, held in chunks:
+        order = sorted(pieces)
+        slot = {i: k for k, i in enumerate(order)}
+        out.append(({i: pieces[i] for i in order},
+                     [(slot[i], [(a - pieces[i][0], b - pieces[i][0]) for a, b in wins])
+                      for i, wins in held]))
+    return out

@@ -28,7 +28,7 @@ from .der import TimelineEntry, build_hypothesis
 from .errors import InvalidInputError
 from .features import FRAME_SHIFT_S, SadMark, Segment, segment_speech
 from .network import Network, extract_embeddings, receptive_span
-from .training import load_manifest_features
+from .training import manifest_features
 
 
 def windowed_utterance_embeddings(net: Network, manifest_path) -> list[EmbeddingRecord]:
@@ -37,8 +37,9 @@ def windowed_utterance_embeddings(net: Network, manifest_path) -> list[Embedding
     Cut with the same segmenter the diarizer uses, so a backend fit on these
     sees the within-speaker spread of the short segments it will later score;
     whole-utterance embeddings are far tighter and miscalibrate the PLDA.
+    Each utterance's features are read, embedded and dropped in turn.
     """
-    entries, feats = load_manifest_features(manifest_path)
+    entries, feats = manifest_features(manifest_path)
     out = []
     for e, f in zip(entries, feats):
         marks = [SadMark(e.utterance_id, 0.0, f.shape[0] * FRAME_SHIFT_S)]
@@ -96,7 +97,10 @@ def _segment_embeddings(net: Network, values: np.ndarray,
     segment. That is exact: in inference batch norm uses its running
     moments and dropout is off, so frame-level row j of a run depends only on
     its input frames [j, j + span], and a segment's window pools the same
-    numbers a forward pass over values[a:b] alone would.
+    numbers a forward pass over values[a:b] alone would. extract_embeddings
+    takes the runs in chunks of whole segments, at most EMBED_CHUNK_FRAMES
+    (8,192) frames each, and a run longer than that in stretches; less speech
+    than that is one chunk, the runs whole.
     """
     runs: list[list[int]] = []
     rows = []

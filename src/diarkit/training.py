@@ -6,14 +6,20 @@ semi-orthogonal manifold. Training pools statistics over short sliding
 windows of each utterance and averages the pooled vectors, so one utterance
 contributes one segment-level row regardless of length; gradients flow
 through the average.
+
+A training set loaded from a manifest holds each utterance's shape, not its
+features: load_train_set reads every feature file once to check it and keeps
+its shape, and train reads a batch's files again when it draws the batch, so
+memory follows the batch, not the corpus.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -123,37 +129,63 @@ def write_manifest(path, entries: Sequence[ManifestEntry]) -> None:
 
 @dataclass
 class TrainSet:
-    """Utterance features with integer labels; label i names speakers[i]."""
+    """Utterance features with integer labels; label i names speakers[i].
 
-    features: list[np.ndarray]
+    features[i] is utterance i's matrix and shapes[i] its (frames, dim). In a
+    set loaded from a manifest, indexing features reads the file then, so the
+    set itself holds no features."""
+
+    features: Sequence[np.ndarray]
+    shapes: tuple[tuple[int, int], ...]
     labels: np.ndarray
     speakers: tuple[str, ...]
     by_speaker: tuple[tuple[int, ...], ...]
 
 
-def build_train_set(entries: Sequence[ManifestEntry], features: Sequence[np.ndarray]) -> TrainSet:
+def build_train_set(entries: Sequence[ManifestEntry], features: Sequence[np.ndarray],
+                    shapes: Optional[Sequence[tuple[int, int]]] = None) -> TrainSet:
+    """shapes default to the arrays' own; pass them for features read on
+    indexing, which would otherwise be read to measure them."""
     speakers = tuple(sorted({e.speaker_id for e in entries}))
     if len(speakers) < 2:
         raise InvalidInputError("training needs at least two speakers")
     index = {s: i for i, s in enumerate(speakers)}
     labels = np.array([index[e.speaker_id] for e in entries])
     by_speaker = tuple(tuple(np.flatnonzero(labels == i)) for i in range(len(speakers)))
-    return TrainSet(list(features), labels, speakers, by_speaker)
+    shapes = tuple(f.shape for f in features) if shapes is None else tuple(shapes)
+    return TrainSet(features, shapes, labels, speakers, by_speaker)
 
 
-def load_manifest_features(manifest_path) -> tuple[list[ManifestEntry], list[np.ndarray]]:
-    """Relative feature paths resolve against the manifest's own directory,
-    so a generated corpus stays relocatable."""
+class _FeatureFiles(Sequence):
+    """Feature files as a sequence of matrices; indexing reads the file."""
+
+    def __init__(self, paths: list[str]):
+        self._paths = paths
+
+    def __len__(self) -> int:
+        return len(self._paths)
+
+    def __getitem__(self, i) -> np.ndarray:
+        return read_features(self._paths[i])
+
+
+def manifest_features(manifest_path) -> tuple[list[ManifestEntry], Sequence[np.ndarray]]:
+    """A manifest's entries and their features, each file read when indexed,
+    so iterating holds one utterance at a time. Relative feature paths
+    resolve against the manifest's own directory, so a generated corpus
+    stays relocatable."""
     entries = read_manifest(manifest_path)
     base = os.path.dirname(os.path.abspath(os.fspath(manifest_path)))
-    feats = [read_features(p if os.path.isabs(p) else os.path.join(base, p))
-             for p in (e.path for e in entries)]
-    return entries, feats
+    return entries, _FeatureFiles([p if os.path.isabs(p) else os.path.join(base, p)
+                                   for p in (e.path for e in entries)])
 
 
 def load_train_set(manifest_path) -> TrainSet:
-    entries, feats = load_manifest_features(manifest_path)
-    return build_train_set(entries, feats)
+    """Every feature file is read here once, so a corrupt one fails before
+    training starts, and only its shape is kept; training reads it again
+    when a batch draws it."""
+    entries, feats = manifest_features(manifest_path)
+    return build_train_set(entries, feats, [f.shape for f in feats])
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -273,7 +305,7 @@ def train(
             f"has {len(ts.speakers)} speakers"
         )
     check_window_span(net.spec, cfg.min_window_frames)
-    shortest = min(f.shape[0] for f in ts.features)
+    shortest = min(n for n, _ in ts.shapes)
     if shortest < cfg.min_window_frames:
         raise InvalidInputError(
             f"shortest utterance has {shortest} frames, need at least {cfg.min_window_frames}"
@@ -281,7 +313,7 @@ def train(
 
     rng = np.random.default_rng(cfg.seed)
     velocity = init_velocity(net)
-    steps_per_epoch = max(1, math.ceil(len(ts.features) / cfg.batch_size))
+    steps_per_epoch = max(1, math.ceil(len(ts.shapes) / cfg.batch_size))
     total = cfg.epochs * steps_per_epoch
     records = []
     for step in range(total):

@@ -33,7 +33,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from diarkit.network import backward_batch, forward_batch
-from diarkit.network.graph import INPUT_NAME, FrameBatch, _apply_layers
+from diarkit.network.graph import INPUT_NAME, FrameBatch, _apply_layers, _Pass, _pooling_rows
 
 DEFAULT_STEP = 1e-3
 NORM_FLOOR = 1e-6
@@ -69,14 +69,21 @@ def fd_gradients(net, sequences, grad_out, windows=None, step=DEFAULT_STEP,
     def rng():
         return rng_factory() if rng_factory is not None else None
 
+    rows = _pooling_rows(windows, tuple(s.shape[0] for s in seqs))
+
+    def evaluate(values, start=0):
+        """Run the layers from index start on, in training mode."""
+        run = _Pass(net.buffers, rows, True, dropout_prob, rng())
+        _apply_layers(net, values, run, net.spec.layers[start:])
+
     def functional(prefix, start):
         values = dict(prefix)
-        _apply_layers(net, values, windows, True, dropout_prob, rng(), start)
+        evaluate(values, start)
         return float((grad_out * values[net.spec.output_layer]).sum())
 
     with _buffers_restored(net):
         base = {INPUT_NAME: FrameBatch(np.vstack(seqs), tuple(s.shape[0] for s in seqs), 0)}
-        _apply_layers(net, base, windows, True, dropout_prob, rng())
+        evaluate(base)
         layers = net.spec.layers
         out = {}
         for li, ls in enumerate(layers):

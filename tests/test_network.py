@@ -528,13 +528,13 @@ def _sources(ls):
 def test_inference_frees_each_value_after_its_last_reader(monkeypatch):
     """extract_embeddings holds a layer's output only until the last layer
     reading it (as input or skip source) has run; the embedding and output
-    layers stay. Checked by weak references taken as each layer runs."""
+    layers stay. It runs every layer once, the frame-level layers and pooling
+    before the segment-level layers, so "last" follows that order, not the
+    spec's. Checked by weak references taken as each layer runs."""
     net = _reduced_msa_net()
     layers = net.spec.layers
     assert any(ls.skip_from for ls in layers) and net.spec.msa_taps
-    last = {src: i for i, ls in enumerate(layers) for src in _sources(ls)}
     kept = {net.spec.embedding_layer, net.spec.output_layer}
-    order = {ls.name: i for i, ls in enumerate(layers)}
     made, alive = {}, []
     for kind in {ls.kind for ls in layers}:
         orig = graph.LAYER_KINDS[kind].forward
@@ -549,9 +549,12 @@ def test_inference_frees_each_value_after_its_last_reader(monkeypatch):
     rng = np.random.default_rng(9)
     seqs = [rng.normal(size=(n, 23)) for n in (70, 64)]
     emb = extract_embeddings(net, seqs)
-    for name, names in alive:
-        i = order[name]
-        assert names == {ls.name for ls in layers[:i] if ls.name in kept or last[ls.name] >= i}
+    ran = [name for name, _ in alive]
+    by_name = {ls.name: ls for ls in layers}
+    assert sorted(ran) == sorted(by_name)
+    last = {src: i for i, name in enumerate(ran) for src in _sources(by_name[name])}
+    for i, (name, names) in enumerate(alive):
+        assert names == {n for n in ran[:i] if n in kept or last[n] >= i}
     monkeypatch.undo()
     full = forward_batch(net, seqs)
     assert np.array_equal(emb, full.values[net.spec.embedding_layer])
@@ -561,6 +564,23 @@ def test_inference_frees_each_value_after_its_last_reader(monkeypatch):
     assert np.array_equal(lean.logits, full.logits)
     with pytest.raises(InvalidInputError, match="tape"):
         forward_batch(net, seqs, mode="training", keep=())
+
+
+def test_chunks_hold_whole_rows_within_the_budget(monkeypatch):
+    """Rows stay in order and whole. A sequence within the budget goes whole,
+    once per chunk; a longer one gives the stretch its rows span, their
+    windows shifted onto it, and a row longer than the budget alone is a
+    chunk of its own."""
+    monkeypatch.setattr(graph, "EMBED_CHUNK_FRAMES", 100)
+    rows = [(0, [(0, 80)]), (1, [(0, 20)]), (2, [(0, 150)]), (2, [(100, 180)]),
+            (2, [(150, 230)]), (2, [(160, 200)]), (0, [(10, 50)])]
+    assert graph._chunks([80, 20, 400], rows) == [
+        ({0: (0, 80), 1: (0, 20)}, [(0, [(0, 80)]), (1, [(0, 20)])]),
+        ({2: (0, 150)}, [(0, [(0, 150)])]),
+        ({2: (100, 180)}, [(0, [(0, 80)])]),
+        ({2: (150, 230)}, [(0, [(0, 80)]), (0, [(10, 50)])]),
+        ({0: (0, 80)}, [(0, [(10, 50)])]),
+    ]
 
 
 @pytest.mark.parametrize("arch", ["tdnn", "etdnn", "ftdnn", "ftdnn_msa"])

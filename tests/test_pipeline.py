@@ -1,5 +1,7 @@
 """Glue-layer tests: manifests to embeddings, embeddings to timelines."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from diarkit.network import (
     build_architecture,
     extract_embeddings,
     forward_batch,
+    graph,
     initialize_network,
 )
 from diarkit.pipeline import (
@@ -173,6 +176,69 @@ def test_features_stay_float32_from_file_to_network(tmp_path):
         # no segment long enough to embed: no rows, still in the network's dtype
         segs, vecs = conversation_embeddings(net, feats[:10], marks)
         assert segs == [] and vecs.shape == (0, 8) and vecs.dtype == net.dtype
+
+
+# the acceptance experiment's widths (tests/test_acceptance.py)
+ACCEPTANCE_DIMS = DimOverrides(width=32, factor_width=32, inner_dim=16, pool_width=48,
+                               branch_dim=24, embed_dim=24)
+
+
+def _acceptance_net(arch, dtype, rng):
+    net = initialize_network(build_architecture(arch, 3, dims=ACCEPTANCE_DIMS), seed=2)
+    forward_batch(net, [rng.normal(0.3, 1.5, size=(200, 23))], mode="training")
+    return net.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("arch", ["ftdnn_msa", "tdnn"])
+def test_chunked_embeddings_equal_one_pass(arch, dtype, monkeypatch):
+    """Two long runs and a short one: with the chunk budget cut to 400
+    frames the frame-level layers run in 8 chunks, the long runs cut into 5
+    and 3 stretches, and every embedding equals, bit for bit, the one-chunk
+    pass at the production budget. Each chunk holds at least 300 frames and
+    each cut stretch at least 200, so every product keeps more rows than the
+    largest few-row switch point of OpenBLAS (75 rows)."""
+    rng = np.random.default_rng(50)
+    net = _acceptance_net(arch, dtype, rng)
+    feats = rng.normal(size=(2700, 23)).astype(np.float32)
+    marks = [SadMark("c", 0.0, 14.25), SadMark("c", 15.25, 16.45), SadMark("c", 17.25, 26.25)]
+    chunks, real = [], graph._chunks
+
+    def recording(lengths, rows):
+        chunks.append((lengths, real(lengths, rows)))
+        return chunks[-1][1]
+
+    monkeypatch.setattr(graph, "_chunks", recording)
+    segs, whole = conversation_embeddings(net, feats, marks)
+    monkeypatch.setattr(graph, "EMBED_CHUNK_FRAMES", 400)
+    cut_segs, cut = conversation_embeddings(net, feats, marks)
+    (lengths, one), (_, eight) = chunks
+    assert lengths == [1425, 120, 900] and len(one) == 1 and len(eight) == 8
+    assert all(sum(hi - lo for lo, hi in pieces.values()) >= 300 for pieces, _ in eight)
+    stretches = [hi - lo for pieces, _ in eight for i, (lo, hi) in pieces.items()
+                 if hi - lo < lengths[i]]
+    assert len(stretches) == 8 and min(stretches) >= 200
+    assert cut_segs == segs and len(segs) == 30
+    assert cut.dtype == dtype and np.array_equal(cut, whole)
+
+
+def test_embedding_memory_follows_the_chunk_not_the_conversation():
+    """One SAD run at acceptance widths: embedding 60,000 frames traces a
+    peak within 4 MB of embedding 6,000 frames. One pass over every frame
+    peaked at 48.0 MB against 4.8 MB."""
+    rng = np.random.default_rng(51)
+    net = _acceptance_net("ftdnn_msa", np.float32, rng)
+    peaks = []
+    for frames in (6000, 60000):
+        feats = rng.normal(size=(frames, 23)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            segs, _ = conversation_embeddings(net, feats, [SadMark("c", 0.0, frames / 100)])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(segs) == frames // 75 - 1
+    assert peaks[1] < peaks[0] + 4 * 2**20, peaks
 
 
 def test_windowed_utterance_embeddings(tmp_path):

@@ -1,5 +1,7 @@
 """Training loop: manifest io, loss, updates, projections, sampling, schedules."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from diarkit.training import (
     init_velocity,
     learning_rate,
     load_train_set,
+    manifest_features,
     max_ortho_residual,
     pool_windows,
     project_factors,
@@ -77,6 +80,60 @@ def test_load_train_set_reads_feature_files(tmp_path):
     assert ts.labels.tolist() == [1, 0, 1]
     assert ts.by_speaker == ((1,), (0, 2))
     assert ts.features[2].shape == (57, 8)
+
+
+def _feature_corpus(tmp_path, rng, n_utts, frames, dim=8):
+    """n_utts utterances of two speakers written as feature files, and their
+    manifest, with paths relative to it."""
+    tmp_path.mkdir(exist_ok=True)
+    entries = []
+    for i in range(n_utts):
+        write_features(tmp_path / f"u{i}.fea", rng.normal(0.5 * (i % 2), 1.0, size=(frames, dim)))
+        entries.append(ManifestEntry(f"u{i}", f"spk{i % 2}", f"u{i}.fea"))
+    write_manifest(tmp_path / "train.lst", entries)
+    return tmp_path / "train.lst"
+
+
+def test_file_backed_set_trains_as_the_held_set(tmp_path):
+    """train() on load_train_set, which reads a batch's files when it draws
+    them, leaves the same parameters and batch-norm moments, bit for bit, as
+    on build_train_set over the same features read up front: float32, four
+    steps with dropout."""
+    manifest = _feature_corpus(tmp_path, np.random.default_rng(30), 6, 90)
+    entries, feats = manifest_features(manifest)
+    held = build_train_set(entries, list(feats))
+    cfg = TrainConfig(epochs=2, batch_size=3, dropout_prob=0.2, window_frames=60,
+                      window_shift=30, min_window_frames=50, seed=4)
+    nets = []
+    for ts in (load_train_set(manifest), held):
+        assert ts.shapes == ((90, 8),) * 6
+        net = initialize_network(build_architecture("ftdnn_msa", 2, dims=SMALL), seed=3)
+        nets.append(net.astype(np.float32))
+        assert len(train(nets[-1], ts, cfg)) == 4
+    a, b = nets
+    for (_, _, x), (_, _, y) in zip(a.parameters(), b.parameters()):
+        assert x.dtype == np.float32 and np.array_equal(x, y)
+    for name, moments in a.buffers.items():
+        for k, v in moments.items():
+            assert np.array_equal(v, b.buffers[name][k])
+
+
+def test_training_memory_follows_the_batch_not_the_corpus(tmp_path):
+    """Loading and training on 64 utterances traces a peak within 0.5 MB of
+    8 utterances of the same length at the same batch size. Holding every
+    utterance's features, the 56 more would add 2.6 MB."""
+    peaks = []
+    for n in (8, 64):
+        manifest = _feature_corpus(tmp_path / f"n{n}", np.random.default_rng(31), n, 1500)
+        net = initialize_network(build_architecture("tdnn", 2, dims=SMALL), seed=3)
+        net = net.astype(np.float32)
+        tracemalloc.start()
+        try:
+            train(net, load_train_set(manifest), TrainConfig(epochs=1, batch_size=4, seed=5))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 2**19, peaks
 
 
 def test_single_speaker_rejected():
