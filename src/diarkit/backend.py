@@ -32,17 +32,13 @@ PCA_DIM_DOMAIN = Interval("n_components", 1)
 
 
 def length_normalize(vectors: np.ndarray) -> np.ndarray:
-    """Scale each row to norm sqrt(dim), the expected norm of a standard
-    gaussian, so downstream covariances keep a meaningful scale."""
+    """Scale each row of an (n, dim) stack to norm sqrt(dim), the expected
+    norm of a standard gaussian, so covariances keep a meaningful scale."""
     x = np.asarray(vectors, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise InvalidInputError("cannot length-normalize a zero vector")
-    out = x * (math.sqrt(x.shape[1]) / norms)
-    return out[0] if single else out
+    return x * (math.sqrt(x.shape[1]) / norms)
 
 
 def _canonical_signs(eigvecs: np.ndarray) -> np.ndarray:

@@ -81,6 +81,7 @@ from .pipeline import (
     conversation_scores,
     diarize_conversation,
     fit_backend,
+    load_utterances,
     speech_span,
     windowed_utterance_embeddings,
 )
@@ -596,10 +597,12 @@ def _cmd_embed(ns) -> int:
 
     if not segment_mode:
         _require_file(ns.manifest, "manifest")
+        net = load_network(ns.model)
         if ns.dry_run:
-            print("dry run: manifest mode")
+            entries, _ = load_utterances(net, ns.manifest)
+            print(f"dry run: {len(entries)} utterances validated")
             return 0
-        records = windowed_utterance_embeddings(load_network(ns.model), ns.manifest)
+        records = windowed_utterance_embeddings(net, ns.manifest)
     else:
         tasks = _conversation_tasks(ns.sad, ns.features)
         if ns.dry_run:

@@ -1,5 +1,6 @@
 """Network graph assembly and evaluation: declarative layer specs, parameter
-storage, the batched forward pass, and exact reverse-mode gradients.
+storage, the batched training pass (forward_batch) with exact reverse-mode
+gradients (backward_batch), and the one inference pass, extract_embeddings.
 
 A network is an ordered list of named layers forming a DAG (later layers may
 read any earlier output, which is what the skip connections and the
@@ -694,7 +695,7 @@ def initialize_network(spec: NetworkSpec, seed: int = 0) -> Network:
 class ForwardResult:
     logits: np.ndarray
     values: dict[str, object]
-    tape: Optional[dict[str, dict]]  # layer name -> tape entry; None in inference
+    tape: dict[str, dict]  # layer name -> tape entry; backward_batch empties it
 
 
 def _skip_crop(ls: LayerSpec, main_span: int, skip_span: int) -> int:
@@ -726,13 +727,11 @@ def _layer_input(ls: LayerSpec, values: dict):
 def forward_batch(
     net: Network,
     sequences,
-    mode: str = "inference",
     windows=None,
     dropout_prob: float = 0.0,
     rng: Optional[np.random.Generator] = None,
-    keep=None,
 ) -> ForwardResult:
-    """Run the graph over a list of (T_i, D) sequences.
+    """The training pass over a list of (T_i, D) sequences.
 
     windows, when given, lists the pooling rows: one (sequence index,
     [(start, end), ...]) entry per segment-level output row, the windows in
@@ -742,32 +741,19 @@ def forward_batch(
     segments share one frame-level pass over their region. The default is one
     row per sequence with one window spanning it.
 
-    A training pass normalizes by batch statistics, updates the running
-    batch-norm moments, and records the tape backward_batch reads; its output
-    never depends on the running moments. An inference pass uses the running
-    moments, applies no dropout and records no tape.
-
-    keep, when given, names the layers whose values the result holds besides
-    the output layer; every other value is dropped once its last reader has
-    run, so its memory serves the layers after it. By default the result
-    holds every value, as the tape and backward_batch need, so keep is
-    inference-only.
+    The pass normalizes by batch statistics, updates the running batch-norm
+    moments, and records the tape backward_batch reads; its output never
+    depends on the running moments. The result holds every value, as the
+    tape and backward_batch need. Inference is extract_embeddings'.
     """
-    if mode not in ("training", "inference"):
-        raise InvalidInputError(f"unknown mode {mode!r}")
-    training = mode == "training"
     DROPOUT_DOMAIN.check(dropout_prob)
-    if dropout_prob and not training:
-        dropout_prob = 0.0
     if dropout_prob and rng is None:
         raise InvalidInputError("dropout needs a random generator")
-    if keep is not None and training:
-        raise InvalidInputError("a forward tape needs every value")
     seqs = _sequences(net, sequences)
     rows = _pooling_rows(windows, tuple(s.shape[0] for s in seqs))
     values: dict[str, object] = {INPUT_NAME: _input_batch(net, seqs)}
-    run = _Pass(net.buffers, rows, training, dropout_prob, rng)
-    tape = _apply_layers(net, values, run, net.spec.layers, keep=keep)
+    tape = _apply_layers(net, values, _Pass(net.buffers, rows, True, dropout_prob, rng),
+                         net.spec.layers)
     return ForwardResult(values[net.spec.output_layer], values, tape)
 
 
@@ -813,7 +799,9 @@ def _apply_layers(
 
     values must already hold every value the layers read from outside
     themselves: the input batch for the whole stack, the pooled rows for
-    extract_embeddings' segment-level layers. keep is forward_batch's.
+    extract_embeddings' segment-level layers. keep, when given, names the
+    values held besides the output layer's; each other is dropped after its
+    last reader, freeing its memory. By default all stay, as a tape needs.
     """
     tape: Optional[dict[str, dict]] = {} if run.training else None
     drop_after: list[list[str]] = [[] for _ in layers]
@@ -842,13 +830,13 @@ def _apply_layers(
 def backward_batch(net: Network, result: ForwardResult, logits_grad: np.ndarray):
     """Exact gradients of a scalar loss w.r.t. every parameter.
 
-    result must come from forward_batch in training mode; batch-norm
-    gradients use the batch statistics recorded on its tape. The call
-    consumes result: when it reaches a layer, in reverse order, every reader
-    of that layer's output has run its backward, so it drops the output and
-    the tape entry before the layer's own backward runs. result.logits stays,
-    and so does the network input. logits_grad is copied, never written.
-    Returns {layer: {param: grad}}.
+    result must come from forward_batch; batch-norm gradients use the batch
+    statistics recorded on its tape. The call consumes result: when it
+    reaches a layer, in reverse order, every reader of that layer's output
+    has run its backward, so it drops the output and the tape entry before
+    the layer's own backward runs. result.logits stays, and so does the
+    network input; the emptied tape makes a second call on result raise.
+    logits_grad is copied, never written. Returns {layer: {param: grad}}.
     """
     if not result.tape:
         raise InvalidInputError("backward needs a forward tape")

@@ -28,7 +28,18 @@ from .der import TimelineEntry, build_hypothesis
 from .errors import InvalidInputError
 from .features import FRAME_SHIFT_S, SadMark, Segment, segment_speech
 from .network import Network, extract_embeddings, receptive_span
-from .training import manifest_features
+from .training import load_manifest
+
+
+def load_utterances(net: Network, manifest_path):
+    """load_manifest's entries and features, once every utterance is known,
+    by its shape, to hold a segment the network can embed."""
+    entries, feats, shapes = load_manifest(manifest_path)
+    for e, (frames, _) in zip(entries, shapes):
+        marks = [SadMark(e.utterance_id, 0.0, frames * FRAME_SHIFT_S)]
+        if not conversation_segments(frames, marks, receptive_span(net.spec) + 2):
+            raise InvalidInputError(f"{e.utterance_id}: no usable segments within the features")
+    return entries, feats
 
 
 def windowed_utterance_embeddings(net: Network, manifest_path) -> list[EmbeddingRecord]:
@@ -37,24 +48,23 @@ def windowed_utterance_embeddings(net: Network, manifest_path) -> list[Embedding
     Cut with the same segmenter the diarizer uses, so a backend fit on these
     sees the within-speaker spread of the short segments it will later score;
     whole-utterance embeddings are far tighter and miscalibrate the PLDA.
-    Each utterance's features are read, embedded and dropped in turn.
+    load_utterances checks every file and utterance first, so a corrupt file
+    or an utterance too short to embed fails before the first embedding.
+    Each utterance's features are then read, embedded and dropped in turn.
     """
-    entries, feats = manifest_features(manifest_path)
+    entries, feats = load_utterances(net, manifest_path)
     out = []
     for e, f in zip(entries, feats):
         marks = [SadMark(e.utterance_id, 0.0, f.shape[0] * FRAME_SHIFT_S)]
         segments, vecs = conversation_embeddings(net, f, marks)
-        if not segments:
-            raise InvalidInputError(
-                f"{e.utterance_id}: no usable segments within the features")
         out.extend(EmbeddingRecord(e.utterance_id, s.start_s, s.end_s, e.speaker_id, v)
                    for s, v in zip(segments, vecs))
     return out
 
 
-def conversation_segments(feats: np.ndarray, marks: list[SadMark],
+def conversation_segments(num_frames: int, marks: list[SadMark],
                           min_frames: int) -> list[Segment]:
-    """Scoring segments for one conversation, clipped to the feature matrix.
+    """Scoring segments for one conversation, clipped to its num_frames frames.
 
     SAD times can slightly outrun the features (the MFCC window eats a few
     trailing frames in audio mode); anything that no longer spans min_frames
@@ -63,7 +73,7 @@ def conversation_segments(feats: np.ndarray, marks: list[SadMark],
     out = []
     for seg in segment_speech(marks):
         a, b = seg.frame_range
-        b = min(b, feats.shape[0])
+        b = min(b, num_frames)
         if b - a >= min_frames:
             out.append(Segment(seg.conversation_id, seg.start_s, seg.end_s, (a, b)))
     return out
@@ -74,7 +84,7 @@ def conversation_embeddings(net: Network, feats: np.ndarray,
     """Segments of one conversation and an embedding for each, in the
     network's dtype; no rows, and no network pass, when no segment is long
     enough to embed."""
-    segments = conversation_segments(feats, marks, min_frames=receptive_span(net.spec) + 2)
+    segments = conversation_segments(feats.shape[0], marks, receptive_span(net.spec) + 2)
     if not segments:
         return segments, np.empty((0, net.params[net.spec.embedding_layer]["W"].shape[0]),
                                   dtype=net.dtype)

@@ -8,9 +8,9 @@ contributes one segment-level row regardless of length; gradients flow
 through the average.
 
 A training set loaded from a manifest holds each utterance's shape, not its
-features: load_train_set reads every feature file once to check it and keeps
-its shape, and train reads a batch's files again when it draws the batch, so
-memory follows the batch, not the corpus.
+features: load_manifest (train's and embed --manifest's) reads every feature
+file once to check it and keeps its shape; train reads a batch's files again
+when it draws the batch, so memory follows the batch, not the corpus.
 """
 
 from __future__ import annotations
@@ -169,23 +169,25 @@ class _FeatureFiles(Sequence):
         return read_features(self._paths[i])
 
 
-def manifest_features(manifest_path) -> tuple[list[ManifestEntry], Sequence[np.ndarray]]:
-    """A manifest's entries and their features, each file read when indexed,
-    so iterating holds one utterance at a time. Relative feature paths
-    resolve against the manifest's own directory, so a generated corpus
-    stays relocatable."""
+def load_manifest(manifest_path) -> tuple[list[ManifestEntry], Sequence[np.ndarray],
+                                           list[tuple[int, int]]]:
+    """A manifest's entries, their features and their shapes. Every feature
+    file is read here once, so a corrupt one fails before any work, and only
+    its shape is kept: indexing the features reads the file again, so
+    iterating holds one utterance at a time. Relative feature paths resolve
+    against the manifest's own directory, so a generated corpus stays
+    relocatable."""
     entries = read_manifest(manifest_path)
     base = os.path.dirname(os.path.abspath(os.fspath(manifest_path)))
-    return entries, _FeatureFiles([p if os.path.isabs(p) else os.path.join(base, p)
-                                   for p in (e.path for e in entries)])
+    feats = _FeatureFiles([p if os.path.isabs(p) else os.path.join(base, p)
+                           for p in (e.path for e in entries)])
+    return entries, feats, [f.shape for f in feats]
 
 
 def load_train_set(manifest_path) -> TrainSet:
-    """Every feature file is read here once, so a corrupt one fails before
-    training starts, and only its shape is kept; training reads it again
-    when a batch draws it."""
-    entries, feats = manifest_features(manifest_path)
-    return build_train_set(entries, feats, [f.shape for f in feats])
+    """A training set from load_manifest; training reads a file again when a
+    batch draws it."""
+    return build_train_set(*load_manifest(manifest_path))
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -260,8 +262,7 @@ def train_step(
 ) -> float:
     """Forward, loss, backward, update; optionally re-project the factors."""
     windows = [(i, pool_windows(s.shape[0], cfg)) for i, s in enumerate(seqs)]
-    res = forward_batch(net, seqs, mode="training", windows=windows,
-                        dropout_prob=cfg.dropout_prob, rng=rng)
+    res = forward_batch(net, seqs, windows=windows, dropout_prob=cfg.dropout_prob, rng=rng)
     loss, logit_grad = softmax_cross_entropy(res.logits, labels)
     if not math.isfinite(loss):
         raise TrainingDivergedError(f"loss is not finite: {loss}")

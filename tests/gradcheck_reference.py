@@ -134,7 +134,7 @@ def check_gradients(net, sequences, grad_out, windows=None, step=DEFAULT_STEP,
     """Analytic vs central-difference sweep; returns per-tensor relative errors."""
     with _buffers_restored(net):
         result = forward_batch(
-            net, sequences, mode="training", windows=windows, dropout_prob=dropout_prob,
+            net, sequences, windows=windows, dropout_prob=dropout_prob,
             rng=rng_factory() if rng_factory is not None else None,
         )
     analytic = backward_batch(net, result, np.asarray(grad_out, dtype=np.float64))
@@ -165,7 +165,7 @@ def condition_for_fd(net, sequences, windows=None, target_std=18.0, bn_scale=2.1
 
     def realized(name):
         """The layer's output values and whether they are frame-level."""
-        val = forward_batch(net, sequences, mode="training", windows=windows).values[name]
+        val = forward_batch(net, sequences, windows=windows).values[name]
         return (val.data, True) if isinstance(val, FrameBatch) else (val, False)
 
     with _buffers_restored(net):

@@ -35,8 +35,8 @@ from plda_reference import plda_score
 # ------------------------------------------------------------- normalization
 
 def test_length_normalize_hand_case():
-    out = length_normalize(np.array([3.0, 4.0]))
-    assert np.allclose(out, math.sqrt(2.0) * np.array([0.6, 0.8]), rtol=0, atol=1e-15)
+    out = length_normalize(np.array([[3.0, 4.0]]))
+    assert np.allclose(out, math.sqrt(2.0) * np.array([[0.6, 0.8]]), rtol=0, atol=1e-15)
 
 
 def test_length_normalize_row_norms():

@@ -27,7 +27,7 @@ def test_forward_flop_counts_a_training_forward(arch):
     seqs = [rng.normal(size=(n, 23)) for n in (120, 96)]
     cfg = TrainConfig()
     windows = [(i, pool_windows(s.shape[0], cfg)) for i, s in enumerate(seqs)]
-    res = forward_batch(net, seqs, mode="training", windows=windows)
+    res = forward_batch(net, seqs, windows=windows)
     flop = forward_flop(net.spec, res.values)
     assert math.isfinite(flop) and flop > 0
     # every product is counted: the first layer alone, a 5-frame splice of

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import diarkit
-from diarkit import cli
+from diarkit import cli, pipeline
 from diarkit.backend import EMBED_MAGIC, EmbeddingRecord, read_embeddings, write_embeddings
 from diarkit.cli import main
 from diarkit.der import read_rttm
@@ -35,8 +35,8 @@ from diarkit.network import (
 )
 from diarkit.training import (
     TrainConfig,
+    load_manifest,
     load_train_set,
-    manifest_features,
     read_manifest,
     train,
     write_manifest,
@@ -47,7 +47,7 @@ from blas_kernels import PIN_KERNELS
 def _utterance_archive(model, manifest, out):
     """One whole-utterance embedding per manifest entry, labeled by speaker.
     The pinned diarize and calibrate outputs rest on back-ends fit on these."""
-    entries, feats = manifest_features(manifest)
+    entries, feats, _ = load_manifest(manifest)
     feats = list(feats)
     vecs = extract_embeddings(load_network(model), feats)
     write_embeddings(out, [EmbeddingRecord(e.utterance_id, 0.0, f.shape[0] * FRAME_SHIFT_S,
@@ -333,27 +333,53 @@ def test_diverged_training_writes_no_model(work, tmp_path, capsys, rates, messag
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("damage", ["nan", "truncated"])
-def test_corrupt_last_feature_file_fails_before_any_work(work, tmp_path, capsys, damage):
-    """Training reads each batch's files when it draws them, but first reads
-    every file once: a manifest whose last feature file holds a NaN, or is
-    cut short, makes train exit 3 before step 0 with no model written, and
-    train --dry-run too. embed --manifest exits 3 with no archive written."""
+def _embedded_utterances(monkeypatch) -> list[str]:
+    """The utterances windowed_utterance_embeddings hands to
+    conversation_embeddings, recorded as it does."""
+    calls, real = [], pipeline.conversation_embeddings
+
+    def recording(net, feats, marks):
+        calls.append(marks[0].conversation_id)
+        return real(net, feats, marks)
+
+    monkeypatch.setattr(pipeline, "conversation_embeddings", recording)
+    return calls
+
+
+def _manifest_with_last(work, tmp_path, write_last) -> tuple[list, str]:
+    """The corpus' training manifest with absolute paths, its last feature
+    file replaced by what write_last(entry, path) writes; (entries, manifest)."""
     train_dir = work["corpus"] / "train"
     entries = read_manifest(train_dir / "manifest.txt")
     entries = [e._replace(path=str(train_dir / e.path)) for e in entries]
     last = tmp_path / "last.fea"
-    if damage == "nan":
-        feats = read_features(entries[-1].path)
-        feats[-1, 3] = np.nan
-        write_features(last, feats)
-    else:
-        with open(entries[-1].path, "rb") as fh:
-            last.write_bytes(fh.read()[:-10])
+    write_last(entries[-1], last)
     manifest = tmp_path / "manifest.txt"
     write_manifest(manifest, entries[:-1] + [entries[-1]._replace(path=str(last))])
+    return entries, str(manifest)
+
+
+@pytest.mark.parametrize("damage", ["nan", "truncated"])
+def test_corrupt_last_feature_file_fails_before_any_work(work, tmp_path, capsys, monkeypatch,
+                                                         damage):
+    """Training reads each batch's files when it draws them, but first reads
+    every file once: a manifest whose last feature file holds a NaN, or is
+    cut short, makes train exit 3 before step 0 with no model written, and
+    train --dry-run too. embed --manifest and its dry run exit 3 before the
+    first utterance is embedded, with no archive written."""
+    def damaged(entry, last):
+        if damage == "nan":
+            feats = read_features(entry.path)
+            feats[-1, 3] = np.nan
+            write_features(last, feats)
+        else:
+            with open(entry.path, "rb") as fh:
+                last.write_bytes(fh.read()[:-10])
+
+    _, manifest = _manifest_with_last(work, tmp_path, damaged)
+    last = tmp_path / "last.fea"
     model, archive = tmp_path / "m.bin", tmp_path / "emb.bin"
-    args = ["train", "--manifest", str(manifest), "--out", str(model), "--arch", "tdnn",
+    args = ["train", "--manifest", manifest, "--out", str(model), "--arch", "tdnn",
              "--feat-dim", "23", "--width", "8", "--pool-width", "12", "--epochs", "1",
              "--batch-size", "4", "--seed", "2"]
     capsys.readouterr()
@@ -361,9 +387,40 @@ def test_corrupt_last_feature_file_fails_before_any_work(work, tmp_path, capsys,
     printed = capsys.readouterr()
     assert printed.out == "" and str(last) in printed.err
     assert main([*args, "--dry-run"]) == 3
-    assert main(["embed", "--model", str(work["model"]), "--manifest", str(manifest),
-                 "--window", "--out", str(archive)]) == 3
+    embedded = _embedded_utterances(monkeypatch)
+    embed = ["embed", "--model", str(work["model"]), "--manifest", manifest, "--window",
+             "--out", str(archive)]
+    assert main(embed) == 3
+    assert embedded == []
+    assert main([*embed, "--dry-run"]) == 3
     assert not model.exists() and not archive.exists()
+
+
+def test_too_short_last_utterance_fails_before_any_embedding(work, tmp_path, capsys,
+                                                              monkeypatch):
+    """A last utterance shorter than any segment the model embeds (10
+    frames against tdnn's 16) makes embed --manifest and its dry run exit 4,
+    naming it, before the first utterance is embedded and with no archive
+    written; the manifest as synthesized passes the dry run."""
+    def short(entry, last):
+        write_features(last, read_features(entry.path)[:10])
+
+    entries, manifest = _manifest_with_last(work, tmp_path, short)
+    archive = tmp_path / "emb.bin"
+    embedded = _embedded_utterances(monkeypatch)
+    embed = ["embed", "--model", str(work["model"]), "--manifest", manifest, "--window",
+             "--out", str(archive)]
+    capsys.readouterr()
+    assert main(embed) == 4
+    message = f"error: {entries[-1].utterance_id}: no usable segments within the features"
+    assert message in capsys.readouterr().err
+    assert embedded == [] and not archive.exists()
+    assert main([*embed, "--dry-run"]) == 4
+    assert message in capsys.readouterr().err
+    synthesized = str(work["corpus"] / "train/manifest.txt")
+    assert main([*embed[:4], synthesized, *embed[5:], "--dry-run"]) == 0
+    assert capsys.readouterr().out == f"dry run: {len(entries)} utterances validated\n"
+    assert embedded == [] and not archive.exists()
 
 
 def test_removed_pooling_option_is_a_usage_error(work, tmp_path, capsys):

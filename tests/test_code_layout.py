@@ -35,6 +35,53 @@ def test_every_public_definition_is_used_outside_the_tests():
     assert not unused, "only the tests use " + ", ".join(unused)
 
 
+def _imported_as(tree) -> dict[str, str]:
+    """The names a file imports under an alias, mapped to what they name."""
+    return {a.asname: a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for a in node.names if a.asname}
+
+
+def test_every_parameter_is_set_outside_the_tests():
+    """Every parameter of a public top-level function of src/diarkit is set,
+    by position or by keyword, by some call in src/diarkit or perfbench/; a
+    call through an import alias counts for the function it names, and a call
+    with *args or **kwargs sets every parameter. A parameter that only the
+    tests set selects a mode nothing ships, and its code belongs in tests/."""
+    src = _trees(sorted((ROOT / "src" / "diarkit").rglob("*.py")))
+    bench = _trees(p for p in sorted((ROOT / "perfbench").glob("*.py"))
+                   if not p.name.startswith("test_"))
+    functions = [(path, node) for path, tree in src for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and not node.name.startswith("_")]
+    given: dict[str, set] = {}  # function name -> the positions and keywords calls set
+    unpacking = set()  # names called with *args or **kwargs
+    for _, tree in src + bench:
+        aliases = _imported_as(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                name = aliases.get(node.func.id, node.func.id)
+            elif isinstance(node.func, ast.Attribute):
+                name = node.func.attr
+            else:
+                continue
+            if (any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg is None for k in node.keywords)):
+                unpacking.add(name)
+            given.setdefault(name, set()).update(range(len(node.args)),
+                                                  (k.arg for k in node.keywords))
+    unset = []
+    for path, fn in functions:
+        positional = fn.args.posonlyargs + fn.args.args
+        set_by = given.get(fn.name, set())
+        for i, a in enumerate(positional + fn.args.kwonlyargs):
+            if fn.name not in unpacking and a.arg not in set_by and not (
+                    i < len(positional) and i in set_by):
+                unset.append(f"{path.relative_to(ROOT)}: {fn.name}({a.arg})")
+    assert not unset, "set only by the tests: " + ", ".join(unset)
+
+
 def test_binary_fields_are_read_by_the_one_reader():
     """struct.unpack and struct.unpack_from are called only in binfile.py, so
     every binary file gets the same truncation, trailing-byte and finiteness

@@ -44,7 +44,7 @@ from diarkit.training import TrainConfig, init_velocity, train_step
 import batchnorm_reference
 import pooling_reference
 from blas_kernels import PIN_KERNELS, openblas_core
-from embedding_reference import extract_embedding, stats_pool
+from embedding_reference import extract_embedding, inference_values, stats_pool
 from gradcheck_reference import check_gradients, condition_for_fd, fd_gradients, relative_errors
 from orthogonal_reference import svd_semi_orthogonalize
 from splice_reference import naive_splice, unsplice
@@ -416,21 +416,22 @@ def test_receptive_spans():
                              ("ftdnn_msa", "frame9_post", 32)]:
         spec = build_architecture(arch, 4, dims=REDUCED)
         net = initialize_network(spec, seed=1)
-        res = forward_batch(net, [x])
-        assert res.values[last].lengths == (150 - span,)
-        assert res.logits.shape == (1, 4)
+        values = inference_values(net, [x])
+        assert values[last].lengths == (150 - span,)
+        assert values[spec.output_layer].shape == (1, 4)
         assert receptive_span(spec) == span
         # every pooling layer, both msa taps included, sees the full span
         pools = [ls for ls in spec.layers if ls.kind == "stats_pool"]
         assert len(pools) == max(1, len(spec.msa_taps))
         for ls in pools:
-            assert res.values[ls.inputs[0]].span == span, ls.name
+            assert values[ls.inputs[0]].span == span, ls.name
 
 
 def test_short_sequence_raises():
     net = initialize_network(build_architecture("ftdnn", 4, dims=REDUCED), seed=1)
-    with pytest.raises(InvalidInputError):
-        forward_batch(net, [np.zeros((30, 23))])
+    for run in (forward_batch, extract_embeddings):
+        with pytest.raises(InvalidInputError):
+            run(net, [np.zeros((30, 23))])
 
 
 # ---------------------------------------------------------- spec validation
@@ -482,10 +483,11 @@ def test_spec_rejects_skip_that_cannot_be_centered():
 
     # an unvalidated network with the odd offset fails at run time the same way
     net = initialize_network(_spec(layers((-1, 1), "input"), "seg"))
-    bad = NetworkSpec(tuple(layers((-1, 0), "input")), "seg", 3)
-    with pytest.raises(InvalidInputError) as run_time:
-        forward_batch(Network(bad, net.params, net.buffers), [np.zeros((10, 5))])
-    assert str(run_time.value) == odd
+    bad = Network(NetworkSpec(tuple(layers((-1, 0), "input")), "seg", 3), net.params, net.buffers)
+    for run in (forward_batch, extract_embeddings):
+        with pytest.raises(InvalidInputError) as run_time:
+            run(bad, [np.zeros((10, 5))])
+        assert str(run_time.value) == odd
 
 
 @pytest.mark.parametrize("arch,field,value", [
@@ -510,9 +512,9 @@ def test_embedding_is_preactivation():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(60, 23))
     emb = extract_embedding(net, x)
-    res = forward_batch(net, [x])
     assert emb.shape == (REDUCED.embed_dim,)
-    assert np.array_equal(emb, res.values["segment1"][0])
+    assert np.array_equal(emb, inference_values(net, [x])["segment1"][0])
+    assert np.array_equal(extract_embeddings(net, [x]), emb[None])
     # pre-activation: the following relu would zero the negative half
     assert (emb < 0).any()
     stacked = extract_embeddings(net, [x, rng.normal(size=(55, 23))])
@@ -556,14 +558,7 @@ def test_inference_frees_each_value_after_its_last_reader(monkeypatch):
     for i, (name, names) in enumerate(alive):
         assert names == {n for n in ran[:i] if n in kept or last[n] >= i}
     monkeypatch.undo()
-    full = forward_batch(net, seqs)
-    assert np.array_equal(emb, full.values[net.spec.embedding_layer])
-    assert len(full.values) == len(layers) + 1  # the default keeps every value
-    lean = forward_batch(net, seqs, keep=())
-    assert set(lean.values) == {net.spec.output_layer}
-    assert np.array_equal(lean.logits, full.logits)
-    with pytest.raises(InvalidInputError, match="tape"):
-        forward_batch(net, seqs, mode="training", keep=())
+    assert np.array_equal(emb, inference_values(net, seqs)[net.spec.embedding_layer])
 
 
 def test_chunks_hold_whole_rows_within_the_budget(monkeypatch):
@@ -593,7 +588,7 @@ def test_backward_skips_the_network_input_gradient(arch):
     an input gradient."""
     net = initialize_network(build_architecture(arch, 4, dims=REDUCED), seed=0)
     x = np.random.default_rng(10).normal(size=(80, 23))
-    res = forward_batch(net, [x], mode="training")
+    res = forward_batch(net, [x])
     for ls in net.spec.layers:
         if ls.kind not in ("tdnn", "factorized_tdnn"):
             continue
@@ -610,18 +605,18 @@ def test_backward_skips_the_network_input_gradient(arch):
 def test_concat_is_ordered_hstack():
     net = _reduced_msa_net()
     x = np.random.default_rng(7).normal(size=(70, 23))
-    res = forward_batch(net, [x])
-    want = np.hstack([res.values[f"post_stats_{t}_post"] for t in net.spec.msa_taps])
-    assert np.array_equal(res.values["concat"], want)
+    values = inference_values(net, [x])
+    want = np.hstack([values[f"post_stats_{t}_post"] for t in net.spec.msa_taps])
+    assert np.array_equal(values["concat"], want)
 
 
 def test_msa_branches_are_independent():
     net = _reduced_msa_net()
     x = np.random.default_rng(8).normal(size=(70, 23))
-    before = forward_batch(net, [x]).values["concat"].copy()
+    before = inference_values(net, [x])["concat"]
     half = REDUCED.branch_dim
     net.params["pre_stats_frame9"]["W"] += 0.05
-    after = forward_batch(net, [x]).values["concat"]
+    after = inference_values(net, [x])["concat"]
     assert np.array_equal(after[:, :half], before[:, :half])
     assert not np.array_equal(after[:, half:], before[:, half:])
 
@@ -631,14 +626,14 @@ def test_sum_skip_joins_layer_input():
     convolution runs."""
     net = initialize_network(build_architecture("ftdnn", 4, dims=REDUCED), seed=9)
     x = np.random.default_rng(10).normal(size=(80, 23))
-    res = forward_batch(net, [x])
-    main = res.values["frame4_post"]
-    source = res.values["frame3_post"]
+    values = inference_values(net, [x])
+    main = values["frame4_post"]
+    source = values["frame3_post"]
     left = (main.span - source.span) // 2
     combined = main.data + source.data[left:left + main.data.shape[0]]
     p = net.params["frame5"]
     want = factorized_tdnn_forward(p["M"], p["F"], (0,), combined) + p["b"]
-    assert np.allclose(res.values["frame5"].data, want, rtol=1e-12, atol=1e-15)
+    assert np.allclose(values["frame5"].data, want, rtol=1e-12, atol=1e-15)
 
 
 def test_conv_layers_match_oracles():
@@ -646,26 +641,88 @@ def test_conv_layers_match_oracles():
     net = initialize_network(build_architecture("ftdnn", 4, dims=REDUCED), seed=9)
     rng = np.random.default_rng(15)
     seqs = [rng.normal(size=(80, 23)), rng.normal(0.3, 1.1, size=(67, 23))]
-    res = forward_batch(net, seqs)
+    values = inference_values(net, seqs)
     p1, p4 = net.params["frame1"], net.params["frame4"]
-    for seq, got1, x4, got4 in zip(seqs, res.values["frame1"].split(),
-                                   res.values["frame3_post"].split(), res.values["frame4"].split()):
+    for seq, got1, x4, got4 in zip(seqs, values["frame1"].split(),
+                                   values["frame3_post"].split(), values["frame4"].split()):
         want1 = tdnn_forward(p1["W"], p1["b"], (-2, -1, 0, 1, 2), seq)
         want4 = factorized_tdnn_forward(p4["M"], p4["F"], (-3, 0, 3), x4) + p4["b"]
         assert np.allclose(got1, want1, rtol=1e-12, atol=1e-14)
         assert np.allclose(got4, want4, rtol=1e-12, atol=1e-14)
 
 
-def test_inference_is_deterministic_and_frozen():
-    net = _reduced_msa_net()
-    x = np.random.default_rng(11).normal(size=(60, 23))
+STOCK_ARCHS = ["tdnn", "etdnn", "ftdnn", "ftdnn_msa"]
+# Inference with the running moments set to a training pass's batch moments
+# repeats that pass's embeddings to the rounding of the two batch-norm forms,
+# here as a share of the largest embedding value (measured: 3e-12 in float64,
+# 1.6e-4 in float32).
+MOMENTS_TOL = {np.float64: 1e-10, np.float32: 1e-3}
+
+
+def _moved_moments_net(arch, dtype, rng):
+    """A reduced-width net in dtype whose running moments come from rng."""
+    net = initialize_network(build_architecture(arch, 4, dims=REDUCED), seed=0).astype(dtype)
+    for layer in net.buffers.values():
+        layer["running_mean"][...] = rng.uniform(0.0, 0.5, size=layer["running_mean"].shape)
+        layer["running_var"][...] = rng.uniform(0.05, 0.5, size=layer["running_var"].shape)
+    return net
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+@pytest.mark.parametrize("arch", STOCK_ARCHS)
+def test_inference_is_deterministic_and_frozen(arch, dtype):
+    """extract_embeddings normalizes by the running moments, never the
+    batch's, leaves every buffer as it was, repeats itself bit for bit, and
+    returns the embedding layer's pre-activation output."""
+    rng = np.random.default_rng(11)
+    net = _moved_moments_net(arch, dtype, rng)
+    seqs = [rng.normal(0.1 * i, 1.0 + 0.1 * i, size=(n, 23)) for i, n in enumerate((60, 75, 52, 90))]
     before = {n: {k: v.copy() for k, v in d.items()} for n, d in net.buffers.items()}
-    a = forward_batch(net, [x]).logits
-    b = forward_batch(net, [x]).logits
-    assert np.array_equal(a, b)
+    emb = extract_embeddings(net, seqs)
+    assert emb.dtype == dtype and np.array_equal(extract_embeddings(net, seqs), emb)
     for name, d in net.buffers.items():
         for key, v in d.items():
-            assert np.array_equal(v, before[name][key])
+            assert np.array_equal(v, before[name][key]), (name, key)
+    # pre-activation: the ReLU after the embedding layer would zero the negatives
+    assert np.array_equal(emb, inference_values(net, seqs)[net.spec.embedding_layer])
+    assert (emb < 0).any()
+
+    # running moments set to a training pass's batch moments give that pass's
+    # embeddings; the moments drawn above give others
+    trained = forward_batch(net, seqs).values
+    for ls in net.spec.layers:
+        if ls.kind == "relu_batchnorm":
+            y = np.maximum(graph._data(trained[ls.inputs[0]]), 0.0).astype(np.float64)
+            net.buffers[ls.name] = {"running_mean": y.mean(axis=0).astype(dtype),
+                                    "running_var": y.var(axis=0).astype(dtype)}
+    want = trained[net.spec.embedding_layer]
+    tol = MOMENTS_TOL[dtype] * np.abs(want).max()
+    assert np.allclose(extract_embeddings(net, seqs), want, rtol=0, atol=tol)
+    assert not np.allclose(emb, want, rtol=0.1, atol=0)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+@pytest.mark.parametrize("arch", STOCK_ARCHS)
+def test_chunked_inference_matches_the_whole_pass(arch, dtype, monkeypatch):
+    """With the chunk budget cut to 500 frames, rows of several windows over
+    two sequences run in five chunks, one of them a lone row over the budget
+    and one holding stretches of both sequences, and still equal, bit for
+    bit, one pass over the whole sequences with every value held. Each chunk
+    holds at least 300 frames, so every product keeps more rows than
+    OpenBLAS's few-row switch points (75 rows at most)."""
+    rng = np.random.default_rng(17)
+    net = _moved_moments_net(arch, dtype, rng)
+    seqs = [rng.normal(size=(900, 23)), rng.normal(0.2, 1.3, size=(640, 23))]
+    rows = [(0, [(0, 150), (100, 250)]), (0, [(200, 350)]), (1, [(0, 150), (75, 225)]),
+            (1, [(150, 300), (250, 420)]), (0, [(400, 550), (500, 650), (600, 750)]),
+            (1, [(0, 640)]), (0, [(600, 900)]), (1, [(500, 640)])]
+    monkeypatch.setattr(graph, "EMBED_CHUNK_FRAMES", 500)
+    chunks = graph._chunks([len(s) for s in seqs], rows)
+    assert [sum(hi - lo for lo, hi in pieces.values()) for pieces, _ in chunks] == [
+        350, 420, 350, 640, 440]
+    emb = extract_embeddings(net, seqs, rows)
+    assert emb.dtype == dtype
+    assert np.array_equal(emb, inference_values(net, seqs, rows)[net.spec.embedding_layer])
 
 
 def test_training_mode_buffer_switch():
@@ -673,17 +730,20 @@ def test_training_mode_buffer_switch():
     rng = np.random.default_rng(12)
     seqs = [rng.normal(size=(60, 23)), rng.normal(0.5, 1.2, size=(55, 23))]
     before = {n: {k: v.copy() for k, v in d.items()} for n, d in net.buffers.items()}
-    forward_batch(net, seqs, mode="training")
+    forward_batch(net, seqs)
     moved = sum(not np.array_equal(v, before[n][k])
                 for n, d in net.buffers.items() for k, v in d.items())
     assert moved == 2 * len(net.buffers)
+    for removed in ({"mode": "inference"}, {"keep": ()}):  # the pass only trains
+        with pytest.raises(TypeError):
+            forward_batch(net, seqs, **removed)
 
 
 def test_repeated_window_equals_single():
     net = _reduced_msa_net()
     x = np.random.default_rng(13).normal(size=(70, 23))
-    one = forward_batch(net, [x], mode="training", windows=[(0, [(0, 70)])])
-    two = forward_batch(net, [x], mode="training", windows=[(0, [(0, 70), (0, 70)])])
+    one = forward_batch(net, [x], windows=[(0, [(0, 70)])])
+    two = forward_batch(net, [x], windows=[(0, [(0, 70), (0, 70)])])
     assert np.allclose(one.logits, two.logits, atol=1e-12)
 
 
@@ -694,7 +754,7 @@ def test_window_average_matches_pool_oracle():
     rng = np.random.default_rng(14)
     seqs = [rng.normal(size=(70, 23)), rng.normal(size=(50, 23))]
     rows = [(1, [(0, 50)]), (0, [(0, 50), (15, 70)]), (0, [(0, 45)])]
-    res = forward_batch(net, seqs, mode="training", windows=rows)
+    res = forward_batch(net, seqs, windows=rows)
     frames = res.values["pre_stats_frame8_post"]
     for r, (i, wins) in enumerate(rows):
         per_window = [stats_pool(frames.split()[i][a:b - frames.span]) for a, b in wins]
@@ -707,19 +767,21 @@ def test_bad_windows_raise():
     x = np.zeros((70, 23))
     for wins in [[(0, 32)], [(-1, 70)], [(0, 71)], [(40, 40)]]:
         with pytest.raises(InvalidInputError):
-            forward_batch(net, [x], mode="training", windows=[(0, wins)])
+            forward_batch(net, [x], windows=[(0, wins)])
     # rows must name a sequence of the batch and hold at least one window
     for rows in [[(1, [(0, 70)])], [(-1, [(0, 70)])], [(0, [])], [[(0, 70)]],
                  [[(0, 70), (0, 70)]]]:
         with pytest.raises(InvalidInputError):
-            forward_batch(net, [x], mode="training", windows=rows)
+            forward_batch(net, [x], windows=rows)
 
 
 def test_backward_requires_tape():
+    """backward_batch consumes the result's tape; a second call raises."""
     net = _reduced_msa_net()
-    res = forward_batch(net, [np.zeros((40, 23))])
-    with pytest.raises(InvalidInputError):
-        backward_batch(net, res, np.zeros((1, 4)))
+    res = forward_batch(net, [np.random.default_rng(16).normal(size=(40, 23))])
+    backward_batch(net, res, np.ones((1, 4)))
+    with pytest.raises(InvalidInputError, match="tape"):
+        backward_batch(net, res, np.ones((1, 4)))
 
 
 # ------------------------------------------------------------ gradient checks
@@ -847,7 +909,7 @@ def test_fd_prefix_reuse_matches_full_evaluation():
         vals = []
         for signed in (orig + step, orig - step):
             flat[i] = signed
-            res = forward_batch(net, seqs, mode="training")
+            res = forward_batch(net, seqs)
             vals.append(float((grad_out * res.logits).sum()))
         flat[i] = orig
         assert numeric[name][pname].ravel()[i] == (vals[0] - vals[1]) / (2 * step)
@@ -858,7 +920,7 @@ def test_conditioning_leaves_margins():
     rng = np.random.default_rng(1007)
     seqs = [rng.normal(-1.2, 0.7, size=(35, 23)), rng.normal(0.9, 1.3, size=(35, 23))]
     condition_for_fd(net, seqs)
-    res = forward_batch(net, seqs, mode="training")
+    res = forward_batch(net, seqs)
     linear_hidden = [ls.name for ls in net.spec.layers
                      if ls.kind in ("tdnn", "factorized_tdnn", "dense")
                      and ls.name != "output"]
@@ -895,7 +957,7 @@ def test_gradient_oracle_leaves_the_network_as_it_was():
     ]
     net = initialize_network(_spec(layers, "seg"), seed=1)
     seqs = [rng.normal(size=(14, 5)), rng.normal(-0.3, 0.8, size=(15, 5))]
-    forward_batch(net, seqs, mode="training")  # buffers away from their start values
+    forward_batch(net, seqs)  # buffers away from their start values
 
     def snapshot():
         buffers = {(n, k): v.copy() for n, d in net.buffers.items() for k, v in d.items()}
@@ -965,7 +1027,7 @@ def test_model_roundtrip_bit_exact(tmp_path):
     for dtype in (np.float64, np.float32):
         net = initialize_network(spec, seed=6).astype(dtype)
         rng = np.random.default_rng(30)
-        forward_batch(net, [rng.normal(size=(60, 23))], mode="training")  # move buffers
+        forward_batch(net, [rng.normal(size=(60, 23))])  # move buffers
         path = tmp_path / f"model-{net.dtype}.xvec"
         save_network(net, path)
         assert path.read_bytes() == _model_bytes(net)
@@ -1277,7 +1339,7 @@ def test_backward_frees_each_value_before_its_layer_runs(monkeypatch):
         monkeypatch.setattr(graph.LAYER_KINDS[kind], "backward", backward)
     rng = np.random.default_rng(9)
     seqs = [rng.normal(size=(n, 23)) for n in (70, 64)]
-    res = forward_batch(net, seqs, mode="training", dropout_prob=0.2, rng=rng)
+    res = forward_batch(net, seqs, dropout_prob=0.2, rng=rng)
     backward_batch(net, res, np.ones(res.logits.shape))
     assert [name for name, _, _ in alive] == [ls.name for ls in reversed(layers)]
     with_tape = {name for name, (_, tape) in made.items() if tape}
@@ -1348,7 +1410,7 @@ def test_backward_peak_memory_is_bounded_by_the_largest_value(dtype, dropout):
     seqs = [rng.normal(size=(n, 23)) for n in (300, 260, 340, 280)]
     tracemalloc.start()
     try:
-        res = forward_batch(net, seqs, mode="training", dropout_prob=dropout, rng=rng)
+        res = forward_batch(net, seqs, dropout_prob=dropout, rng=rng)
         largest = max(v.data.nbytes for v in res.values.values() if isinstance(v, graph.FrameBatch))
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
@@ -1379,7 +1441,7 @@ def _tape_own_fraction(arch, **dropout):
     net = initialize_network(build_architecture(arch, 4, dims=REDUCED), seed=0)
     rng = np.random.default_rng(22)
     seqs = [rng.normal(size=(n, 23)) for n in (96, 81, 110)]
-    res = forward_batch(net, seqs, mode="training", **dropout)
+    res = forward_batch(net, seqs, **dropout)
     held = [getattr(v, "data", v) for v in res.values.values()]
     seen, own = set(), 0
     for arr in _arrays(res.tape):
@@ -1535,7 +1597,7 @@ def _float32_case(arch):
     seqs = [rng.normal(0.1 * i, 1.0 + 0.1 * i, size=(n, 23)).astype(np.float32)
             for i, n in enumerate((96, 81, 110))]
     net = initialize_network(spec, seed=0)
-    forward_batch(net, seqs, mode="training")
+    forward_batch(net, seqs)
     net32 = net.astype(np.float32)
     return net32, net32.astype(np.float64), seqs
 
@@ -1550,8 +1612,8 @@ def test_float32_engine_matches_float64(arch):
     against the float64 engine on the same values, with pooling rows that
     share a sequence."""
     net32, net64, seqs = _float32_case(arch)
-    res32 = forward_batch(net32, seqs, mode="training", windows=F32_ROWS)
-    res64 = forward_batch(net64, seqs, mode="training", windows=F32_ROWS)
+    res32 = forward_batch(net32, seqs, windows=F32_ROWS)
+    res64 = forward_batch(net64, seqs, windows=F32_ROWS)
     grad_out = np.random.default_rng(4).choice([-1.0, 1.0], size=res64.logits.shape)
     grads32 = backward_batch(net32, res32, grad_out)
     grads64 = backward_batch(net64, res64, grad_out)
@@ -1575,8 +1637,7 @@ def test_float32_training_pass_holds_only_float32():
     net = initialize_network(spec, seed=0).astype(np.float32)
     rng = np.random.default_rng(12)
     seqs = [rng.normal(size=(n, 23)) for n in (96, 81, 110)]  # float64 input
-    res = forward_batch(net, seqs, mode="training", windows=F32_ROWS,
-                        dropout_prob=0.2, rng=rng)
+    res = forward_batch(net, seqs, windows=F32_ROWS, dropout_prob=0.2, rng=rng)
     forward = list(_arrays([res.values, res.tape]))  # before backward_batch consumes them
     masks = [e["keep"] for e in res.tape.values() if e.get("keep") is not None]
     assert masks and all(m.dtype == bool for m in masks)

@@ -41,20 +41,17 @@ def _marks(end_s, conv="conv0"):
 # ----------------------------------------------------------------- segments
 
 def test_conversation_segments_clips_to_features():
-    feats = np.zeros((240, 6))
-    segs = conversation_segments(feats, _marks(3.0), min_frames=16)
+    segs = conversation_segments(240, _marks(3.0), min_frames=16)
     assert [s.frame_range for s in segs] == [(0, 150), (75, 225), (150, 240)]
 
 
 def test_conversation_segments_drops_short_tail():
-    feats = np.zeros((160, 6))
-    segs = conversation_segments(feats, _marks(3.0), min_frames=16)
+    segs = conversation_segments(160, _marks(3.0), min_frames=16)
     assert [s.frame_range for s in segs] == [(0, 150), (75, 160)]
 
 
 def test_conversation_segments_nothing_left():
-    feats = np.zeros((10, 6))
-    assert conversation_segments(feats, _marks(3.0), min_frames=16) == []
+    assert conversation_segments(10, _marks(3.0), min_frames=16) == []
 
 
 def test_near_empty_conversation_runs_no_network(monkeypatch):
@@ -96,7 +93,7 @@ REGION_ARCHS = [("tdnn", None), ("etdnn", None), ("ftdnn", None),
 def _region_net(arch, taps, rng):
     """Toy-width net whose batch-norm running moments have moved off 0 and 1."""
     net = initialize_network(build_architecture(arch, 3, taps=taps, dims=TOY_DIMS), seed=2)
-    forward_batch(net, [rng.normal(0.3, 1.5, size=(120, 6))], mode="training")
+    forward_batch(net, [rng.normal(0.3, 1.5, size=(120, 6))])
     return net
 
 
@@ -185,7 +182,7 @@ ACCEPTANCE_DIMS = DimOverrides(width=32, factor_width=32, inner_dim=16, pool_wid
 
 def _acceptance_net(arch, dtype, rng):
     net = initialize_network(build_architecture(arch, 3, dims=ACCEPTANCE_DIMS), seed=2)
-    forward_batch(net, [rng.normal(0.3, 1.5, size=(200, 23))], mode="training")
+    forward_batch(net, [rng.normal(0.3, 1.5, size=(200, 23))])
     return net.astype(dtype)
 
 

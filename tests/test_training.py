@@ -14,8 +14,8 @@ from diarkit.training import (
     build_train_set,
     init_velocity,
     learning_rate,
+    load_manifest,
     load_train_set,
-    manifest_features,
     max_ortho_residual,
     pool_windows,
     project_factors,
@@ -100,7 +100,7 @@ def test_file_backed_set_trains_as_the_held_set(tmp_path):
     on build_train_set over the same features read up front: float32, four
     steps with dropout."""
     manifest = _feature_corpus(tmp_path, np.random.default_rng(30), 6, 90)
-    entries, feats = manifest_features(manifest)
+    entries, feats, _ = load_manifest(manifest)
     held = build_train_set(entries, list(feats))
     cfg = TrainConfig(epochs=2, batch_size=3, dropout_prob=0.2, window_frames=60,
                       window_shift=30, min_window_frames=50, seed=4)
@@ -355,5 +355,5 @@ def test_dropout_outside_unit_interval_is_rejected(p):
         TrainConfig(dropout_prob=p)
     net = initialize_network(build_architecture("tdnn", 2, dims=SMALL), seed=0)
     with pytest.raises(InvalidInputError, match=r"dropout_prob must be in \[0, 1\)"):
-        forward_batch(net, [np.zeros((60, 8))], mode="training", dropout_prob=p,
+        forward_batch(net, [np.zeros((60, 8))], dropout_prob=p,
                       rng=np.random.default_rng(0))
