@@ -8,7 +8,7 @@ configuration and the input paths. Exit codes: 0 success, 2 usage or config
 error, 3 missing or malformed file, 4 invalid input, 5 diverged training, 1
 anything unexpected.
 
-Memory: on glibc, ``main`` and every worker first tell malloc to keep freed
+Memory: on glibc, ``main`` first tells malloc to keep freed
 heap memory for reuse. Layer outputs, gradients and temporaries are numpy
 arrays of 0.1-4 MB; by default glibc maps each such block on its own and
 unmaps it (or trims the heap) when it is freed, so every training step and
@@ -24,7 +24,6 @@ import argparse
 import ctypes
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -35,14 +34,13 @@ from .backend import (
     CONV_PCA_FRACTION,
     PCA_DIM_DOMAIN,
     PCA_FRACTION_DOMAIN,
-    EmbeddingRecord,
     load_backend,
     read_embeddings,
     save_backend,
     write_embeddings,
 )
 from .clustering import (FOLDS_DOMAIN, GRID_SIZE, GRID_SIZE_DOMAIN, THRESHOLD_DOMAIN,
-                         calibrate_threshold)
+                         calibrate_threshold, check_folds)
 from .der import (
     COLLAR_DOMAIN,
     DEFAULT_COLLAR_S,
@@ -93,9 +91,6 @@ _TRAIN_DTYPE = np.float32
 _TRAIN_DEFAULTS = TrainConfig()
 _DIM_DEFAULTS = DimOverrides()
 _SYNTH_DEFAULTS = synthdata.CorpusSpec()
-# Upper bound of --jobs: a process pool starts all its workers at once, and
-# each worker holds its own copy of the model and back-end.
-MAX_JOBS = 64
 
 
 # glibc mallopt parameters; 32 MiB is the largest mmap threshold it accepts on
@@ -162,8 +157,9 @@ _COMMON = (
 )
 _SEED = _Opt("--seed", int, help="RNG seed (falls back to DIARKIT_SEED, then 0)",
              domain=training.SEED_DOMAIN)
-_JOBS = _Opt("--jobs", int, default=1,
-             help=f"parallel workers for per-conversation stages, at most {MAX_JOBS}")
+# Every command runs in one process. --jobs (only 1) and embed's --window stay
+# while the benchmark's stage command lines (perfbench/workloads.py stage_argv) pass them.
+_JOBS = _Opt("--jobs", int, default=1, choices=(1,), help="must be 1: one process runs the work")
 _PCA_FRACTION = _Opt("--pca-fraction", float, CONV_PCA_FRACTION,
                      help="retained fraction for conversation-level PCA",
                      domain=PCA_FRACTION_DOMAIN)
@@ -178,7 +174,6 @@ _COMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
             _Opt("--out", required=True, help="output directory for {conversation}.fea"),
             _Opt("--cmn-window", int, CMN_WINDOW_FRAMES, help="sliding CMN window in frames",
                  domain=CMN_WINDOW_DOMAIN),
-            _JOBS,
         ),
     ),
     "synth": (
@@ -200,7 +195,8 @@ _COMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
                  domain=synthdata.SPEAKERS_DOMAIN),
             _Opt("--smoothing", float, _SYNTH_DEFAULTS.smoothing,
                  domain=synthdata.SMOOTHING_DOMAIN),
-            _Opt("--audio", _FLAG, help="also synthesize waveforms and derive features from them"),
+            _Opt("--audio", _FLAG, help="also write eval/wav/*.wav for 'diarkit features'; the "
+                                        "eval features still come from the synthetic frames"),
             _SEED,
         ),
     ),
@@ -240,17 +236,13 @@ _COMMANDS: dict[str, tuple[str, tuple[_Opt, ...]]] = {
         ),
     ),
     "embed": (
-        "extract embeddings, either of each manifest utterance's sliding windows (for "
-        "back-end training) or per SAD segment",
+        "extract speaker-labeled embeddings of each manifest utterance's sliding windows, "
+        "cut as diarize cuts segments, for back-end training",
         (
             _Opt("--model", required=True),
             _Opt("--out", required=True, help="output embedding archive"),
-            _Opt("--manifest", help="labeled utterances, embedded window by window"),
-            _Opt("--window", _FLAG,
-                 help="required with --manifest: embed sliding windows of each utterance, "
-                      "cut as diarize cuts segments"),
-            _Opt("--features", help="feature directory (segment mode, with --sad)"),
-            _Opt("--sad", help="speech regions (segment mode, with --features)"),
+            _Opt("--manifest", required=True, help="labeled utterances, embedded window by window"),
+            _Opt("--window", _FLAG, help="required: embed sliding windows of each utterance"),
             _JOBS,
         ),
     ),
@@ -354,7 +346,7 @@ def _convert(opt: _Opt, raw, source: str):
             raise _UsageError(f"{source} {opt.flag}: {exc}") from exc
     if opt.choices and value not in opt.choices:
         raise _UsageError(
-            f"{source} {opt.flag}: {value!r} is not one of {', '.join(opt.choices)}")
+            f"{source} {opt.flag}: {value!r} is not one of {', '.join(map(str, opt.choices))}")
     if opt.domain is not None:
         try:
             opt.domain.check(value)
@@ -384,8 +376,6 @@ def _finalize(command: str, ns: argparse.Namespace) -> argparse.Namespace:
     missing = [o.flag for o in opts if o.required and getattr(ns, o.dest) is None]
     if missing:
         raise _UsageError(f"diarkit {command}: missing {', '.join(missing)}")
-    if hasattr(ns, "jobs") and not 1 <= ns.jobs <= MAX_JOBS:
-        raise _UsageError(f"--jobs must be between 1 and {MAX_JOBS}, got {ns.jobs}")
     return ns
 
 
@@ -430,30 +420,7 @@ def _sad_by_conversation(path) -> dict[str, list]:
     return by_conversation(marks)
 
 
-def _run_jobs(jobs: int, fn, tasks, initializer=None, initargs=()):
-    """Ordered map over tasks, in-process when jobs == 1; never more workers
-    than tasks."""
-    if jobs == 1 or len(tasks) <= 1:
-        if initializer is not None:
-            initializer(*initargs)
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), initializer=initializer,
-                             initargs=initargs) as pool:
-        return list(pool.map(fn, tasks))
-
-
 # ------------------------------------------------------ per-conversation work
-
-_WORKER: dict = {}
-
-
-def _worker_init(model_path, backend_path=None, pca_fraction=CONV_PCA_FRACTION):
-    """Load the network, plus the back-end when one is given, once per worker."""
-    _reuse_freed_memory()
-    _WORKER["net"] = load_network(model_path)
-    _WORKER["backend"] = (None if backend_path is None
-                          else (*load_backend(backend_path), pca_fraction))
-
 
 def _conversation_tasks(sad_path, directory, ext="fea", what="features") -> list[tuple]:
     """(conversation, input path, SAD marks) per conversation of the SAD file,
@@ -466,35 +433,25 @@ def _conversation_tasks(sad_path, directory, ext="fea", what="features") -> list
     return tasks
 
 
-def _embedded(task):
+def _scored(net, backend, task):
+    """(segments, pair scores) of one conversation under backend = (whitener, PLDA,
+    PCA fraction); one with no segment long enough to embed is its speech span."""
     _, feats_path, marks = task
-    return conversation_embeddings(_WORKER["net"], read_features(feats_path), marks)
-
-
-def _scored(task):
-    """(segments, pair scores) of one conversation. One with no segment long
-    enough to embed gets its speech span as its one segment."""
-    segments, vecs = _embedded(task)
-    return segments or [speech_span(task[2])], conversation_scores(vecs, *_WORKER["backend"])
+    segments, vecs = conversation_embeddings(net, read_features(feats_path), marks)
+    return segments or [speech_span(marks)], conversation_scores(vecs, *backend)
 
 
 # ------------------------------------------------------------------ features
 
-def _features_one(job):
-    (conv, wav_path, marks), out_dir, cmn_window = job
-    feats = sliding_cmn(compute_mfcc(read_wav(wav_path)), cmn_window)
-    _atomic(os.path.join(out_dir, f"{conv}.fea"), lambda p: write_features(p, feats))
-    return f"{conv} {feats.shape[0]} frames, {len(segment_speech(marks))} segments"
-
-
 def _cmd_features(ns) -> int:
-    tasks = [(task, ns.out, ns.cmn_window)
-             for task in _conversation_tasks(ns.sad, ns.wav_dir, "wav", "waveform")]
+    tasks = _conversation_tasks(ns.sad, ns.wav_dir, "wav", "waveform")
     if ns.dry_run:
         print(f"dry run: {len(tasks)} conversations validated")
         return 0
-    for line in _run_jobs(ns.jobs, _features_one, tasks):
-        print(line)
+    for conv, wav_path, marks in tasks:
+        feats = sliding_cmn(compute_mfcc(read_wav(wav_path)), ns.cmn_window)
+        _atomic(os.path.join(ns.out, f"{conv}.fea"), lambda p: write_features(p, feats))
+        print(f"{conv} {feats.shape[0]} frames, {len(segment_speech(marks))} segments")
     return 0
 
 
@@ -578,39 +535,17 @@ def _cmd_train(ns) -> int:
 
 # --------------------------------------------------------------------- embed
 
-def _embed_one(task):
-    segments, vecs = _embedded(task)
-    return [EmbeddingRecord(task[0], s.start_s, s.end_s, "", v)
-            for s, v in zip(segments, vecs)]
-
-
 def _cmd_embed(ns) -> int:
-    segment_mode = ns.features is not None or ns.sad is not None
-    if segment_mode == (ns.manifest is not None):
-        raise _UsageError("diarkit embed: use either --manifest or --features with --sad")
-    if segment_mode and (ns.features is None or ns.sad is None):
-        raise _UsageError("diarkit embed: segment mode needs both --features and --sad")
-    if ns.window == segment_mode:
-        raise _UsageError("diarkit embed: --manifest needs --window, and segment mode "
-                          "takes no --window")
+    if not ns.window:
+        raise _UsageError("diarkit embed: --manifest needs --window")
     _require_file(ns.model, "model")
-
-    if not segment_mode:
-        _require_file(ns.manifest, "manifest")
-        net = load_network(ns.model)
-        if ns.dry_run:
-            entries, _ = load_utterances(net, ns.manifest)
-            print(f"dry run: {len(entries)} utterances validated")
-            return 0
-        records = windowed_utterance_embeddings(net, ns.manifest)
-    else:
-        tasks = _conversation_tasks(ns.sad, ns.features)
-        if ns.dry_run:
-            print(f"dry run: {len(tasks)} conversations validated")
-            return 0
-        batches = _run_jobs(ns.jobs, _embed_one, tasks,
-                            initializer=_worker_init, initargs=(ns.model,))
-        records = [r for batch in batches for r in batch]
+    _require_file(ns.manifest, "manifest")
+    net = load_network(ns.model)
+    if ns.dry_run:
+        entries, _ = load_utterances(net, ns.manifest)
+        print(f"dry run: {len(entries)} utterances validated")
+        return 0
+    records = windowed_utterance_embeddings(net, ns.manifest)
     _atomic(ns.out, lambda p: write_embeddings(p, records))
     print(f"{len(records)} embeddings {ns.out}")
     return 0
@@ -633,34 +568,30 @@ def _cmd_backend_fit(ns) -> int:
 
 # ------------------------------------------------------------------- diarize
 
-def _diarize_one(job):
-    task, threshold, oracle_k = job
-    segments, scores = _scored(task)
-    return diarize_conversation(segments, scores, threshold=threshold, oracle_k=oracle_k)
-
-
 def _cmd_diarize(ns) -> int:
     if (ns.threshold is None) == (ns.oracle_k is None):
         raise _UsageError("diarkit diarize: use exactly one of --threshold or --oracle-k")
     _require_file(ns.model, "model")
     _require_file(ns.backend, "backend")
-    counts = None
+    counts = {}
     if ns.oracle_k is not None:
         _require_file(ns.oracle_k, "oracle speaker counts")
         counts = read_speaker_counts(ns.oracle_k)
-    jobs = []
-    for task in _conversation_tasks(ns.sad, ns.features):
-        if counts is not None and task[0] not in counts:
-            raise InvalidInputError(f"{ns.oracle_k}: no speaker count for {task[0]}")
-        jobs.append((task, ns.threshold, None if counts is None else counts[task[0]]))
+    tasks = _conversation_tasks(ns.sad, ns.features)
+    for conv, _, _ in tasks:
+        if ns.oracle_k is not None and conv not in counts:
+            raise InvalidInputError(f"{ns.oracle_k}: no speaker count for {conv}")
     if ns.dry_run:
-        print(f"dry run: {len(jobs)} conversations validated")
+        print(f"dry run: {len(tasks)} conversations validated")
         return 0
-    per_conv = _run_jobs(ns.jobs, _diarize_one, jobs, initializer=_worker_init,
-                         initargs=(ns.model, ns.backend, ns.pca_fraction))
-    entries = [e for conv_entries in per_conv for e in conv_entries]
+    net, backend = load_network(ns.model), (*load_backend(ns.backend), ns.pca_fraction)
+    entries = []
+    for task in tasks:
+        segments, scores = _scored(net, backend, task)
+        entries.extend(diarize_conversation(segments, scores, threshold=ns.threshold,
+                                            oracle_k=counts.get(task[0])))
     _atomic(ns.out, lambda p: write_rttm(entries, p))
-    print(f"{len(jobs)} conversations {ns.out}")
+    print(f"{len(tasks)} conversations {ns.out}")
     return 0
 
 
@@ -704,17 +635,18 @@ def _cmd_calibrate(ns) -> int:
                        (ns.ref, "reference RTTM"), (ns.sad, "SAD file")):
         _require_file(path, what)
     tasks = _conversation_tasks(ns.sad, ns.features)
-    if ns.dry_run:
-        print(f"dry run: {len(tasks)} conversations validated")
-        return 0
-
     marks_by = {conv: marks for conv, _, marks in tasks}
     ref_by = by_conversation(read_rttm(ns.ref))
     missing = sorted(set(marks_by) - set(ref_by))
     if missing:
         raise InvalidInputError(f"reference lacks conversations: {', '.join(missing)}")
-    _worker_init(ns.model, ns.backend, ns.pca_fraction)
-    scored = dict(zip(marks_by, map(_scored, tasks)))
+    check_folds(len(tasks), ns.folds)
+    if ns.dry_run:
+        print(f"dry run: {len(tasks)} conversations validated")
+        return 0
+
+    net, backend = load_network(ns.model), (*load_backend(ns.backend), ns.pca_fraction)
+    scored = {task[0]: _scored(net, backend, task) for task in tasks}
 
     def der_fn(conv: str, labels) -> float:
         hyp = build_hypothesis(scored[conv][0], labels.tolist())

@@ -146,6 +146,13 @@ def threshold_grid(pooled_scores, size: int = GRID_SIZE) -> np.ndarray:
     return np.linspace(mu - GRID_SPREAD * sigma, mu + GRID_SPREAD * sigma, size)
 
 
+def check_folds(num_conversations: int, folds: int) -> None:
+    """Reject a fold count outside FOLDS_DOMAIN or above the conversations."""
+    FOLDS_DOMAIN.check(folds)
+    if num_conversations < folds:
+        raise InvalidInputError(f"need at least {folds} conversations for {folds} folds")
+
+
 def calibrate_threshold(
     scores_by_conv: Mapping[str, np.ndarray],
     der_fn: Callable[[str, np.ndarray], float],
@@ -172,10 +179,8 @@ def calibrate_threshold(
     per fold.
     """
     ids = sorted(scores_by_conv)
-    FOLDS_DOMAIN.check(folds)
+    check_folds(len(ids), folds)
     GRID_SIZE_DOMAIN.check(grid_size)
-    if len(ids) < folds:
-        raise InvalidInputError(f"need at least {folds} conversations for {folds} folds")
     traces = {cid: (np.shape(scores_by_conv[cid])[0], merge_sequence(scores_by_conv[cid]))
               for cid in ids}
 

@@ -37,7 +37,7 @@ def load_utterances(net: Network, manifest_path):
     entries, feats, shapes = load_manifest(manifest_path)
     for e, (frames, _) in zip(entries, shapes):
         marks = [SadMark(e.utterance_id, 0.0, frames * FRAME_SHIFT_S)]
-        if not conversation_segments(frames, marks, receptive_span(net.spec) + 2):
+        if not conversation_segments(frames, marks, _min_segment_frames(net)):
             raise InvalidInputError(f"{e.utterance_id}: no usable segments within the features")
     return entries, feats
 
@@ -84,11 +84,16 @@ def conversation_embeddings(net: Network, feats: np.ndarray,
     """Segments of one conversation and an embedding for each, in the
     network's dtype; no rows, and no network pass, when no segment is long
     enough to embed."""
-    segments = conversation_segments(feats.shape[0], marks, receptive_span(net.spec) + 2)
+    segments = conversation_segments(feats.shape[0], marks, _min_segment_frames(net))
     if not segments:
         return segments, np.empty((0, net.params[net.spec.embedding_layer]["W"].shape[0]),
                                   dtype=net.dtype)
     return segments, _segment_embeddings(net, feats, segments)
+
+
+def _min_segment_frames(net: Network) -> int:
+    """Fewest frames a segment needs: two frame-level rows after the receptive span."""
+    return receptive_span(net.spec) + 2
 
 
 def speech_span(marks: list[SadMark]) -> Segment:

@@ -261,36 +261,23 @@ def test_zero_width_is_rejected_before_the_training_set_is_read(work, tmp_path, 
     assert loads == []
 
 
-def test_jobs_are_bounded(work, tmp_path, monkeypatch):
-    """--jobs above MAX_JOBS is a usage error, and the pool never has more
-    workers than conversations. No worker process is started."""
-    out = tmp_path / "x.rttm"
-    args = ["diarize", *_conv_args(work), "--backend", str(work["backend"]),
-            "--oracle-k", str(work["corpus"] / "eval/oracle_k.txt"), "--out", str(out)]
-    assert main([*args, "--jobs", str(cli.MAX_JOBS + 1), "--dry-run"]) == 2
-    assert main([*args, "--jobs", str(cli.MAX_JOBS), "--dry-run"]) == 0
-    pools = []
-
-    class InProcessPool:
-        """Records the pool size and runs the tasks in this process."""
-
-        def __init__(self, max_workers, initializer, initargs):
-            pools.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
-    assert main([*args, "--jobs", str(cli.MAX_JOBS)]) == 0
-    assert pools == [3]
-    assert out.read_bytes() == work["hyp"].read_bytes()
+def test_jobs_are_bounded(work, tmp_path, capsys):
+    """Every command runs in one process: --jobs on diarize and embed, from
+    the command line or a config file, accepts only 1, and features has no
+    --jobs."""
+    out, cfg = tmp_path / "x", tmp_path / "jobs.cfg"
+    cfg.write_text("jobs = 2\n")
+    diarize = ["diarize", *_conv_args(work), "--backend", str(work["backend"]),
+               "--oracle-k", str(work["corpus"] / "eval/oracle_k.txt"), "--out", str(out)]
+    for args in (diarize, ["embed", *_embed_args(work), "--out", str(out)]):
+        assert main([*args, "--jobs", "2", "--dry-run"]) == 2
+        assert main([*args, "--config", str(cfg), "--dry-run"]) == 2
+        assert capsys.readouterr().err.count("--jobs: 2 is not one of 1") == 2
+        assert main([*args, "--jobs", "1", "--dry-run"]) == 0
+    assert main(["features", "--wav-dir", str(tmp_path), "--sad", str(tmp_path / "sad.lab"),
+                 "--out", str(out), "--jobs", "1", "--dry-run"]) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_diverged_training_is_exit_5(work, tmp_path, monkeypatch, capsys):
@@ -446,18 +433,16 @@ def test_diarize_requires_exactly_one_stop_rule(work, capsys):
 
 
 def test_embed_mode_selection(work, capsys):
-    assert main(["embed", "--model", str(work["model"]),
-                 "--out", str(work["root"] / "x.bin")]) == 2
-    assert main(["embed", "--model", str(work["model"]),
-                 "--features", str(work["corpus"] / "eval/feats"),
-                 "--out", str(work["root"] / "x.bin")]) == 2  # --sad missing
-    assert main(["embed", "--model", str(work["model"]), "--window",
-                 "--features", str(work["corpus"] / "eval/feats"),
-                 "--sad", str(work["corpus"] / "eval/sad.lab"),
-                 "--out", str(work["root"] / "x.bin")]) == 2  # --window needs --manifest
-    assert main(["embed", "--model", str(work["model"]),
-                 "--manifest", str(work["corpus"] / "train/manifest.txt"),
-                 "--out", str(work["root"] / "x.bin")]) == 2  # --manifest needs --window
+    """embed has one mode, labeled windows from a manifest: --features and
+    --sad are no options of it, --manifest is required, and it needs
+    --window."""
+    out = ["--out", str(work["root"] / "x.bin")]
+    for flag, path in (("--features", "eval/feats"), ("--sad", "eval/sad.lab")):
+        assert main(["embed", *_embed_args(work), flag, str(work["corpus"] / path), *out]) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert main(["embed", "--model", str(work["model"]), "--window", *out]) == 2
+    assert "missing --manifest" in capsys.readouterr().err
+    assert main(["embed", *_embed_args(work)[:-1], *out]) == 2
     assert "--manifest needs --window" in capsys.readouterr().err
     assert not (work["root"] / "x.bin").exists()
 
@@ -617,24 +602,11 @@ def test_dry_run_still_validates_inputs(work, tmp_path):
 
 # -------------------------------------------------------------- reproducibility
 
-def test_diarize_jobs_identical_output(work, tmp_path):
-    par = tmp_path / "par.rttm"
-    assert main(["diarize", "--model", str(work["model"]), "--backend", str(work["backend"]),
-                 "--features", str(work["corpus"] / "eval/feats"),
-                 "--sad", str(work["corpus"] / "eval/sad.lab"),
-                 "--oracle-k", str(work["corpus"] / "eval/oracle_k.txt"),
-                 "--out", str(par), "--jobs", "2"]) == 0
-    assert par.read_bytes() == work["hyp"].read_bytes()
-
-
 def test_embed_rerun_is_bit_identical(work, tmp_path):
     outs = []
     for name in ("e1.bin", "e2.bin"):
         out = tmp_path / name
-        assert main(["embed", "--model", str(work["model"]),
-                     "--features", str(work["corpus"] / "eval/feats"),
-                     "--sad", str(work["corpus"] / "eval/sad.lab"),
-                     "--out", str(out)]) == 0
+        assert main(["embed", *_embed_args(work), "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
 
@@ -844,6 +816,11 @@ def _conv_args(work, sad=None, feats=None):
             "--sad", str(sad or work["corpus"] / "eval/sad.lab")]
 
 
+def _embed_args(work):
+    return ["--model", str(work["model"]),
+            "--manifest", str(work["corpus"] / "train/manifest.txt"), "--window"]
+
+
 def _calibrate(work, out, sad=None, feats=None, ref=None):
     return main(["calibrate", *_conv_args(work, sad, feats), "--backend", str(work["backend"]),
                  "--ref", str(ref or work["corpus"] / "eval/ref.rttm"), "--out", str(out)])
@@ -870,26 +847,28 @@ def work64(work):
     return {**work, "model": model, "backend": backend}
 
 
-# Pin every byte train (the model file), segment-mode embed, diarize and
-# calibrate write on the work corpus, for the float32 model `diarkit train`
-# writes and for a float64 model. The float64 output hashes were taken before
-# training moved to float32 and held when batch norm's scale and shift were
-# folded: the float64 engine's embeddings moved by rounding, below what the
-# float32 embedding archive stores. Its "model" hash follows the training
-# arithmetic. The model and the back-end pass through
+# Pin every byte train (the model file), embed (the training manifest's
+# windows), diarize and calibrate write on the work corpus, for the float32
+# model `diarkit train` writes and for a float64 model. The float64 output
+# hashes were taken before training moved to float32 and held when batch
+# norm's scale and shift were folded: the float64 engine's embeddings moved by
+# rounding, below what the float32 embedding archive stores. Its "model" hash
+# follows the training arithmetic. The "embed" hashes were taken with the code
+# from before embed lost its per-SAD-segment mode, so they also show that the
+# manifest archive kept its bytes. The model and the back-end pass through
 # LAPACK, so another build may move their last bits and these hashes.
 WORK_OUTPUT_SHA256 = {
     "diarize-oracle-k": "70ff4cc211eeb6aced388a9a83dd9a9a6686a22deb92ec15717aec0efc246445",
     "diarize-threshold": "c2c6df154389dbe37492576794a821c2e49a6a228d80af2b4efe1bcc1cb1844a",
     "calibrate": "dd025053995e6bff53ab616e2ebf70f76feb735dfd143de3871395f97f8c57ea",
-    "embed": "bfefb345fe484adc5c8bbc96e1c50e97896e7749703df0b55496be58fb44e4b1",
+    "embed": "784eea9c4313d93bb0f41d5c9ef341479cc7fc16287faabfc7a687d10e8cf12f",
     "model": "63697a54476b89adddc96701a7d44adbe59a311548e001231510ffc9ae43802b",
 }
 FLOAT64_WORK_OUTPUT_SHA256 = {
     "diarize-oracle-k": "70ff4cc211eeb6aced388a9a83dd9a9a6686a22deb92ec15717aec0efc246445",
     "diarize-threshold": "c2c6df154389dbe37492576794a821c2e49a6a228d80af2b4efe1bcc1cb1844a",
     "calibrate": "302371276f3f05c5a2a2a378cc90c427b4f4b760422f0521f304383b623765af",
-    "embed": "3a995615704381f51d2e93740908aa23aad29aa0d5632d45815c80a24b34f1a4",
+    "embed": "a80de87c14959c7c52d0438fa6c9c5ab9c07d32f40dc9d31846a2d03d026bcde",
     "model": "c5963f32bff7db474d54883a236aa90cccafead4bf8c1dc1dece8f955a6db369",
 }
 
@@ -909,7 +888,7 @@ def _output_digest(work, tmp_path, capsys, name):
         capsys.readouterr()
         assert _calibrate(work, out) == 0
     else:
-        assert main(["embed", *_conv_args(work), "--out", str(out)]) == 0
+        assert main(["embed", *_embed_args(work), "--out", str(out)]) == 0
     printed = capsys.readouterr().out.replace(str(out), "OUT") if name == "calibrate" else ""
     return hashlib.sha256(printed.encode() + out.read_bytes()).hexdigest()
 
@@ -934,7 +913,7 @@ def test_bad_model_dtype_is_exit_3(work, tmp_path, capsys):
     raw = work["model"].read_bytes()
     bad = tmp_path / "bad.bin"
     bad.write_bytes(raw[:8] + b"f2" + raw[10:])
-    assert main(["embed", *_conv_args({**work, "model": bad}),
+    assert main(["embed", *_embed_args({**work, "model": bad}),
                  "--out", str(tmp_path / "x.emb")]) == 3
     assert "unknown parameter dtype 'f2'" in capsys.readouterr().err
 
@@ -950,7 +929,7 @@ def test_model_with_a_tenth_layer_column_is_exit_3(work, tmp_path, capsys):
     text = "\n".join(lines).encode()
     bad = tmp_path / "tenth.bin"
     bad.write_bytes(raw[:10] + struct.pack("<Q", len(text)) + text + raw[18 + length :])
-    assert main(["embed", *_conv_args({**work, "model": bad}),
+    assert main(["embed", *_embed_args({**work, "model": bad}),
                  "--out", str(tmp_path / "x.emb")]) == 3
     assert f"{lines[first]!r}: bad field count" in capsys.readouterr().err
     assert not (tmp_path / "x.emb").exists()
@@ -999,7 +978,7 @@ def test_bad_backend_file_is_exit_3(work, tmp_path, capsys, bad):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["diarize-jobs-1", "diarize-jobs-2", "calibrate"])
+@pytest.mark.parametrize("command", ["diarize-jobs-1", "calibrate"])
 def test_backend_of_another_width_is_exit_4(work, tmp_path, capsys, command):
     """A back-end fit on width-10 embeddings, given a width-8 model."""
     rng = np.random.default_rng(0)
@@ -1091,7 +1070,7 @@ def _assert_near_empty_is_one_speaker(path):
             if e.conversation_id == NEAR_EMPTY] == [(1.0, 20.6, "spk0")]
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("jobs", [1])
 @pytest.mark.parametrize("rule", ["oracle-k", "threshold"])
 def test_near_empty_conversation_diarizes(work, near_empty, tmp_path, jobs, rule):
     def diarize(out, sad, counts):
@@ -1116,13 +1095,29 @@ def test_near_empty_conversation_calibrates(work, near_empty, tmp_path):
                  "--sad", str(near_empty["sad"])]) == 0
 
 
-def test_near_empty_conversation_embeds_nothing(work, near_empty, tmp_path):
-    full, base = tmp_path / "full.emb", tmp_path / "base.emb"
-    assert main(["embed", *_conv_args(work, near_empty["sad"], near_empty["feats"]),
-                 "--out", str(full)]) == 0
-    assert main(["embed", *_conv_args(work), "--out", str(base)]) == 0
-    assert NEAR_EMPTY not in {r.conversation_id for r in read_embeddings(full)}
-    assert full.read_bytes() == base.read_bytes()
+@pytest.mark.parametrize("case", ["folds", "ref"])
+def test_calibrate_checks_folds_and_reference_before_embedding(work, tmp_path, capsys,
+                                                               monkeypatch, case):
+    """Four folds over three conversations, or a reference without conv002:
+    exit 4 under --dry-run, and a real run exits 4 before it embeds any
+    conversation, with nothing written."""
+    embedded = []
+    real = cli.conversation_embeddings
+    monkeypatch.setattr(cli, "conversation_embeddings",
+                        lambda *args: embedded.append(args[2]) or real(*args))
+    ref, out = work["corpus"] / "eval/ref.rttm", tmp_path / "cal.rttm"
+    extra, message = ["--folds", "4"], "need at least 4 conversations for 4 folds"
+    if case == "ref":
+        lines = ref.read_text().splitlines(keepends=True)
+        ref = tmp_path / "ref.rttm"
+        ref.write_text("".join(l for l in lines if l.split()[1] != "conv002"))
+        extra, message = [], "reference lacks conversations: conv002"
+    args = ["calibrate", *_conv_args(work), "--backend", str(work["backend"]),
+            "--ref", str(ref), "--out", str(out), *extra]
+    for dry_run in (["--dry-run"], []):
+        assert main([*args, *dry_run]) == 4
+        assert message in capsys.readouterr().err
+    assert embedded == [] and not out.exists()
 
 
 def test_calibrate_fold_without_segment_pairs(work, tmp_path, capsys):

@@ -293,9 +293,21 @@ def test_corpus_deterministic(tmp_path):
 
 
 def test_corpus_audio_mode(tmp_path):
+    """Audio mode adds eval/wav/*.wav and leaves every other byte as feature
+    mode writes it: the eval features still come from the synthetic frames."""
     write_corpus(tmp_path / "audio", _tiny_spec(audio=True))
+    write_corpus(tmp_path / "features", _tiny_spec())
     wavs = sorted((tmp_path / "audio" / "eval" / "wav").iterdir())
     assert [w.name for w in wavs] == ["conv000.wav", "conv001.wav", "conv002.wav"]
+
+    def files(root):
+        return {p.relative_to(root).as_posix(): p.read_bytes()
+                for p in root.rglob("*") if p.is_file()}
+
+    audio, features = files(tmp_path / "audio"), files(tmp_path / "features")
+    assert {k: v for k, v in audio.items() if not k.startswith("eval/wav/")} == features
+    assert any(k.startswith("train/feats/") for k in features)
+    assert any(k.startswith("eval/feats/") for k in features)
 
 
 # Every byte write_corpus lays down for two small specs, taken before the
